@@ -5,7 +5,8 @@ Commands: ``train``, ``eval``, ``sweep-layers``, ``hyperbolicity``, ``mix``,
 rejected) optionally overridden with repeated ``--set dotted.key=value``
 flags; the effective config is echoed into metrics.json so any run can be
 reproduced from its own outputs.  The environment variable ``HAMGNN_THREADS``
-caps numeric-library parallelism.
+(or ``--threads``) caps numeric-library parallelism through ``threadpoolctl``;
+without it, a warning on stderr says the cap was not applied.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error or divergence.
 """
@@ -69,10 +70,14 @@ def _apply_thread_cap(flag_value=None):
         raise ConfigError("thread cap must be at least 1")
     try:
         import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=limit)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
+        # numpy is loaded by now, so setting the BLAS variables would be too late
+        print(f"warning: thread cap {limit} not applied: threadpoolctl is not "
+              "installed and the BLAS library has already started; set "
+              "OPENBLAS_NUM_THREADS / OMP_NUM_THREADS / MKL_NUM_THREADS before "
+              "starting hamgnn instead", file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(limits=limit)
 
 
 def _parse_override(text: str):

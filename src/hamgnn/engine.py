@@ -24,7 +24,7 @@ __all__ = [
     "Tensor", "Node", "GradCheckReport", "MlpParams",
     "constant", "parameter",
     "affine", "outer", "solve", "stack_rows", "transpose",
-    "gather_rows", "scatter_rows",
+    "gather_rows", "scatter_rows", "sparse_matmul",
     "tanh", "sigmoid", "sin", "relu", "rehu", "kappa", "step",
     "softmax", "log_softmax",
     "add", "mul", "scale", "negate", "reduce_sum", "dot", "concat", "narrow",
@@ -208,11 +208,45 @@ def gather_rows(x: Node, indices: Sequence[int]) -> Node:
 
 def scatter_rows(x: Node, indices: Sequence[int], num_rows: int) -> Node:
     """Rows of ``x`` accumulated into a zero array of ``num_rows`` rows."""
-    idx = tuple(int(i) for i in indices)
-    if x.shape[0] != len(idx):
+    idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+    if x.shape[0] != idx.size:
         raise ValueError("scatter_rows: one index per input row required")
-    return Node("scatter-rows", (x,), {"indices": idx, "num_rows": int(num_rows)},
-                (int(num_rows),) + x.shape[1:])
+    return sparse_matmul(x, idx, np.arange(idx.size), np.ones(idx.size), num_rows)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype).reshape(-1)
+    arr.flags.writeable = False
+    return arr
+
+
+def sparse_matmul(x: Node, rows, cols, weights, num_rows: int,
+                  label: str | None = None) -> Node:
+    """Product ``S @ x`` with a fixed sparse ``S`` of ``num_rows`` rows.
+
+    ``S`` is given in coordinate form: entry ``k`` adds ``weights[k]`` at
+    ``(rows[k], cols[k])``; repeated coordinates sum.  ``x`` may be a vector
+    or a matrix.  Time is O(nnz * d) and the graph holds O(nnz) memory, so a
+    graph operator never needs a dense ``num_rows x n`` constant.  The
+    derivative is the same operation on the transposed index set.
+    """
+    rows, cols = _frozen(rows, np.intp), _frozen(cols, np.intp)
+    weights = _frozen(weights, np.float64)
+    num_rows = int(num_rows)
+    if len(x.shape) not in (1, 2):
+        raise ValueError("sparse_matmul expects a vector or matrix")
+    if not rows.size == cols.size == weights.size:
+        raise ValueError("sparse_matmul: rows, cols and weights differ in length")
+    if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+        raise ValueError(f"sparse_matmul row index out of range [0, {num_rows})")
+    if cols.size and (cols.min() < 0 or cols.max() >= x.shape[0]):
+        raise ValueError(f"sparse_matmul column index out of range [0, {x.shape[0]})")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("sparse_matmul weights must be finite")
+    attrs = {"rows": rows, "cols": cols, "weights": weights}
+    if label:
+        attrs["label"] = label
+    return Node("sparse-matmul", (x,), attrs, (num_rows,) + x.shape[1:])
 
 
 def _unary(op: str, x: Node, attrs: dict | None = None) -> Node:
@@ -395,10 +429,17 @@ def _fw_log_softmax(node, vals):
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _fw_scatter(node, vals):
-    out = np.zeros(node.shape)
-    np.add.at(out, np.array(node.attrs["indices"], dtype=np.intp), vals[0])
-    return out
+def _fw_sparse_matmul(node, vals):
+    # one flat bincount: entry k of S adds weights[k] * x[cols[k], j] to
+    # output cell (rows[k], j), which is flat position rows[k] * d + j
+    x = vals[0] if vals[0].ndim == 2 else vals[0][:, None]
+    d = x.shape[1]
+    terms = x[node.attrs["cols"]]
+    terms *= node.attrs["weights"][:, None]
+    flat = node.attrs["rows"][:, None] * d + np.arange(d)
+    out = np.bincount(flat.reshape(-1), weights=terms.reshape(-1),
+                      minlength=node.shape[0] * d)
+    return out.reshape(node.shape)
 
 
 def _fw_slice(node, vals):
@@ -416,7 +457,7 @@ _FORWARD = {
     "stack-rows": lambda node, vals: np.stack(vals),
     "transpose": lambda node, vals: vals[0].T,
     "gather-rows": lambda node, vals: vals[0][np.array(node.attrs["indices"], dtype=np.intp)],
-    "scatter-rows": _fw_scatter,
+    "sparse-matmul": _fw_sparse_matmul,
     "tanh": lambda node, vals: np.tanh(vals[0]),
     "sigmoid": _fw_sigmoid,
     "sin": lambda node, vals: np.sin(vals[0]),
@@ -636,7 +677,9 @@ _VJP = {
     "transpose": lambda node, g: [transpose(g)],
     "gather-rows": lambda node, g: [
         scatter_rows(g, node.attrs["indices"], node.inputs[0].shape[0])],
-    "scatter-rows": lambda node, g: [gather_rows(g, node.attrs["indices"])],
+    "sparse-matmul": lambda node, g: [
+        sparse_matmul(g, node.attrs["cols"], node.attrs["rows"], node.attrs["weights"],
+                      node.inputs[0].shape[0])],
     "tanh": lambda node, g: [mul(g, add(constant(1.0), negate(mul(node, node))))],
     "sigmoid": lambda node, g: [mul(g, mul(node, add(constant(1.0), negate(node))))],
     "sin": lambda node, g: [mul(g, sin(add(node.inputs[0], constant(math.pi / 2.0))))],

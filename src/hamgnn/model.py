@@ -154,28 +154,25 @@ def init_momentum(momentum_net: MlpParams, q) -> Tensor:
     return eg.forward(node, {"q": arr, **momentum_net.bindings("momentum")})
 
 
-def aggregation_matrix(n: int, edges) -> np.ndarray:
-    """Neighbor-mean operator: row u holds 1/|N(u)| at u's neighbors.
+def aggregation_matrix(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Neighbor-mean operator in coordinate form: ``(rows, cols, weights)``.
 
-    Isolated nodes get an all-zero row, so their mean term vanishes.
+    Each undirected edge {u, v} gives the entries (u, v) and (v, u), weighted
+    1/|N(row)|.  Isolated nodes have no entries, so their mean term vanishes.
     """
-    mat = np.zeros((n, n))
-    degree = np.zeros(n)
-    for u, v in edges:
-        mat[u, v] = 1.0
-        mat[v, u] = 1.0
-        degree[u] += 1.0
-        degree[v] += 1.0
-    nonzero = degree > 0
-    mat[nonzero] /= degree[nonzero, None]
-    return mat
+    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    degree = np.bincount(rows, minlength=n)
+    return rows, cols, 1.0 / degree[rows]
 
 
 def aggregate(features, edges) -> Tensor:
     """Each node keeps its vector and adds the mean of its neighbors'."""
     x = eg.as_array(features)
-    mat = aggregation_matrix(x.shape[0], edges)
-    return Tensor(x + mat @ x)
+    leaf = eg.parameter("x", x.shape)
+    mean = eg.sparse_matmul(leaf, *aggregation_matrix(x.shape[0], edges), x.shape[0])
+    return eg.forward(eg.add(leaf, mean), {"x": x})
 
 
 def encode_nodes(params: ModelParams, cfg: ModelConfig,
@@ -186,8 +183,7 @@ def encode_nodes(params: ModelParams, cfg: ModelConfig,
             f"compressor expects {params.compressor.input_dim} features, "
             f"dataset has {dataset.num_features}")
     x = eg.constant(dataset.features, label="raw features")
-    mean_mat = eg.constant(aggregation_matrix(dataset.n, dataset.edges),
-                           label="neighbor mean")
+    coo = aggregation_matrix(dataset.n, dataset.edges)
     h = params.compressor.graph(x, "compress")
     for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
         p = qnet.graph(h, f"layer{i}.momentum")
@@ -195,7 +191,7 @@ def encode_nodes(params: ModelParams, cfg: ModelConfig,
                                  prefix=f"layer{i}.field")
         q_end = states[-1][0]
         q_end.attrs["label"] = f"layer {i} orbit end"
-        h = eg.add(q_end, eg.affine(mean_mat, q_end))
+        h = eg.add(q_end, eg.sparse_matmul(q_end, *coo, dataset.n, label="neighbor mean"))
     return h, params.bindings()
 
 
@@ -294,16 +290,28 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     params = init_params(cfg, cfg_echo["num_features"], cfg_echo["num_classes"],
                          seed=cfg_echo.get("seed", 0))
     raw = (root / "params.bin").read_bytes()
-    arrays = dict(params.param_items())
+    expected = dict(params.param_items())
+    size = 8 * sum(arr.size for arr in expected.values())
+    if len(raw) != size:
+        raise ValueError(f"params.bin holds {len(raw)} bytes, the config needs {size}")
+    # every tensor of the config is listed exactly once and packed back to
+    # back in manifest order
+    arrays, offset = dict(expected), 0
     for entry in manifest["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        name, shape = entry["name"], tuple(entry["shape"])
         if name not in arrays:
-            raise ValueError(f"checkpoint tensor {name!r} does not fit the config")
-        target = arrays[name]
+            cause = "is listed twice" if name in expected else "does not fit the config"
+            raise ValueError(f"checkpoint tensor {name!r} {cause}")
+        target = arrays.pop(name)
         if target.shape != shape:
             raise ValueError(f"checkpoint tensor {name!r} has shape {shape}, "
                              f"expected {target.shape}")
-        count = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        target[...] = values.reshape(shape)
+        if entry["offset"] != offset:
+            raise ValueError(f"checkpoint tensor {name!r} starts at byte "
+                             f"{entry['offset']}, expected {offset}")
+        target[...] = np.frombuffer(raw, dtype="<f8", count=target.size,
+                                    offset=offset).reshape(shape)
+        offset += 8 * target.size
+    if arrays:
+        raise ValueError(f"checkpoint manifest is missing tensors {sorted(arrays)}")
     return params, manifest

@@ -94,6 +94,16 @@ def test_threads_flag_is_accepted(workdir):
     assert rc == 0
 
 
+def test_unapplied_thread_cap_is_reported(workdir, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    rc = main(["--threads", "2", "gradcheck", "--variant", "flexible",
+               "--dim", "2", "--seed", "0"])
+    assert rc == 0
+    lines = [l for l in capsys.readouterr().err.splitlines() if "thread cap" in l]
+    assert len(lines) == 1
+    assert "not applied" in lines[0] and "threadpoolctl" in lines[0]
+
+
 def test_eval_reproduces_training_metric(workdir):
     assert main(["train", "--config", str(workdir / "config.json")]) == 0
     trained = json.loads((workdir / "run" / "metrics.json").read_text())

@@ -329,6 +329,81 @@ def test_concurrent_evaluations_share_a_graph(rng):
 
 
 # ---------------------------------------------------------------------------
+# sparse products
+
+
+def _random_coo(rng, num_rows, num_cols, nnz):
+    """Random coordinates with repeats; rows 0 and num_rows - 1 stay empty."""
+    rows = rng.integers(1, num_rows - 1, size=nnz)
+    cols = rng.integers(0, num_cols, size=nnz)
+    return rows, cols, rng.normal(size=nnz)
+
+
+def _dense(rows, cols, weights, num_rows, num_cols):
+    mat = np.zeros((num_rows, num_cols))
+    np.add.at(mat, (rows, cols), weights)
+    return mat
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 4)])
+def test_sparse_matmul_matches_dense_product(rng, shape):
+    for _ in range(5):
+        rows, cols, weights = _random_coo(rng, 6, shape[0], 20)
+        x = rng.normal(size=shape)
+        leaf = eg.parameter("x", shape)
+        got = eg.evaluate(eg.sparse_matmul(leaf, rows, cols, weights, 6), {"x": x})
+        expected = _dense(rows, cols, weights, 6, shape[0]) @ x
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+        assert np.all(got[[0, 5]] == 0.0)
+
+
+def test_sparse_matmul_rejects_bad_coordinates():
+    x = eg.parameter("x", (4, 2))
+    with pytest.raises(ValueError, match="differ in length"):
+        eg.sparse_matmul(x, [0, 1], [0], [1.0, 1.0], 3)
+    with pytest.raises(ValueError, match="row index"):
+        eg.sparse_matmul(x, [3], [0], [1.0], 3)
+    with pytest.raises(ValueError, match="column index"):
+        eg.sparse_matmul(x, [0], [4], [1.0], 3)
+    with pytest.raises(ValueError, match="finite"):
+        eg.sparse_matmul(x, [0], [0], [np.inf], 3)
+    with pytest.raises(ValueError, match="row index"):
+        eg.scatter_rows(x, [0, 5, 1, 2], 5)
+
+
+def test_sparse_matmul_first_and_second_order_gradients(rng):
+    rows, cols, weights = _random_coo(rng, 7, 5, 16)
+    x = eg.parameter("x", (5, 3))
+    f = eg.reduce_sum(eg.tanh(eg.sparse_matmul(x, rows, cols, weights, 7)))
+    binds = {"x": rng.normal(size=(5, 3))}
+    assert eg.check_gradient(f, x, binds, fd_step=1e-6, tol=1e-6).passed
+    # the derivative of the gradient runs through the transposed product
+    # and back through the original one
+    gf = eg.gradient(f, x)
+    h = eg.reduce_sum(eg.mul(gf, gf))
+    assert eg.check_gradient(h, x, binds, fd_step=1e-5, tol=1e-5).passed
+
+
+def test_scatter_rows_sums_repeated_rows_with_the_sparse_product(rng):
+    x = eg.parameter("x", (4, 2))
+    node = eg.scatter_rows(x, [2, 0, 2, 3], 5)
+    assert node.op == "sparse-matmul" and node.shape == (5, 2)
+    xv = rng.normal(size=(4, 2))
+    got = eg.evaluate(node, {"x": xv})
+    assert np.array_equal(got, np.stack([xv[1], np.zeros(2), xv[0] + xv[2],
+                                          xv[3], np.zeros(2)]))
+    # gather_rows differentiates into a scatter, and that scatter again
+    v = eg.parameter("v", (5,))
+    g = eg.gather_rows(v, [4, 1, 4])
+    f = eg.reduce_sum(eg.sin(eg.mul(g, g)))
+    direction = eg.constant(rng.normal(size=5))
+    slice_of_grad = eg.dot(eg.gradient(f, v), direction)
+    assert eg.check_gradient(slice_of_grad, v, {"v": rng.normal(size=5)},
+                             fd_step=1e-5, tol=1e-5).passed
+
+
+# ---------------------------------------------------------------------------
 # MlpParams
 
 

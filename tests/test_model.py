@@ -1,6 +1,9 @@
 """Model assembly: compression, momentum, aggregation, encoding, decoders,
 the baseline, and checkpoints."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,37 @@ def small_config(**kw):
                 integration=IntegrationConfig("euler", 1.0, 0.5), net_hidden=6)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def dense_neighbor_mean(n, edges):
+    """Reference neighbor-mean operator, dense and built edge by edge: row u
+    holds 1/|N(u)| at u's neighbors; isolated nodes get an all-zero row."""
+    mat = np.zeros((n, n))
+    degree = np.zeros(n)
+    for u, v in edges:
+        mat[u, v] = 1.0
+        mat[v, u] = 1.0
+        degree[u] += 1.0
+        degree[v] += 1.0
+    nonzero = degree > 0
+    mat[nonzero] /= degree[nonzero, None]
+    return mat
+
+
+def assert_roundoff_close(got, expected):
+    """Equal up to float64 round-off of a reordered sum."""
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(got - expected)) <= bound
+
+
+def graph_nodes(output):
+    seen, stack = {}, [output]
+    while stack:
+        node = stack.pop()
+        if node.nid not in seen:
+            seen[node.nid] = node
+            stack.extend(node.inputs)
+    return list(seen.values())
 
 
 def zero_fields(params):
@@ -122,6 +156,22 @@ def test_aggregate_isolated_node_unchanged():
     assert out.array.ravel().tolist() == [7.0, 2.0, 2.0]
 
 
+@pytest.mark.parametrize("width", [None, 5])
+def test_neighbor_mean_matches_dense_reference(rng, width):
+    n, isolated = 30, 4
+    pool = [(u, v) for u in range(n - isolated) for v in range(u + 1, n - isolated)]
+    for _ in range(5):
+        edges = [pool[i] for i in rng.choice(len(pool), size=40, replace=False)]
+        rows, cols, weights = md.aggregation_matrix(n, edges)
+        assert rows.size == 2 * len(edges)
+        assert max(rows.max(), cols.max()) < n - isolated
+        x = rng.normal(size=(n,) if width is None else (n, width))
+        leaf = eg.parameter("x", x.shape)
+        got = eg.evaluate(eg.sparse_matmul(leaf, rows, cols, weights, n), {"x": x})
+        assert_roundoff_close(got, dense_neighbor_mean(n, edges) @ x)
+        assert np.all(got[n - isolated:] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # encode
 
@@ -133,10 +183,34 @@ def test_encode_zero_dynamics_is_iterated_aggregation(sbm_dataset):
     zero_fields(params)
     z = md.encode(params, cfg, sbm_dataset)
     expected = md.compress(params, sbm_dataset.features).array
-    mat = md.aggregation_matrix(sbm_dataset.n, sbm_dataset.edges)
+    mat = dense_neighbor_mean(sbm_dataset.n, sbm_dataset.edges)
     for _ in range(3):
         expected = expected + mat @ expected
-    assert np.max(np.abs(z - expected)) == 0.0
+    assert_roundoff_close(z, expected)
+
+
+def test_encode_graph_holds_no_quadratic_constant():
+    ds = gd.synth_dataset("grid", width=12, height=10, seed=0)
+    cfg = small_config()
+    params = md.init_params(cfg, ds.num_features, ds.num_classes, seed=0)
+    z, _ = md.encode_nodes(params, cfg, ds)
+    sizes = [node.attrs["value"].size for node in graph_nodes(z)
+             if node.op == "constant"]
+    assert max(sizes) == ds.features.size < ds.n * ds.n
+
+
+def test_encode_peak_memory_is_linear_in_graph_size():
+    # a dense n x n operator would take 128 MB at this size
+    ds = gd.synth_dataset("grid", width=64, height=63, seed=0)
+    cfg = small_config(hidden_dim=16, layers=1, net_hidden=16)
+    params = md.init_params(cfg, ds.num_features, ds.num_classes, seed=0)
+    tracemalloc.start()
+    try:
+        md.encode(params, cfg, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_encode_single_isolated_node_is_orbit_endpoint(rng):
@@ -160,7 +234,7 @@ def test_encode_matches_straight_line_reimplementation(rng):
 
     wc, bc, _ = params.compressor.layers[0]
     h = ds.features @ wc.T + bc
-    mat = md.aggregation_matrix(ds.n, ds.edges)
+    mat = dense_neighbor_mean(ds.n, ds.edges)
     n_steps = cfg.integration.n_steps
     dt = cfg.integration.horizon / n_steps
     for qnet, spec in zip(params.momentum_nets, params.field_specs):
@@ -227,7 +301,7 @@ def test_per_node_energy_conservation_along_layers(rng):
                        integration=IntegrationConfig("rk4", 1.0, 0.01))
     params = md.init_params(cfg, ds.num_features, ds.num_classes, seed=3)
     h = md.compress(params, ds.features).array
-    mat = md.aggregation_matrix(ds.n, ds.edges)
+    mat = dense_neighbor_mean(ds.n, ds.edges)
     for qnet, spec in zip(params.momentum_nets, params.field_specs):
         ends = []
         for i in range(ds.n):
@@ -337,17 +411,22 @@ def test_baseline_mlp_matches_rowwise(rng, sbm_dataset):
 # checkpoints
 
 
-def test_checkpoint_roundtrip(tmp_path, sbm_dataset):
-    cfg = small_config()
-    params = md.init_params(cfg, sbm_dataset.num_features,
-                            sbm_dataset.num_classes, seed=5)
+def saved_checkpoint(root, dataset):
+    params = md.init_params(small_config(), dataset.num_features,
+                            dataset.num_classes, seed=5)
     echo = {"model": {"hidden_dim": 4, "layers": 2, "variant": "flexible",
                       "decoder": "classification", "signature": None,
                       "net_hidden": 6},
             "integration": {"method": "euler", "horizon": 1.0, "step": 0.5},
-            "num_features": sbm_dataset.num_features,
-            "num_classes": sbm_dataset.num_classes, "seed": 5}
-    md.save_checkpoint(params, echo, tmp_path / "ckpt")
+            "num_features": dataset.num_features,
+            "num_classes": dataset.num_classes, "seed": 5}
+    md.save_checkpoint(params, echo, root)
+    return params
+
+
+def test_checkpoint_roundtrip(tmp_path, sbm_dataset):
+    cfg = small_config()
+    params = saved_checkpoint(tmp_path / "ckpt", sbm_dataset)
     loaded, manifest = md.load_checkpoint(tmp_path / "ckpt")
     for (name, arr), (name2, arr2) in zip(params.param_items(),
                                           loaded.param_items()):
@@ -357,3 +436,25 @@ def test_checkpoint_roundtrip(tmp_path, sbm_dataset):
     z2 = md.encode(loaded, cfg, sbm_dataset)
     assert np.array_equal(z1, z2)
     assert manifest["config"]["seed"] == 5
+
+
+def test_checkpoint_manifest_must_list_every_tensor_once(tmp_path, sbm_dataset):
+    saved_checkpoint(tmp_path, sbm_dataset)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    tensors = manifest["tensors"]
+    path.write_text(json.dumps({**manifest, "tensors": tensors[:1]}))
+    with pytest.raises(ValueError, match="missing tensors"):
+        md.load_checkpoint(tmp_path)
+    twice = [tensors[0], {**tensors[0], "offset": tensors[1]["offset"]}] + tensors[2:]
+    path.write_text(json.dumps({**manifest, "tensors": twice}))
+    with pytest.raises(ValueError, match="listed twice"):
+        md.load_checkpoint(tmp_path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path, sbm_dataset):
+    saved_checkpoint(tmp_path, sbm_dataset)
+    blob = tmp_path / "params.bin"
+    blob.write_bytes(blob.read_bytes() + bytes(16))
+    with pytest.raises(ValueError, match="params.bin holds"):
+        md.load_checkpoint(tmp_path)
