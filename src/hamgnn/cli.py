@@ -1,12 +1,13 @@
 """Command-line entry points for reproducible runs.
 
 Commands: ``train``, ``eval``, ``sweep-layers``, ``hyperbolicity``, ``mix``,
-``gradcheck``.  A run is driven by one strict JSON config (unknown keys are
-rejected) optionally overridden with repeated ``--set dotted.key=value``
-flags; the effective config is echoed into metrics.json so any run can be
-reproduced from its own outputs.  The environment variable ``HAMGNN_THREADS``
-(or ``--threads``) caps numeric-library parallelism through ``threadpoolctl``;
-without it, a warning on stderr says the cap was not applied.
+``gradcheck``.  A run is driven by one strict JSON config (unknown keys and
+values of the wrong type are rejected by name) optionally overridden with
+repeated ``--set dotted.key=value`` flags; the effective config is echoed
+into metrics.json so any run can be reproduced from its own outputs.  The
+environment variable ``HAMGNN_THREADS`` (or ``--threads``) caps
+numeric-library parallelism through ``threadpoolctl``; without it, a warning
+on stderr says the cap was not applied.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error or divergence.
 """
@@ -14,6 +15,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error or divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,9 +30,10 @@ from . import hamiltonian as ham
 from . import model as md
 from . import odeint as oi
 from . import train as tr
-from .hamiltonian import PhaseState, Signature
+from .hamiltonian import PhaseState
 from .model import ModelConfig
 from .odeint import IntegrationConfig
+from .schema import check_json_value, config_from_dict, config_to_dict
 from .train import TrainConfig
 
 __all__ = ["main"]
@@ -40,22 +43,10 @@ class ConfigError(ValueError):
     pass
 
 
-_MODEL_KEYS = {"hidden_dim", "layers", "variant", "signature", "decoder",
-               "net_hidden", "rho", "phi", "eps", "momentum_dim",
-               "convex_activation"}
-_INTEGRATION_KEYS = {"method", "horizon", "step"}
-_TRAIN_KEYS = {"lr", "weight_decay", "max_epochs", "patience", "task",
-               "negative_ratio", "decay_biases"}
 # num_features / num_classes appear in echoed configs (checkpoints need
 # them); they are derived from the dataset and ignored on input
 _TOP_KEYS = {"dataset", "out_dir", "seed", "model", "integration", "train",
              "num_features", "num_classes"}
-
-
-def _reject_unknown(section: dict, allowed: set, where: str):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
 
 
 def _apply_thread_cap(flag_value=None):
@@ -105,7 +96,8 @@ def _apply_overrides(config: dict, overrides):
 
 
 def load_run_config(path, overrides=None) -> dict:
-    """Read a run config, apply overrides, and validate strictly."""
+    """Read a run config, apply overrides, and check its top-level keys;
+    ``build_configs`` checks the sections."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -115,14 +107,9 @@ def load_run_config(path, overrides=None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _apply_overrides(raw, overrides)
-    _reject_unknown(raw, _TOP_KEYS, "the config root")
-    for section, allowed in (("model", _MODEL_KEYS),
-                             ("integration", _INTEGRATION_KEYS),
-                             ("train", _TRAIN_KEYS)):
-        sub = raw.get(section, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"section {section!r} must be an object")
-        _reject_unknown(sub, allowed, f"section {section!r}")
+    for key in raw:
+        if key not in _TOP_KEYS:
+            raise ConfigError(f"unknown key {key!r} in the config root")
     for required in ("dataset", "out_dir"):
         if required not in raw:
             raise ConfigError(f"missing required key {required!r}")
@@ -130,52 +117,18 @@ def load_run_config(path, overrides=None) -> dict:
 
 
 def build_configs(raw: dict) -> tuple[ModelConfig, TrainConfig, int]:
-    """Instantiate validated config objects from the parsed document."""
-    seed = int(raw.get("seed", 0))
-    integration = IntegrationConfig(**raw.get("integration", {}))
-    model_section = dict(raw.get("model", {}))
-    sig = model_section.pop("signature", None)
-    try:
-        model_cfg = ModelConfig(
-            integration=integration,
-            signature=Signature(int(sig[0]), int(sig[1])) if sig else None,
-            **model_section)
-        train_section = dict(raw.get("train", {}))
-        train_cfg = TrainConfig(seed=seed, **train_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    """Instantiate validated config objects from the parsed document; its
+    "model", "integration" and "train" sections hold exactly the fields of
+    ModelConfig, IntegrationConfig and TrainConfig."""
+    seed = check_json_value(raw.get("seed", 0), int, "seed")
+    integration = config_from_dict(IntegrationConfig, raw.get("integration", {}),
+                                   "integration")
+    model_cfg = config_from_dict(ModelConfig, raw.get("model", {}), "model",
+                                 integration=integration)
+    train_cfg = config_from_dict(TrainConfig, raw.get("train", {}), "train", seed=seed)
     if train_cfg.task == "link" and model_cfg.decoder != "link":
         raise ConfigError("link task needs the link decoder")
     return model_cfg, train_cfg, seed
-
-
-def _echo(raw: dict, model_cfg: ModelConfig, train_cfg: TrainConfig,
-          dataset: gd.GraphDataset, seed: int) -> dict:
-    sig = model_cfg.signature
-    return {
-        "dataset": str(raw["dataset"]),
-        "out_dir": str(raw["out_dir"]),
-        "seed": seed,
-        "model": {
-            "hidden_dim": model_cfg.hidden_dim, "layers": model_cfg.layers,
-            "variant": model_cfg.variant,
-            "signature": [sig.r, sig.s] if sig else None,
-            "decoder": model_cfg.decoder, "net_hidden": model_cfg.net_hidden,
-            "rho": model_cfg.rho, "phi": model_cfg.phi, "eps": model_cfg.eps,
-            "momentum_dim": model_cfg.momentum_dim,
-            "convex_activation": model_cfg.convex_activation,
-        },
-        "integration": {"method": model_cfg.integration.method,
-                        "horizon": model_cfg.integration.horizon,
-                        "step": model_cfg.integration.step},
-        "train": {"lr": train_cfg.lr, "weight_decay": train_cfg.weight_decay,
-                  "max_epochs": train_cfg.max_epochs,
-                  "patience": train_cfg.patience, "task": train_cfg.task,
-                  "negative_ratio": train_cfg.negative_ratio,
-                  "decay_biases": train_cfg.decay_biases},
-        "num_features": dataset.num_features,
-        "num_classes": dataset.num_classes,
-    }
 
 
 def cmd_train(args) -> int:
@@ -190,7 +143,12 @@ def cmd_train(args) -> int:
                            log=lambda line: print(line, file=sys.stderr))
     wall = time.time() - started
 
-    echo = _echo(raw, model_cfg, train_cfg, dataset, seed)
+    echo = {"dataset": str(raw["dataset"]), "out_dir": str(raw["out_dir"]),
+            "seed": seed, "model": config_to_dict(model_cfg, "integration"),
+            "integration": config_to_dict(model_cfg.integration),
+            "train": config_to_dict(train_cfg, "seed"),
+            "num_features": dataset.num_features,
+            "num_classes": dataset.num_classes}
     md.save_checkpoint(best, echo, out_dir / "checkpoint")
     history.to_csv(out_dir / "history.csv")
 
@@ -221,15 +179,13 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"dataset has {dataset.num_features} features but the checkpoint "
             f"was trained with {echo['num_features']}")
-    model_cfg, train_cfg, seed = build_configs(echo)
-    task = args.task or train_cfg.task
-    if task != train_cfg.task:
-        train_cfg = TrainConfig(lr=train_cfg.lr, seed=seed, task=task)
+    model_cfg, train_cfg, _ = build_configs(echo)
+    train_cfg = dataclasses.replace(train_cfg, task=args.task or train_cfg.task)
     out_dir = Path(args.out or args.checkpoint)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     metrics = tr.evaluate_params(params, model_cfg, train_cfg, dataset)
-    metrics = {"config": echo, "task": task, **metrics}
+    metrics = {"config": echo, "task": train_cfg.task, **metrics}
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n",
                                           encoding="utf-8")
     if args.export_embeddings:
@@ -269,8 +225,6 @@ def cmd_mix(args) -> int:
 
 def run_gradcheck(variant: str, dim: int, seed: int) -> dict:
     """Field-gradient, conservation, and solver-differentiability checks."""
-    if variant not in ham.VARIANT_TAGS:
-        raise ConfigError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(seed)
     report: dict = {"variant": variant, "dim": dim, "checks": {}}
 

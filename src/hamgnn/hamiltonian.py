@@ -12,7 +12,7 @@ by differentiating that energy with the engine — the same graph evaluated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -76,6 +76,11 @@ class Signature:
         return np.concatenate([-np.ones(self.r), np.ones(self.s)])
 
 
+def _require_map(net: MlpParams, d_in: int, d_out: int, message: str):
+    if net.input_dim != d_in or net.output_dim != d_out:
+        raise ValueError(message)
+
+
 @dataclass
 class GeodesicMetric:
     """Cogeodesic flow of a learnable diagonal (pseudo-)Riemannian metric.
@@ -83,22 +88,13 @@ class GeodesicMetric:
     ``metric_net`` produces the raw diagonal; the inverse metric is
     sign ⊙ (sigmoid(raw) + floor), so each entry keeps |g^ii| in
     (floor, 1 + floor) with the sign pattern fixed by the signature.
-    ``frozen_diag`` replaces the learned diagonal with a constant vector —
-    a diagnostic hook for tests only.
     """
 
     metric_net: MlpParams
     signature: Signature
-    frozen_diag: np.ndarray | None = None
 
     def __post_init__(self):
-        d = self.signature.dim
-        if self.metric_net.input_dim != d or self.metric_net.output_dim != d:
-            raise ValueError("metric net must map d -> d")
-        if self.frozen_diag is not None:
-            self.frozen_diag = np.asarray(self.frozen_diag, dtype=np.float64)
-            if self.frozen_diag.shape != (d,):
-                raise ValueError("frozen diagonal must have d entries")
+        _require_map(self.metric_net, self.q_dim, self.q_dim, "metric net must map d -> d")
 
     @property
     def q_dim(self) -> int:
@@ -106,23 +102,26 @@ class GeodesicMetric:
 
     p_dim = q_dim
 
+    def metric_diag_node(self, q: Node, prefix: str) -> Node:
+        """Inverse-metric diagonal as a graph: sign ⊙ (sigmoid(raw) + floor)."""
+        raw = self.metric_net.graph(q, f"{prefix}.metric")
+        positive = eg.add(eg.sigmoid(raw), eg.constant(METRIC_FLOOR))
+        return eg.mul(eg.constant(self.signature.sign_vector()), positive)
+
+    def energy_node(self, q: Node, p: Node, prefix: str, axis) -> Node:
+        """H = sum_i g^ii p_i^2 / 2, summed over ``axis``."""
+        diag = self.metric_diag_node(q, prefix)
+        return eg.scale(eg.reduce_sum(eg.mul(diag, eg.mul(p, p)), axis=axis), 0.5)
+
 
 @dataclass
 class FlexibleHamiltonian:
-    """Scalar energy given by a fully connected network on (q, p).
-
-    With ``quadratic_override`` the energy is the diagnostic harmonic
-    oscillator (|q|^2 + |p|^2) / 2 and the network is ignored (tests only).
-    """
+    """Scalar energy given by a fully connected network on (q, p)."""
 
     energy_net: MlpParams
-    quadratic_override: bool = False
 
     def __post_init__(self):
-        if self.energy_net.input_dim % 2 != 0:
-            raise ValueError("energy net input must be 2d")
-        if self.energy_net.output_dim != 1:
-            raise ValueError("energy net must produce one output")
+        _require_map(self.energy_net, 2 * self.q_dim, 1, "energy net must map 2d -> 1")
 
     @property
     def q_dim(self) -> int:
@@ -130,53 +129,39 @@ class FlexibleHamiltonian:
 
     p_dim = q_dim
 
+    def energy_node(self, q: Node, p: Node, prefix: str, axis) -> Node:
+        """The energy net on the concatenated state, summed over ``axis``."""
+        out = self.energy_net.graph(eg.concat([q, p], axis=-1), f"{prefix}.energy")
+        return eg.reduce_sum(out, axis=axis)
+
 
 @dataclass
-class ConvexHamiltonian:
+class ConvexHamiltonian(FlexibleHamiltonian):
     """Learned energy constrained to be convex in (q, p).
 
     The first layer is unconstrained; weights from the second layer on are
     non-negative and every activation is convex and non-decreasing.
     """
 
-    energy_net: MlpParams
-
     def __post_init__(self):
         if not self.energy_net.convex_from_second:
             raise ValueError("energy net must be convexity-constrained")
-        if self.energy_net.input_dim % 2 != 0 or self.energy_net.output_dim != 1:
-            raise ValueError("energy net must map 2d -> 1")
-
-    @property
-    def q_dim(self) -> int:
-        return self.energy_net.input_dim // 2
-
-    p_dim = q_dim
+        super().__post_init__()
 
 
 @dataclass
-class RelaxedHamiltonian:
+class RelaxedHamiltonian(FlexibleHamiltonian):
     """Learned energy plus a position-dependent bias added to the momentum flow."""
 
-    energy_net: MlpParams
     bias_net: MlpParams
 
     def __post_init__(self):
-        d = self.energy_net.input_dim // 2
-        if self.energy_net.output_dim != 1 or self.energy_net.input_dim != 2 * d:
-            raise ValueError("energy net must map 2d -> 1")
-        if self.bias_net.input_dim != d or self.bias_net.output_dim != d:
-            raise ValueError("bias net must map d -> d")
-
-    @property
-    def q_dim(self) -> int:
-        return self.energy_net.input_dim // 2
-
-    p_dim = q_dim
+        super().__post_init__()
+        _require_map(self.bias_net, self.q_dim, self.q_dim, "bias net must map d -> d")
 
 
 @dataclass
-class LearnedSymplecticForm:
+class LearnedSymplecticForm(FlexibleHamiltonian):
     """Learned energy paired with a learnable symplectic two-form.
 
     ``form_net`` gives the coefficients of a one-form on phase space; the skew
@@ -186,51 +171,26 @@ class LearnedSymplecticForm:
     singular.
     """
 
-    energy_net: MlpParams
     form_net: MlpParams
     eps: float = 1e-3
 
     def __post_init__(self):
-        two_d = self.energy_net.input_dim
-        if two_d % 2 != 0 or self.energy_net.output_dim != 1:
-            raise ValueError("energy net must map 2d -> 1")
-        if self.form_net.input_dim != two_d or self.form_net.output_dim != two_d:
-            raise ValueError("form net must map 2d -> 2d")
+        super().__post_init__()
+        two_d = 2 * self.q_dim
+        _require_map(self.form_net, two_d, two_d, "form net must map 2d -> 2d")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
 
-    @property
-    def q_dim(self) -> int:
-        return self.energy_net.input_dim // 2
-
-    p_dim = q_dim
-
 
 @dataclass
-class GeodesicRelaxed:
+class GeodesicRelaxed(GeodesicMetric):
     """Cogeodesic flow with an extra position-dependent bias on the momentum."""
 
-    metric_net: MlpParams
-    signature: Signature
     bias_net: MlpParams
-    frozen_diag: np.ndarray | None = None
 
     def __post_init__(self):
-        d = self.signature.dim
-        if self.metric_net.input_dim != d or self.metric_net.output_dim != d:
-            raise ValueError("metric net must map d -> d")
-        if self.bias_net.input_dim != d or self.bias_net.output_dim != d:
-            raise ValueError("bias net must map d -> d")
-        if self.frozen_diag is not None:
-            self.frozen_diag = np.asarray(self.frozen_diag, dtype=np.float64)
-            if self.frozen_diag.shape != (d,):
-                raise ValueError("frozen diagonal must have d entries")
-
-    @property
-    def q_dim(self) -> int:
-        return self.signature.dim
-
-    p_dim = q_dim
+        super().__post_init__()
+        _require_map(self.bias_net, self.q_dim, self.q_dim, "bias net must map d -> d")
 
 
 @dataclass
@@ -250,10 +210,8 @@ class HigherDimMomentum:
             raise ValueError("rho must be non-negative")
         if self.phi not in eg.ACTIVATIONS:
             raise ValueError(f"unknown activation tag {self.phi!r}")
-        if self.h1_net.input_dim != self.h2_net.output_dim:
-            raise ValueError("h1 input dimension must equal momentum dimension")
-        if self.h2_net.input_dim != self.h1_net.output_dim:
-            raise ValueError("h2 input dimension must equal position dimension")
+        _require_map(self.h1_net, self.p_dim, self.q_dim, "h1 net must map k -> d")
+        _require_map(self.h2_net, self.q_dim, self.p_dim, "h2 net must map d -> k")
 
     @property
     def q_dim(self) -> int:
@@ -271,8 +229,7 @@ class VanillaOde:
     f_net: MlpParams
 
     def __post_init__(self):
-        if self.f_net.input_dim != self.f_net.output_dim:
-            raise ValueError("baseline field must map d -> d")
+        _require_map(self.f_net, self.q_dim, self.q_dim, "baseline field must map d -> d")
         if len(self.f_net.layers) != 2:
             raise ValueError("baseline field uses exactly two affine layers")
 
@@ -288,9 +245,6 @@ HamiltonianSpec = Union[
     LearnedSymplecticForm, GeodesicRelaxed, HigherDimMomentum, VanillaOde,
 ]
 
-_METRIC_VARIANTS = (GeodesicMetric, GeodesicRelaxed)
-_ENERGY_VARIANTS = (GeodesicMetric, FlexibleHamiltonian, ConvexHamiltonian,
-                    RelaxedHamiltonian, LearnedSymplecticForm, GeodesicRelaxed)
 
 VARIANT_TAGS = ("geodesic", "flexible", "convex", "relaxed", "symplectic",
                 "geodesic_relaxed", "higher_dim", "vanilla_ode")
@@ -341,21 +295,9 @@ def make_spec(tag: str, dim: int, hidden: int, rng: np.random.Generator,
 
 
 def _spec_nets(spec) -> list[tuple[str, MlpParams]]:
-    if isinstance(spec, GeodesicMetric):
-        return [("metric", spec.metric_net)]
-    if isinstance(spec, (FlexibleHamiltonian, ConvexHamiltonian)):
-        return [("energy", spec.energy_net)]
-    if isinstance(spec, RelaxedHamiltonian):
-        return [("energy", spec.energy_net), ("bias", spec.bias_net)]
-    if isinstance(spec, LearnedSymplecticForm):
-        return [("energy", spec.energy_net), ("form", spec.form_net)]
-    if isinstance(spec, GeodesicRelaxed):
-        return [("metric", spec.metric_net), ("bias", spec.bias_net)]
-    if isinstance(spec, HigherDimMomentum):
-        return [("h1", spec.h1_net), ("h2", spec.h2_net)]
-    if isinstance(spec, VanillaOde):
-        return [("f", spec.f_net)]
-    raise TypeError(f"not a dynamics spec: {spec!r}")
+    """The spec's networks, one per field named ``<role>_net``, in field order."""
+    return [(f.name.removesuffix("_net"), getattr(spec, f.name))
+            for f in fields(spec) if f.name.endswith("_net")]
 
 
 def spec_param_items(spec, prefix: str) -> list[tuple[str, np.ndarray]]:
@@ -371,16 +313,7 @@ def spec_bindings(spec, prefix: str) -> dict:
 
 
 def has_hamiltonian(spec) -> bool:
-    return isinstance(spec, _ENERGY_VARIANTS)
-
-
-def _metric_diag_node(spec, q: Node, prefix: str) -> Node:
-    """Inverse-metric diagonal as a graph: sign ⊙ (sigmoid(raw) + floor)."""
-    if spec.frozen_diag is not None:
-        return eg.constant(spec.frozen_diag)
-    raw = spec.metric_net.graph(q, f"{prefix}.metric")
-    positive = eg.add(eg.sigmoid(raw), eg.constant(METRIC_FLOOR))
-    return eg.mul(eg.constant(spec.signature.sign_vector()), positive)
+    return hasattr(spec, "energy_node")
 
 
 def hamiltonian_node(spec, q: Node, p: Node, prefix: str = "field",
@@ -394,19 +327,7 @@ def hamiltonian_node(spec, q: Node, p: Node, prefix: str = "field",
     if not has_hamiltonian(spec):
         raise ValueError("variant has no Hamiltonian")
     batched = len(q.shape) == 2
-    axis = 1 if (batched and per_state) else None
-
-    if isinstance(spec, _METRIC_VARIANTS):
-        diag = _metric_diag_node(spec, q, prefix)
-        return eg.scale(eg.reduce_sum(eg.mul(diag, eg.mul(p, p)), axis=axis), 0.5)
-
-    if isinstance(spec, FlexibleHamiltonian) and spec.quadratic_override:
-        kinetic = eg.add(eg.mul(q, q), eg.mul(p, p))
-        return eg.scale(eg.reduce_sum(kinetic, axis=axis), 0.5)
-
-    z = eg.concat([q, p], axis=-1)
-    out = spec.energy_net.graph(z, f"{prefix}.energy")
-    return eg.reduce_sum(out, axis=axis)
+    return spec.energy_node(q, p, prefix, axis=1 if (batched and per_state) else None)
 
 
 def _symplectic_state_field(spec: LearnedSymplecticForm, q: Node, p: Node,
@@ -495,13 +416,13 @@ def _state_leaves(state: PhaseState) -> tuple[Node, Node, dict]:
 def metric_inverse_diag(spec, q) -> Tensor:
     """Inverse-metric diagonal at a position; entries keep |g^ii| in
     (floor, 1 + floor) with signs fixed by the signature."""
-    if not isinstance(spec, _METRIC_VARIANTS):
+    if not isinstance(spec, GeodesicMetric):
         raise TypeError("metric diagonal is defined for the metric variants only")
     q = eg.as_array(q)
     if q.shape != (spec.q_dim,):
         raise ValueError(f"position must have dimension {spec.q_dim}")
     leaf = eg.parameter("q", q.shape)
-    return eg.forward(_metric_diag_node(spec, leaf, "field"),
+    return eg.forward(spec.metric_diag_node(leaf, "field"),
                       {"q": q, **spec_bindings(spec, "field")})
 
 
@@ -561,8 +482,6 @@ def check_field_gradients(spec, n_states: int, rng: np.random.Generator,
     differences of the energy over random states.  Graphs are built once and
     re-evaluated per state.
     """
-    if not has_hamiltonian(spec):
-        raise ValueError("variant has no Hamiltonian")
     d = spec.q_dim
     base = spec_bindings(spec, "field")
     q_leaf = eg.parameter("q", (d,))

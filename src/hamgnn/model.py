@@ -23,6 +23,7 @@ from .engine import MlpParams, Node, Tensor
 from .graphdata import GraphDataset
 from .hamiltonian import Signature
 from .odeint import IntegrationConfig, integrate_nodes
+from .schema import check_json_value, config_from_dict
 
 __all__ = [
     "ModelConfig", "ModelParams", "init_params",
@@ -271,24 +272,19 @@ def save_checkpoint(params: ModelParams, config_echo: dict, path) -> None:
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     """Rebuild parameters from a checkpoint directory; returns the manifest's
-    config echo as well."""
+    config echo as well.  The echo's "model" and "integration" sections must
+    list every config field, and its seed and sizes must be integers."""
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    cfg_echo = manifest["config"]
-    model_echo = cfg_echo["model"]
-    integration = IntegrationConfig(**cfg_echo["integration"])
-    sig = model_echo.get("signature")
-    cfg = ModelConfig(
-        hidden_dim=model_echo["hidden_dim"], layers=model_echo["layers"],
-        variant=model_echo["variant"], integration=integration,
-        signature=Signature(*sig) if sig else None,
-        decoder=model_echo["decoder"], net_hidden=model_echo.get("net_hidden"),
-        rho=model_echo.get("rho", 0.1), phi=model_echo.get("phi", "tanh"),
-        eps=model_echo.get("eps", 1e-3),
-        momentum_dim=model_echo.get("momentum_dim"),
-        convex_activation=model_echo.get("convex_activation", "rehu"))
-    params = init_params(cfg, cfg_echo["num_features"], cfg_echo["num_classes"],
-                         seed=cfg_echo.get("seed", 0))
+    echo = manifest["config"]
+    integration = config_from_dict(IntegrationConfig, echo.get("integration"),
+                                   "integration", complete=True)
+    cfg = config_from_dict(ModelConfig, echo.get("model"), "model", complete=True,
+                           integration=integration)
+    num_features, num_classes, seed = (
+        check_json_value(echo.get(key), int, key)  # a missing key reads as None
+        for key in ("num_features", "num_classes", "seed"))
+    params = init_params(cfg, num_features, num_classes, seed=seed)
     raw = (root / "params.bin").read_bytes()
     expected = dict(params.param_items())
     size = 8 * sum(arr.size for arr in expected.values())

@@ -139,8 +139,6 @@ def integrate(spec, state0: PhaseState, cfg: IntegrationConfig) -> Trajectory:
 
 def energy_drift(spec, traj: Trajectory) -> dict:
     """Deviation of the energy along a trajectory from its initial value."""
-    if not ham.has_hamiltonian(spec):
-        raise ValueError("variant has no Hamiltonian")
     q = eg.parameter("q", traj.states[0].q.shape)
     p = eg.parameter("p", traj.states[0].p.shape)
     node = ham.hamiltonian_node(spec, q, p, "field")

@@ -102,13 +102,12 @@ def test_criterion_2_end_to_end_gradient_gate():
             worst <= 1e-4, started, 60)
 
 
-def test_criterion_3_energy_conservation():
+def test_criterion_3_energy_conservation(oscillator):
     """Harmonic oscillator: rk4 drift <= 1e-8 over a full turn; explicit Euler
     drift halves with the step; random learned energy: rk4 drift <= 1e-3."""
     started = time.time()
     rng = np.random.default_rng(103)
-    osc = ham.make_spec("flexible", 1, 4, rng)
-    osc.quadratic_override = True
+    osc = oscillator(ham.make_spec("flexible", 1, 4, rng))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # 2*pi is not an exact step multiple
         traj = oi.integrate(osc, PhaseState([1.0], [0.0]),

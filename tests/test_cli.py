@@ -3,12 +3,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hamgnn import graphdata as gd
-from hamgnn.cli import main
+from hamgnn.cli import build_configs, load_run_config, main
+from hamgnn.model import ModelConfig
+from hamgnn.odeint import IntegrationConfig
+from hamgnn.schema import config_to_dict
+from hamgnn.train import TrainConfig
 
 
 @pytest.fixture
@@ -50,6 +55,40 @@ def test_train_rejects_unknown_key(workdir, capsys):
     rc = main(["train", "--config", str(workdir / "bad.json")])
     assert rc == 1
     assert "lr_sched" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "signature", [4]),
+    ("model", "layers", 2.5),
+    ("model", "hidden_dim", 4.0),
+    ("model", "net_hidden", "8"),
+    ("model", "momentum_dim", 2.5),
+    ("train", "max_epochs", 2.5),
+    ("model", "layers", True),
+    ("train", "decay_biases", "no"),
+    (None, "seed", 1.5),
+    (None, "seed", "1"),
+])
+def test_train_rejects_wrong_type_by_name(workdir, capsys, section, key, value):
+    cfg = json.loads((workdir / "config.json").read_text())
+    (cfg[section] if section else cfg)[key] = value
+    (workdir / "bad.json").write_text(json.dumps(cfg))
+    rc = main(["train", "--config", str(workdir / "bad.json")])
+    assert rc == 1
+    name = f"{section}.{key}" if section else key
+    assert f"error: {name} must be" in capsys.readouterr().err
+
+
+def test_readme_config_example_lists_every_default(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("A run config is", 1)[1].split("```json\n", 1)[1]
+    (tmp_path / "run.json").write_text(example.split("```", 1)[0])
+    raw = load_run_config(tmp_path / "run.json")
+    model_cfg, train_cfg, seed = build_configs(raw)
+    assert (model_cfg, train_cfg, seed) == (ModelConfig(), TrainConfig(), 0)
+    assert raw["model"] == config_to_dict(ModelConfig(), "integration")
+    assert raw["integration"] == config_to_dict(IntegrationConfig())
+    assert raw["train"] == config_to_dict(TrainConfig(), "seed")
 
 
 def test_train_rejects_inconsistent_signature(workdir, capsys):

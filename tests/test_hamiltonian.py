@@ -102,9 +102,8 @@ def test_metric_diag_dimension_mismatch(rng):
 # eval_hamiltonian
 
 
-def test_energy_frozen_unit_metric(rng):
-    spec = ham.make_spec("geodesic", 2, 8, rng)
-    spec.frozen_diag = np.ones(2)
+def test_energy_frozen_unit_metric(rng, frozen_metric):
+    spec = frozen_metric(ham.make_spec("geodesic", 2, 8, rng), np.ones(2))
     assert ham.eval_hamiltonian(spec, PhaseState([9.0, -2.0], [3.0, 4.0])) == 12.5
 
 
@@ -115,9 +114,9 @@ def test_energy_zero_network_is_zero(rng):
         assert ham.eval_hamiltonian(spec, st) == 0.0
 
 
-def test_energy_negative_frozen_metric(rng):
-    spec = ham.make_spec("geodesic", 2, 8, rng, signature=Signature(2, 0))
-    spec.frozen_diag = -np.ones(2)
+def test_energy_negative_frozen_metric(rng, frozen_metric):
+    spec = frozen_metric(
+        ham.make_spec("geodesic", 2, 8, rng, signature=Signature(2, 0)), -np.ones(2))
     assert ham.eval_hamiltonian(spec, PhaseState([0.0, 0.0], [1.0, 1.0])) == -1.0
 
 
@@ -132,17 +131,15 @@ def test_energyless_variants_raise(tag, rng):
 # phase_velocity
 
 
-def test_harmonic_oscillator_field(rng):
-    spec = ham.make_spec("flexible", 2, 8, rng)
-    spec.quadratic_override = True
+def test_harmonic_oscillator_field(rng, oscillator):
+    spec = oscillator(ham.make_spec("flexible", 2, 8, rng))
     dq, dp = ham.phase_velocity(spec, PhaseState([1.0, 0.0], [0.0, 1.0]))
     assert dq.tolist() == [0.0, 1.0]
     assert dp.tolist() == [-1.0, 0.0]
 
 
-def test_free_particle_field(rng):
-    spec = ham.make_spec("geodesic", 2, 8, rng)
-    spec.frozen_diag = np.ones(2)
+def test_free_particle_field(rng, frozen_metric):
+    spec = frozen_metric(ham.make_spec("geodesic", 2, 8, rng), np.ones(2))
     dq, dp = ham.phase_velocity(spec, PhaseState([0.4, 0.5], [2.0, -1.0]))
     assert dq.tolist() == [2.0, -1.0]
     assert dp.array == pytest.approx([0.0, 0.0])

@@ -77,6 +77,34 @@ def test_model_config_validation():
         small_config(decoder="regression")
 
 
+# Parameter names of one layer's field spec, in order.  Checkpoints store
+# tensors under these names, so they must not change.
+FIELD_PARAM_NAMES = {
+    "geodesic": "metric.w0 metric.b0 metric.w1 metric.b1",
+    "flexible": "energy.w0 energy.b0 energy.w1 energy.b1",
+    "convex": "energy.w0 energy.b0 energy.w1 energy.b1 energy.w2 energy.b2",
+    "relaxed": "energy.w0 energy.b0 energy.w1 energy.b1 "
+               "bias.w0 bias.b0 bias.w1 bias.b1",
+    "symplectic": "energy.w0 energy.b0 energy.w1 energy.b1 "
+                  "form.w0 form.b0 form.w1 form.b1",
+    "geodesic_relaxed": "metric.w0 metric.b0 metric.w1 metric.b1 "
+                        "bias.w0 bias.b0 bias.w1 bias.b1",
+    "higher_dim": "h1.w0 h1.b0 h1.w1 h1.b1 h2.w0 h2.b0 h2.w1 h2.b1",
+    "vanilla_ode": "f.w0 f.b0 f.w1 f.b1",
+}
+
+
+@pytest.mark.parametrize("tag", ham.VARIANT_TAGS)
+def test_param_names_per_variant(tag):
+    params = md.init_params(small_config(variant=tag), 3, 2, seed=0)
+    expected = ["compress.w0", "compress.b0"]
+    for i in range(2):
+        expected += [f"layer{i}.momentum.w0", f"layer{i}.momentum.b0"]
+        expected += [f"layer{i}.field.{name}" for name in FIELD_PARAM_NAMES[tag].split()]
+    expected += ["head.w0", "head.b0"]
+    assert [name for name, _ in params.param_items()] == expected
+
+
 # ---------------------------------------------------------------------------
 # compress / momentum
 
@@ -326,10 +354,9 @@ def test_euler_drift_ratio_along_orbit(rng):
     assert 1.8 <= ratio <= 2.2
 
 
-def test_quadratic_energy_norm_is_stable(rng):
+def test_quadratic_energy_norm_is_stable(rng, oscillator):
     # conserved H = (|q|^2 + |p|^2) / 2 pins the phase-space norm
-    spec = ham.make_spec("flexible", 3, 4, rng)
-    spec.quadratic_override = True
+    spec = oscillator(ham.make_spec("flexible", 3, 4, rng))
     st = PhaseState(rng.normal(size=3), rng.normal(size=3))
     traj = oi.integrate(spec, st, IntegrationConfig("rk4", 2.0, 0.01))
     norms = [np.hypot(np.linalg.norm(s.q), np.linalg.norm(s.p))
@@ -414,14 +441,23 @@ def test_baseline_mlp_matches_rowwise(rng, sbm_dataset):
 def saved_checkpoint(root, dataset):
     params = md.init_params(small_config(), dataset.num_features,
                             dataset.num_classes, seed=5)
+    # the complete echo, as `hamgnn train` writes it
     echo = {"model": {"hidden_dim": 4, "layers": 2, "variant": "flexible",
-                      "decoder": "classification", "signature": None,
-                      "net_hidden": 6},
+                      "signature": None, "decoder": "classification",
+                      "net_hidden": 6, "rho": 0.1, "phi": "tanh", "eps": 0.001,
+                      "momentum_dim": None, "convex_activation": "rehu"},
             "integration": {"method": "euler", "horizon": 1.0, "step": 0.5},
             "num_features": dataset.num_features,
             "num_classes": dataset.num_classes, "seed": 5}
     md.save_checkpoint(params, echo, root)
     return params
+
+
+def edit_manifest_config(root, edit):
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["config"])
+    path.write_text(json.dumps(manifest))
 
 
 def test_checkpoint_roundtrip(tmp_path, sbm_dataset):
@@ -457,4 +493,33 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path, sbm_dataset):
     blob = tmp_path / "params.bin"
     blob.write_bytes(blob.read_bytes() + bytes(16))
     with pytest.raises(ValueError, match="params.bin holds"):
+        md.load_checkpoint(tmp_path)
+
+
+def test_checkpoint_rejects_missing_model_field(tmp_path, sbm_dataset):
+    saved_checkpoint(tmp_path, sbm_dataset)
+    edit_manifest_config(tmp_path, lambda cfg: cfg["model"].pop("hidden_dim"))
+    with pytest.raises(ValueError, match=r"missing key model\.hidden_dim"):
+        md.load_checkpoint(tmp_path)
+
+
+def test_checkpoint_rejects_missing_field_with_default(tmp_path, sbm_dataset):
+    saved_checkpoint(tmp_path, sbm_dataset)
+    edit_manifest_config(tmp_path, lambda cfg: cfg["model"].pop("rho"))
+    with pytest.raises(ValueError, match=r"missing key model\.rho"):
+        md.load_checkpoint(tmp_path)
+
+
+def test_checkpoint_rejects_extra_integration_field(tmp_path, sbm_dataset):
+    saved_checkpoint(tmp_path, sbm_dataset)
+    edit_manifest_config(tmp_path, lambda cfg: cfg["integration"].update(order=4))
+    with pytest.raises(ValueError, match=r"unknown key integration\.order"):
+        md.load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["seed", "num_features", "num_classes"])
+def test_checkpoint_rejects_missing_top_level_key(tmp_path, sbm_dataset, key):
+    saved_checkpoint(tmp_path, sbm_dataset)
+    edit_manifest_config(tmp_path, lambda cfg: cfg.pop(key))
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
         md.load_checkpoint(tmp_path)
