@@ -4,7 +4,9 @@ generators and Gromov delta-hyperbolicity analysis.
 Directory format (all text UTF-8, LF endings, '.' decimal separator):
 
 * ``nodes.csv``   — header ``id,label,f0,f1,...``; one row per node with
-  ``id`` running 0..n-1 in order and an integer class label.
+  ``id`` running 0..n-1 in order and an integer class label.  Feature cells
+  are finite ASCII decimals (no ``_`` separators), parsed by numpy's C
+  reader; a bad cell is reported with its line.
 * ``edges.tsv``   — two tab-separated node ids per line, undirected;
   self-loops, duplicates and reversed duplicates are rejected.
 * ``splits.json`` — object with node-id arrays ``train``, ``val``, ``test``.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +50,10 @@ class GraphDataset:
         n = self.features.shape[0]
         if self.features.ndim != 2 or self.labels.shape != (n,):
             raise ValueError("features must be (n, F) and labels (n,)")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"non-finite feature in row {int(np.flatnonzero(~finite)[0])}")
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative class ids")
         canon = set()
@@ -121,15 +128,59 @@ class LinkSplit:
 
 
 def _l1_normalize_rows(features: np.ndarray) -> np.ndarray:
-    out = np.array(features, dtype=np.float64)
-    sums = np.abs(out).sum(axis=1)
-    for i, s in enumerate(sums):
-        # rows already normalized (within round-off) stay bit-identical so
-        # that save -> load round-trips exactly; zero rows stay zero
-        if s == 0.0 or abs(s - 1.0) <= 1e-12:
-            continue
-        out[i] /= s
-    return out
+    """Divide each row by its L1 norm, in place.
+
+    Rows already normalized (within round-off) stay bit-identical so that
+    save -> load round-trips exactly; zero rows stay zero.
+    """
+    sums = np.abs(features).sum(axis=1)
+    scale = ~((sums == 0.0) | (np.abs(sums - 1.0) <= 1e-12))
+    np.divide(features, sums[:, None], out=features, where=scale[:, None])
+    return features
+
+
+# numpy's message for a cell its C reader cannot parse; row is 0-based,
+# column 1-based
+_LOADTXT_CELL_ERROR = re.compile(
+    r"could not convert string (.*) to \w+ at row (\d+), column (\d+)")
+
+
+def _parse_features(cells: list, linenos: list, header: list) -> np.ndarray:
+    """Parse the comma-separated feature cells of each row in one C pass.
+
+    ``cells`` holds each row's feature part and ``linenos`` its line in
+    nodes.csv; an unparsable or non-finite cell is reported by that line and
+    its header column.
+    """
+    n_features = len(header) - 2
+    if not cells or not n_features:
+        return np.zeros((len(linenos), n_features))
+    try:
+        # the reader takes the list of lines as it is (faster than one joined
+        # string); comments=None: a '#' must fail as a bad cell, not end the
+        # row early
+        features = np.loadtxt(cells, delimiter=",", comments=None,
+                              dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        match = _LOADTXT_CELL_ERROR.match(str(exc))
+        if match is None:
+            raise ValueError(f"nodes.csv features: {exc}") from exc
+        cell, row, col = match.group(1), int(match.group(2)), int(match.group(3))
+        raise ValueError(f"unparsable feature {header[col + 1]} = {cell}"
+                         f" at nodes.csv line {linenos[row]}") from None
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise ValueError(f"non-finite feature {header[col + 2]} = {float(features[row, col])!r}"
+                         f" at nodes.csv line {linenos[row]}")
+    return features
+
+
+def _int_cell(cell: str, what: str, lineno: int) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer; got {cell!r}"
+                         f" at nodes.csv line {lineno}") from None
 
 
 def load_dataset(path) -> GraphDataset:
@@ -146,22 +197,31 @@ def load_dataset(path) -> GraphDataset:
     if header[:2] != ["id", "label"]:
         raise ValueError("nodes.csv header must start with 'id,label'")
     n_features = len(header) - 2
-    features, labels = [], []
+    # one Python pass checks each row's shape, id and label and keeps its
+    # line; the feature cells are then parsed together
+    linenos, labels, cells = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row.strip():
             continue
-        cells = row.split(",")
-        if len(cells) - 2 != n_features:
+        if row.count(",") - 1 != n_features:
             raise ValueError(
-                f"ragged feature row at line {lineno}: {len(cells) - 2} features,"
+                f"ragged feature row at line {lineno}: {row.count(',') - 1} features,"
                 f" expected {n_features}")
-        node_id = int(cells[0])
-        if node_id != len(features):
+        node_id, label, *rest = row.split(",", 2)
+        node_id = _int_cell(node_id, "node id", lineno)
+        if node_id != len(linenos):
             raise ValueError(
                 f"node ids must run 0..n-1 in order; got {node_id} at line {lineno}")
-        labels.append(int(cells[1]))
-        features.append([float(c) for c in cells[2:]])
-    n = len(features)
+        labels.append(_int_cell(label, "label", lineno))
+        linenos.append(lineno)
+        if n_features:
+            if not rest[0].strip():
+                # the C reader would skip a lone blank cell as an empty line
+                raise ValueError(f"unparsable feature {header[2]} = {rest[0]!r}"
+                                 f" at nodes.csv line {lineno}")
+            cells.append(rest[0])
+    features = _parse_features(cells, linenos, header)
+    n = len(linenos)
 
     edges = []
     seen = set()
@@ -192,7 +252,7 @@ def load_dataset(path) -> GraphDataset:
 
     return GraphDataset(
         name=root.name,
-        features=_l1_normalize_rows(np.asarray(features, dtype=np.float64).reshape(n, n_features)),
+        features=_l1_normalize_rows(features),
         labels=np.asarray(labels, dtype=np.int64),
         edges=edges,
         train_mask=masks["train"], val_mask=masks["val"], test_mask=masks["test"])

@@ -146,7 +146,7 @@ def energy_drift(spec, traj: Trajectory) -> dict:
     energies = np.array([
         float(eg.evaluate(node, {**binds, "q": s.q, "p": s.p}))
         for s in traj.states])
-    h0 = energies[0]
+    h0 = float(energies[0])
     max_abs = float(np.max(np.abs(energies - h0)))
     if max_abs == 0.0:
         relative = 0.0
@@ -154,7 +154,7 @@ def energy_drift(spec, traj: Trajectory) -> dict:
         relative = float("inf")
     else:
         relative = max_abs / abs(h0)
-    return {"initial": float(h0), "max_abs_drift": max_abs,
+    return {"initial": h0, "max_abs_drift": max_abs,
             "relative_drift": relative}
 
 

@@ -239,13 +239,23 @@ def test_mix_missing_input(workdir, capsys):
 
 
 def test_gradcheck_passes_for_known_variants(capsys):
-    for variant in ("flexible", "geodesic", "symplectic", "vanilla_ode"):
+    for variant in ("geodesic", "flexible", "convex", "relaxed", "symplectic",
+                    "geodesic_relaxed", "higher_dim", "vanilla_ode"):
         rc = main(["gradcheck", "--variant", variant, "--dim", "4", "--seed", "0"])
         assert rc == 0, variant
         report = json.loads(capsys.readouterr().out)
-        assert report["passed"]
+        assert report["passed"] is True, variant
+        # every verdict is printed as a JSON boolean, never as 0.0/1.0
+        assert all(check["passed"] is True for check in report["checks"].values()), \
+            (variant, report["checks"])
         if variant == "flexible":
             assert report["checks"]["euler_halving_ratio"]["passed"]
+        if variant in ("relaxed", "geodesic_relaxed"):
+            # their bias breaks conservation by design, so only the
+            # conservation checks run with it removed
+            assert report["checks"]["rk4_drift"]["bias_removed"] is True
+            assert report["checks"]["euler_halving_ratio"]["bias_removed"] is True
+            assert "bias_removed" not in report["checks"]["field_vs_energy_fd"]
 
 
 def test_gradcheck_unknown_variant(capsys):

@@ -82,6 +82,124 @@ def test_features_l1_normalized_on_load(tmp_path):
     assert ds.features[1].tolist() == [0.0, 0.0, 0.0]
 
 
+def reference_features(nodes_text):
+    """Per-cell ``float()`` parse plus row-by-row L1 normalization: the
+    loader's output must match it bit for bit on every cell both accept."""
+    rows = nodes_text.splitlines()
+    n_features = len(rows[0].split(",")) - 2
+    parsed = [[float(c) for c in row.split(",")[2:]]
+              for row in rows[1:] if row.strip()]
+    out = np.asarray(parsed, dtype=np.float64).reshape(len(parsed), n_features)
+    for i, s in enumerate(np.abs(out).sum(axis=1)):
+        if s == 0.0 or abs(s - 1.0) <= 1e-12:
+            continue
+        out[i] /= s
+    return out
+
+
+AWKWARD_NODES = ("id,label,f0,f1,f2\n"
+                 "0,0,1e-3,2E+1,-0.0\n"
+                 "1,1, 1.5 ,\t-2 , +3\n"
+                 "\n"
+                 "   \n"
+                 "2,0,0.10000000000000001,0.33333333333333331,1.2345678901234567e-05\n"
+                 "\t\n"
+                 "3,1,0.0,-0.0,0\n"
+                 "4,0,0.1,0.2,0.7\n"
+                 "5,1,0.25,0.25,0.5000000000004\n"
+                 "6,0,0.25,0.25,0.500000000002\n"
+                 "7,1,1.,.5,-2.5e-1\n"
+                 "8,0,4.9e-324,2.2250738585072014e-308,1.7976931348623157e+308\n")
+
+
+def test_load_matches_per_cell_reference(tmp_path):
+    ds = gd.load_dataset(write_dataset(tmp_path / "x", AWKWARD_NODES, "",
+                                       '{"train": [], "val": [], "test": []}'))
+    expected = reference_features(AWKWARD_NODES)
+    assert ds.labels.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    assert np.array_equal(ds.features, expected)
+    assert ds.features.tobytes() == expected.tobytes()  # signed zeros too
+    assert ds.features[3].tolist() == [0.0, 0.0, 0.0]
+    # within 1e-12 of unit L1 norm: left as written
+    assert ds.features[5].tolist() == [0.25, 0.25, 0.5000000000004]
+    assert ds.features[6].tolist() != [0.25, 0.25, 0.500000000002]
+
+
+def test_load_matches_reference_on_random_cells(tmp_path):
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((30, 12)) * 10.0 ** rng.integers(-8, 9, (30, 12))
+    values[rng.random((30, 12)) < 0.4] = 0.0
+    styles = ("{!r}", "{:.17g}", "{:e}", "{:.3f}", "{:+.6E}", " {} ")
+    lines = ["id,label," + ",".join(f"f{j}" for j in range(12))]
+    for i, row in enumerate(values):
+        lines.append(f"{i},{i % 3}," + ",".join(
+            styles[(i + j) % len(styles)].format(float(v)) for j, v in enumerate(row)))
+    text = "\n".join(lines) + "\n"
+    ds = gd.load_dataset(write_dataset(tmp_path / "x", text, "",
+                                       '{"train": [], "val": [], "test": []}'))
+    assert ds.features.tobytes() == reference_features(text).tobytes()
+
+
+@pytest.mark.parametrize("cell", ["abc", "", "0x10", "1_0", "1#2", "1 2"])
+def test_load_rejects_bad_cell_by_line(tmp_path, cell):
+    nodes = f"id,label,f0,f1\n0,0,1.0,0.0\n\n1,1,0.5,{cell}\n2,0,0.0,2.0\n"
+    p = write_dataset(tmp_path / "x", nodes, "", PATH3_SPLITS)
+    with pytest.raises(ValueError, match="unparsable feature f1 .* nodes.csv line 4"):
+        gd.load_dataset(p)
+
+
+@pytest.mark.parametrize("cell", ["", "  "])
+def test_load_rejects_blank_single_feature_cell(tmp_path, cell):
+    nodes = f"id,label,f0\n0,0,1.0\n1,1,{cell}\n"
+    p = write_dataset(tmp_path / "x", nodes, "", '{"train": [0], "val": [1]}')
+    with pytest.raises(ValueError, match="unparsable feature f0 .* nodes.csv line 3"):
+        gd.load_dataset(p)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-Infinity"])
+def test_load_rejects_non_finite_feature_by_line(tmp_path, cell):
+    nodes = f"id,label,f0,f1\n0,0,1.0,0.0\n1,1,{cell},0.5\n"
+    p = write_dataset(tmp_path / "x", nodes, "", '{"train": [0], "val": [1]}')
+    with pytest.raises(ValueError, match="non-finite feature f0 .* nodes.csv line 3"):
+        gd.load_dataset(p)
+
+
+@pytest.mark.parametrize("node_id", ["1.0", "x"])
+def test_load_rejects_non_integer_id(tmp_path, node_id):
+    nodes = f"id,label,f0,f1\n0,0,1.0,0.0\n{node_id},1,0.5,0.5\n"
+    p = write_dataset(tmp_path / "x", nodes, "", PATH3_SPLITS)
+    with pytest.raises(ValueError, match="node id must be an integer.* line 3"):
+        gd.load_dataset(p)
+
+
+def test_load_rejects_non_integer_label(tmp_path):
+    nodes = "id,label,f0,f1\n0,0,1.0,0.0\n1,1.5,0.5,0.5\n"
+    p = write_dataset(tmp_path / "x", nodes, "", PATH3_SPLITS)
+    with pytest.raises(ValueError, match="label must be an integer.* line 3"):
+        gd.load_dataset(p)
+
+
+def test_load_header_only_and_featureless(tmp_path):
+    empty = '{"train": [], "val": [], "test": []}'
+    ds = gd.load_dataset(write_dataset(tmp_path / "a", "id,label,f0,f1\n", "", empty))
+    assert ds.features.shape == (0, 2)
+    ds = gd.load_dataset(write_dataset(tmp_path / "b", "id,label\n0,1\n1,0\n",
+                                       "0\t1\n", empty))
+    assert ds.features.shape == (2, 0)
+    assert ds.labels.tolist() == [1, 0]
+    assert ds.edges == [(0, 1)]
+
+
+def test_dataset_rejects_non_finite_features():
+    features = np.eye(3)
+    features[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite feature in row 2"):
+        GraphDataset("x", features, [0, 0, 0], [], [], [], [])
+    features[2, 1] = -np.inf
+    with pytest.raises(ValueError, match="non-finite feature in row 2"):
+        GraphDataset("x", features, [0, 0, 0], [], [], [], [])
+
+
 def test_roundtrip_identity(tmp_path):
     ds = gd.synth_dataset("sbm", sizes=(10, 10), p_in=0.6, p_out=0.05, seed=3)
     gd.save_dataset(ds, tmp_path / "a")
