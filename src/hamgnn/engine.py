@@ -29,8 +29,45 @@ __all__ = [
     "softmax", "log_softmax",
     "add", "mul", "scale", "negate", "reduce_sum", "dot", "concat", "narrow",
     "forward", "evaluate", "gradient", "gradient_all", "grad", "jacobian",
-    "check_gradient", "ACTIVATIONS",
+    "check_gradient", "ACTIVATIONS", "all_finite", "frozen_float64",
 ]
+
+
+def all_finite(arr) -> bool:
+    """Whether every entry of ``arr`` is finite (no NaN, no +-inf).
+
+    A C- or F-contiguous array is first checked with one BLAS pass over its
+    sum of squares, which needs no temporary: the sum is finite only if every
+    entry is, because NaN and +-inf propagate through it and no term is
+    negative.  A non-finite sum also comes from finite entries whose squares
+    overflow (|x| above about 1e154), so then, and for any other array, the
+    elementwise scan decides.
+    """
+    arr = np.asarray(arr)
+    if arr.flags.c_contiguous or arr.flags.f_contiguous:
+        flat = arr.ravel(order="K")
+        # vdot, unlike dot, leaves numpy's floating-point error state alone,
+        # so an overflowing sum reaches the scan under any np.errstate
+        if math.isfinite(np.vdot(flat, flat)):
+            return True
+    return bool(np.isfinite(arr).all())
+
+
+def frozen_float64(values) -> np.ndarray:
+    """A read-only, C-ordered float64 array holding ``values``.
+
+    An array that is already float64, C-contiguous, read-only and owns its
+    data is returned as it is; anything else is copied, so no writable array
+    or view the caller keeps can change the result.
+    """
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.c_contiguous and values.flags.owndata
+            and not values.flags.writeable):
+        return values
+    # ascontiguousarray would promote 0-d scalars to shape (1,)
+    arr = np.array(values, dtype=np.float64, order="C", copy=True)
+    arr.flags.writeable = False
+    return arr
 
 
 class Tensor:
@@ -38,16 +75,15 @@ class Tensor:
 
     Stores values row-major.  Construction rejects NaN/Inf so that bad numbers
     surface where they are produced, not deep inside a later computation.
+    The values are copied unless ``frozen_float64`` may adopt them as they are.
     """
 
     __slots__ = ("array",)
 
     def __init__(self, values):
-        # ascontiguousarray would promote 0-d scalars to shape (1,)
-        arr = np.array(values, dtype=np.float64, order="C", copy=True)
-        if not np.all(np.isfinite(arr)):
+        arr = frozen_float64(values)
+        if not all_finite(arr):
             raise ValueError("Tensor entries must be finite (got NaN or Inf)")
-        arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
     def __setattr__(self, name, value):
@@ -241,7 +277,7 @@ def sparse_matmul(x: Node, rows, cols, weights, num_rows: int,
         raise ValueError(f"sparse_matmul row index out of range [0, {num_rows})")
     if cols.size and (cols.min() < 0 or cols.max() >= x.shape[0]):
         raise ValueError(f"sparse_matmul column index out of range [0, {x.shape[0]})")
-    if not np.all(np.isfinite(weights)):
+    if not all_finite(weights):
         raise ValueError("sparse_matmul weights must be finite")
     attrs = {"rows": rows, "cols": cols, "weights": weights}
     if label:
@@ -480,6 +516,16 @@ _FORWARD = {
 }
 
 
+# Ops whose output is finite whenever their inputs are.  Every input value in
+# an evaluation has been checked, so these outputs need no scan of their own
+# and a non-finite value is still reported at the node that produced it.  A
+# constant holds a Tensor's array, checked when the Tensor was built.
+_FINITE_IF_INPUTS_FINITE = frozenset({
+    "constant", "negate", "transpose", "slice", "concat", "gather-rows",
+    "stack-rows", "step", "relu", "tanh", "sin", "sigmoid",
+})
+
+
 def _toposort(outputs: Sequence[Node], stop: frozenset | None = None) -> list[Node]:
     """Post-order over the reachable graph; ``stop`` nodes are not expanded."""
     order: list[Node] = []
@@ -515,12 +561,13 @@ def _bad_rows(val: np.ndarray) -> str:
     return f" (rows {rows})" if rows else ""
 
 
-def evaluate(outputs, bindings=None, check_finite: bool = True):
+def evaluate(outputs, bindings=None):
     """Evaluate one node or a sequence of nodes under the given bindings.
 
     Values of interior nodes are cached in a per-call workspace and freed as
     soon as their last consumer has run, so peak memory tracks graph width,
-    not graph size.
+    not graph size.  A non-finite binding or intermediate value raises
+    ``FloatingPointError`` naming the leaf or the node that produced it.
     """
     single = isinstance(outputs, Node)
     outs = [outputs] if single else list(outputs)
@@ -543,18 +590,18 @@ def evaluate(outputs, bindings=None, check_finite: bool = True):
             if val.shape != node.shape:
                 raise ValueError(
                     f"binding for {name!r} has shape {val.shape}, expected {node.shape}")
-            if check_finite and not np.all(np.isfinite(val)):
+            if not all_finite(val):
                 raise FloatingPointError(f"non-finite value bound to {name!r}")
         else:
             vals = [values[i.nid] for i in node.inputs]
             # overflow is allowed to surface as inf so the finiteness check
             # below can report the producing node and its offending rows
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                val = _FORWARD[node.op](node, vals)
-            if check_finite and not np.all(np.isfinite(val)):
+                val = np.asarray(_FORWARD[node.op](node, vals), dtype=np.float64)
+            if node.op not in _FINITE_IF_INPUTS_FINITE and not all_finite(val):
                 raise FloatingPointError(
                     f"non-finite intermediate at {node!r}{_bad_rows(val)}")
-        values[node.nid] = np.asarray(val, dtype=np.float64)
+        values[node.nid] = val
         for inp in node.inputs:
             consumers[inp.nid] -= 1
             if consumers[inp.nid] == 0 and inp.nid not in pinned:

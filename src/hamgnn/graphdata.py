@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import engine as eg
+
 __all__ = [
     "GraphDataset", "LinkSplit", "load_dataset", "save_dataset",
     "mix_datasets", "delta_hyperbolicity", "synth_dataset",
@@ -34,7 +36,13 @@ __all__ = [
 
 @dataclass
 class GraphDataset:
-    """Undirected graph with node features, labels and split masks."""
+    """Undirected graph with node features, labels and split masks.
+
+    ``features`` is read-only once the dataset is built; copy it before
+    editing.  A writable array passed in is copied (``engine.frozen_float64``),
+    so a later write to it cannot reach the validated table, and model graphs
+    refer to the table without a copy.
+    """
 
     name: str
     features: np.ndarray        # (n, F)
@@ -45,13 +53,13 @@ class GraphDataset:
     test_mask: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = eg.frozen_float64(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         n = self.features.shape[0]
         if self.features.ndim != 2 or self.labels.shape != (n,):
             raise ValueError("features must be (n, F) and labels (n,)")
-        finite = np.isfinite(self.features).all(axis=1)
-        if not finite.all():
+        if not eg.all_finite(self.features):
+            finite = np.isfinite(self.features).all(axis=1)
             raise ValueError(
                 f"non-finite feature in row {int(np.flatnonzero(~finite)[0])}")
         if np.any(self.labels < 0):
@@ -168,7 +176,7 @@ def _parse_features(cells: list, linenos: list, header: list) -> np.ndarray:
         cell, row, col = match.group(1), int(match.group(2)), int(match.group(3))
         raise ValueError(f"unparsable feature {header[col + 1]} = {cell}"
                          f" at nodes.csv line {linenos[row]}") from None
-    if not np.isfinite(features).all():
+    if not eg.all_finite(features):
         row, col = np.argwhere(~np.isfinite(features))[0]
         raise ValueError(f"non-finite feature {header[col + 2]} = {float(features[row, col])!r}"
                          f" at nodes.csv line {linenos[row]}")
@@ -250,9 +258,11 @@ def load_dataset(path) -> GraphDataset:
         raise ValueError(f"splits.json has unknown keys: {sorted(extra)}")
     masks = {k: splits.get(k, []) for k in ("train", "val", "test")}
 
+    features = _l1_normalize_rows(features)
+    features.flags.writeable = False  # the dataset adopts it without a copy
     return GraphDataset(
         name=root.name,
-        features=_l1_normalize_rows(features),
+        features=features,
         labels=np.asarray(labels, dtype=np.int64),
         edges=edges,
         train_mask=masks["train"], val_mask=masks["val"], test_mask=masks["test"])

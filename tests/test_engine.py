@@ -404,6 +404,127 @@ def test_scatter_rows_sums_repeated_rows_with_the_sparse_product(rng):
 
 
 # ---------------------------------------------------------------------------
+# finiteness guard
+
+
+# the largest and smallest magnitudes and both zeros
+EXTREMES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, 0.0, -0.0]
+
+
+def _guard_verdicts(arr, monkeypatch):
+    """Whether all_finite, Tensor, a binding and an intermediate accept arr."""
+    verdicts = [eg.all_finite(arr)]
+    try:
+        eg.Tensor(arr)
+        verdicts.append(True)
+    except ValueError as exc:
+        assert "must be finite" in str(exc)
+        verdicts.append(False)
+    leaf = eg.parameter("x", arr.shape)
+    # an op that is not on the skip list and returns arr as it is, layout
+    # included, so the intermediate check sees exactly this array
+    monkeypatch.setitem(eg._FORWARD, "test-emit", lambda node, vals: arr)
+    emit = eg.Node("test-emit", (), {}, arr.shape)
+    for node, binds, message in ((leaf, {"x": arr}, "non-finite value bound to 'x'"),
+                                 (emit, {}, "non-finite intermediate at <Node")):
+        try:
+            eg.evaluate(node, binds)
+            verdicts.append(True)
+        except FloatingPointError as exc:
+            assert message in str(exc)
+            verdicts.append(False)
+    return verdicts
+
+
+def _guard_layouts(base):
+    """C-ordered, F-ordered and strided (non-contiguous) arrays over base."""
+    wide = np.zeros((base.shape[0], 2 * base.shape[1]))
+    wide[:, ::2] = base
+    strided = wide[:, ::2]
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    return {"C": np.ascontiguousarray(base), "F": np.asfortranarray(base),
+            "strided": strided}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_guard_rejects_a_non_finite_entry_anywhere(rng, monkeypatch, bad, where):
+    for layout, arr in _guard_layouts(rng.normal(size=(5, 7))).items():
+        index = {"first": 0, "middle": arr.size // 2, "last": arr.size - 1}[where]
+        arr.flat[index] = bad
+        assert _guard_verdicts(arr, monkeypatch) == [False] * 4, layout
+        flat = np.ascontiguousarray(arr).reshape(-1)
+        assert _guard_verdicts(flat, monkeypatch) == [False] * 4, layout
+    assert _guard_verdicts(np.asarray(bad), monkeypatch) == [False] * 4
+
+
+def test_guard_accepts_finite_arrays_of_every_layout(rng, monkeypatch):
+    cases = {"0-d": np.asarray(2.5), "empty": np.zeros((0, 3)),
+             "extremes": np.array(EXTREMES),
+             # the sum of squares overflows, so the scan must decide
+             "1e200": np.full((4, 6), 1e200)}
+    cases.update(_guard_layouts(rng.normal(size=(5, 7)) * 1e200))
+    with np.errstate(all="raise"):
+        for name, arr in cases.items():
+            assert _guard_verdicts(arr, monkeypatch) == [True] * 4, name
+    overflowing = np.full((4, 6), 1e200)
+    overflowing[3, 5] = np.nan
+    assert _guard_verdicts(overflowing, monkeypatch) == [False] * 4
+
+
+def test_skipped_ops_are_forward_ops():
+    assert eg._FINITE_IF_INPUTS_FINITE <= set(eg._FORWARD)
+
+
+def test_skipped_ops_map_finite_inputs_to_finite_outputs(rng):
+    random = rng.normal(size=(6, 6)) * 10.0 ** rng.uniform(-300, 300, size=(6, 6))
+    xv = np.vstack([np.tile(EXTREMES, (2, 1)), np.tile(EXTREMES[::-1], (2, 1)), random])
+    x = eg.parameter("x", xv.shape)
+    row = eg.parameter("row", (xv.shape[1],))
+    built = {
+        "negate": eg.negate(x), "transpose": eg.transpose(x),
+        "slice": eg.narrow(x, 1, 4, axis=0), "concat": eg.concat([x, x], axis=1),
+        "gather-rows": eg.gather_rows(x, [9, 0, 3, 3]),
+        "stack-rows": eg.stack_rows([row, row]),
+        "step": eg.step(x), "relu": eg.relu(x), "tanh": eg.tanh(x),
+        "sin": eg.sin(x), "sigmoid": eg.sigmoid(x),
+    }
+    assert set(built) == eg._FINITE_IF_INPUTS_FINITE - {"constant"}
+    built["step-include-zero"] = eg.step(x, include_zero=True)
+    for name, node in built.items():
+        for signed in (xv, -xv):
+            vals = [signed if inp is x else signed[2] for inp in node.inputs]
+            with np.errstate(all="ignore"):
+                out = eg._FORWARD[node.op](node, vals)
+            assert np.isfinite(out).all(), name
+
+
+def test_first_non_finite_value_is_reported_where_it_is_produced():
+    big = eg.constant(1e308)
+    # the overflow happens in the product; negate and tanh pass it on unchecked
+    with pytest.raises(FloatingPointError, match=r"non-finite intermediate at <Node \d+ "
+                                                 r"elementwise-mul shape=\(\)>"):
+        eg.evaluate(eg.tanh(eg.negate(eg.mul(big, big))))
+    x = eg.parameter("x", (2,))
+    with pytest.raises(FloatingPointError, match="non-finite value bound to 'x'"):
+        eg.evaluate(eg.tanh(x), {"x": np.array([0.0, np.nan])})
+
+
+def test_tensor_copies_writable_arrays_and_adopts_frozen_ones():
+    values = np.arange(6.0).reshape(2, 3)
+    t = eg.Tensor(values)
+    assert not np.shares_memory(t.array, values)
+    values[0, 0] = 9.0
+    assert t.array[0, 0] == 0.0
+    frozen = eg.frozen_float64(values)
+    assert eg.Tensor(frozen).array is frozen and not frozen.flags.writeable
+    # a read-only view of a writable array can still change under the Tensor
+    view = values[:1]
+    view.flags.writeable = False
+    assert not np.shares_memory(eg.Tensor(view).array, values)
+
+
+# ---------------------------------------------------------------------------
 # MlpParams
 
 

@@ -200,6 +200,16 @@ def test_dataset_rejects_non_finite_features():
         GraphDataset("x", features, [0, 0, 0], [], [], [], [])
 
 
+def test_dataset_features_are_read_only_and_not_the_callers_array():
+    features = np.eye(3)
+    ds = GraphDataset("x", features, [0, 0, 0], [], [], [], [])
+    features[0, 0] = np.nan
+    assert ds.features.tolist() == np.eye(3).tolist()
+    assert not ds.features.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ds.features[1, 1] = 5.0
+
+
 def test_roundtrip_identity(tmp_path):
     ds = gd.synth_dataset("sbm", sizes=(10, 10), p_in=0.6, p_out=0.05, seed=3)
     gd.save_dataset(ds, tmp_path / "a")

@@ -1,6 +1,7 @@
 """Model assembly: compression, momentum, aggregation, encoding, decoders,
 the baseline, and checkpoints."""
 
+import gc
 import json
 import tracemalloc
 
@@ -239,6 +240,34 @@ def test_encode_peak_memory_is_linear_in_graph_size():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_encode_refers_to_the_dataset_feature_table(sbm_dataset):
+    cfg = small_config()
+    params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
+    mlp = md.baseline_mlp_params(sbm_dataset.num_features, sbm_dataset.num_classes, 4)
+    for out in (md.encode_nodes(params, cfg, sbm_dataset)[0],
+                md.baseline_mlp_nodes(mlp, sbm_dataset)[0]):
+        raw = [node for node in graph_nodes(out) if node.attrs.get("label") == "raw features"]
+        assert len(raw) == 1
+        assert np.shares_memory(raw[0].attrs["value"], sbm_dataset.features)
+
+
+def test_encode_peak_memory_stays_below_the_feature_table(rng):
+    # the table dominates: 1000 x 4000 doubles, 32 MB
+    n, width = 1000, 4000
+    ds = gd.GraphDataset("wide", rng.random((n, width)), np.arange(n) % 3,
+                         [(i, i + 1) for i in range(n - 1)], [0], [1], [2])
+    cfg = small_config(layers=1)
+    params = md.init_params(cfg, width, 3, seed=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        md.encode(params, cfg, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.features.nbytes
 
 
 def test_encode_single_isolated_node_is_orbit_endpoint(rng):
