@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error or divergence.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
 import os
@@ -232,11 +231,8 @@ def run_gradcheck(variant: str, dim: int, seed: int) -> dict:
     if variant == "symplectic":
         # the learned form deviates from the canonical equations by design;
         # the identity is asserted in its canonical configuration
-        canonical = np.zeros((2 * dim, 2 * dim))
-        canonical[:dim, dim:] = np.eye(dim)
-        spec = ham.LearnedSymplecticForm(
-            eg.MlpParams.init((2 * dim, 16, 1), ("tanh", None), rng),
-            eg.MlpParams([(canonical, np.zeros(2 * dim), None)]), eps=1e-12)
+        spec = ham.LearnedSymplecticForm.canonical(
+            eg.MlpParams.init((2 * dim, 16, 1), ("tanh", None), rng))
     else:
         spec = ham.make_spec(variant, dim, 16, rng, momentum_dim=dim)
 
@@ -244,14 +240,10 @@ def run_gradcheck(variant: str, dim: int, seed: int) -> dict:
         field = ham.check_field_gradients(spec, 20, rng)
         report["checks"]["field_vs_energy_fd"] = field
         state = PhaseState(rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim))
-        # the relaxed variants' bias breaks conservation by design: their
-        # conservation checks run on a copy whose bias net outputs zero
-        conserved, removed = spec, {}
-        if isinstance(spec, (ham.RelaxedHamiltonian, ham.GeodesicRelaxed)):
-            conserved, removed = copy.deepcopy(spec), {"bias_removed": True}
-            weight, bias, _ = conserved.bias_net.layers[-1]
-            weight[...] = 0.0
-            bias[...] = 0.0
+        # the relaxed variants' bias breaks conservation by design: the
+        # conservation checks run on the conservative form, whose bias is zero
+        conserved = spec.conservative()
+        removed = {} if conserved is spec else {"bias_removed": True}
         traj = oi.integrate(conserved, state, IntegrationConfig("rk4", 1.0, 0.01))
         drift = oi.energy_drift(conserved, traj)
         report["checks"]["rk4_drift"] = {
@@ -273,8 +265,8 @@ def run_gradcheck(variant: str, dim: int, seed: int) -> dict:
     nodes = oi.integrate_nodes(spec, q0, p0, IntegrationConfig("euler", 1.0, 0.25))
     target = eg.reduce_sum(eg.mul(nodes[-1][0], nodes[-1][0]))
     binds = {"q0": rng.uniform(-1, 1, dim), "p0": rng.uniform(-1, 1, spec.p_dim),
-             **ham.spec_bindings(spec, "field")}
-    first_param = ham.spec_param_items(spec, "field")[0]
+             **spec.bindings("field")}
+    first_param = spec.param_items("field")[0]
     worst = 0.0
     for leaf in (q0, eg.parameter(first_param[0], first_param[1].shape)):
         rep = eg.check_gradient(target, leaf, binds, 1e-5, 1e-4)

@@ -28,7 +28,7 @@ __all__ = [
     "tanh", "sigmoid", "sin", "relu", "rehu", "kappa", "step",
     "softmax", "log_softmax",
     "add", "mul", "scale", "negate", "reduce_sum", "dot", "concat", "narrow",
-    "forward", "evaluate", "gradient", "gradient_all", "grad", "jacobian",
+    "forward", "evaluate", "gradient", "gradient_all", "grad",
     "check_gradient", "ACTIVATIONS", "all_finite", "frozen_float64",
 ]
 
@@ -834,14 +834,6 @@ def gradient(f: Node, wrt: Node) -> Node:
 def grad(f: Node, x: Node, bindings=None) -> Tensor:
     """Value of df/dx; same shape as x."""
     return Tensor(evaluate(gradient(f, x), bindings))
-
-
-def jacobian(f: Node, x: Node, bindings=None) -> Tensor:
-    """Jacobian of a vector-valued graph, assembled row-by-row."""
-    if len(f.shape) != 1:
-        raise ValueError(f"jacobian target must be a vector, got shape {f.shape}")
-    rows = [gradient(reduce_sum(narrow(f, i, i + 1)), x) for i in range(f.shape[0])]
-    return Tensor(np.stack(evaluate(rows, bindings)))
 
 
 class GradCheckReport:

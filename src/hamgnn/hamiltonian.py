@@ -12,8 +12,8 @@ by differentiating that energy with the engine — the same graph evaluated by
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields
-from typing import Union
 
 import numpy as np
 
@@ -25,11 +25,10 @@ __all__ = [
     "GeodesicMetric", "FlexibleHamiltonian", "ConvexHamiltonian",
     "RelaxedHamiltonian", "LearnedSymplecticForm", "GeodesicRelaxed",
     "HigherDimMomentum", "VanillaOde", "HamiltonianSpec",
-    "VARIANT_TAGS", "make_spec", "spec_bindings", "spec_param_items",
+    "VARIANT_TAGS", "make_spec",
     "has_hamiltonian", "hamiltonian_node", "phase_velocity_nodes",
     "metric_inverse_diag", "eval_hamiltonian", "phase_velocity",
-    "assemble_W", "project_convex", "canonical_skew_matrix",
-    "check_field_gradients",
+    "assemble_W", "canonical_skew_matrix", "check_field_gradients",
 ]
 
 METRIC_FLOOR = 0.01  # keeps every inverse-metric entry away from zero
@@ -81,8 +80,69 @@ def _require_map(net: MlpParams, d_in: int, d_out: int, message: str):
         raise ValueError(message)
 
 
+def _row(x: Node, i: int) -> Node:
+    return eg.reduce_sum(eg.gather_rows(x, (i,)), axis=0)
+
+
+class HamiltonianSpec:
+    """Base of the variant specs: a dataclass subclass keeps each network in a
+    field named ``<role>_net`` and defines ``field_nodes(q, p, prefix)``."""
+
+    def param_items(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        """Ordered (name, array) pairs of the networks; arrays are live storage."""
+        items = []
+        for f in fields(self):
+            if f.name.endswith("_net"):
+                role = f.name.removesuffix("_net")
+                items.extend(getattr(self, f.name).param_items(f"{prefix}.{role}"))
+        return items
+
+    def bindings(self, prefix: str) -> dict:
+        return dict(self.param_items(prefix))
+
+    def project(self) -> None:
+        """Re-impose the variant's weight constraints in place; none by default."""
+
+    def conservative(self) -> "HamiltonianSpec":
+        """The variant without its terms that break energy conservation by design."""
+        return self
+
+
+class _EnergySpec(HamiltonianSpec):
+    """A variant whose field follows the canonical equations of its energy."""
+
+    def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
+        """(dH/dp, -dH/dq), taken by the engine from ``energy_node``."""
+        total = self.energy_node(q, p, prefix, axis=None)
+        # Partial derivatives at the current state: stop the sweep at q and p so
+        # states produced by an unrolled solver are treated as independent inputs.
+        # A frozen or degenerate energy may not reference q at all: zero gradient.
+        gq, gp = eg.gradient_all(total, [q, p], allow_unused=True, stop_at=(q, p))
+        return gp, eg.negate(gq)
+
+
+class _Relaxed:
+    """Adds a position-dependent bias ``bias_net(q)`` to an energy variant's dp."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require_map(self.bias_net, self.q_dim, self.q_dim, "bias net must map d -> d")
+
+    def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
+        dq, dp = super().field_nodes(q, p, prefix)
+        return dq, eg.add(dp, self.bias_net.graph(q, f"{prefix}.bias"))
+
+    def conservative(self):
+        """A copy whose bias net outputs zero; the spec itself is untouched."""
+        zero_bias = copy.deepcopy(self)
+        weight, bias, _ = zero_bias.bias_net.layers[-1]
+        weight[...] = 0.0
+        bias[...] = 0.0
+        return zero_bias
+
+
 @dataclass
-class GeodesicMetric:
+class GeodesicMetric(_EnergySpec):
     """Cogeodesic flow of a learnable diagonal (pseudo-)Riemannian metric.
 
     ``metric_net`` produces the raw diagonal; the inverse metric is
@@ -115,7 +175,7 @@ class GeodesicMetric:
 
 
 @dataclass
-class FlexibleHamiltonian:
+class FlexibleHamiltonian(_EnergySpec):
     """Scalar energy given by a fully connected network on (q, p)."""
 
     energy_net: MlpParams
@@ -148,16 +208,17 @@ class ConvexHamiltonian(FlexibleHamiltonian):
             raise ValueError("energy net must be convexity-constrained")
         super().__post_init__()
 
+    def project(self) -> None:
+        """Clamp layer-2+ weights to be non-negative, in place; layer 1 and
+        all biases stay untouched."""
+        self.energy_net.clamp_nonnegative_from_second()
+
 
 @dataclass
-class RelaxedHamiltonian(FlexibleHamiltonian):
+class RelaxedHamiltonian(_Relaxed, FlexibleHamiltonian):
     """Learned energy plus a position-dependent bias added to the momentum flow."""
 
     bias_net: MlpParams
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require_map(self.bias_net, self.q_dim, self.q_dim, "bias net must map d -> d")
 
 
 @dataclass
@@ -181,20 +242,51 @@ class LearnedSymplecticForm(FlexibleHamiltonian):
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
 
+    @classmethod
+    def canonical(cls, energy_net: MlpParams,
+                  eps: float = 1e-12) -> "LearnedSymplecticForm":
+        """The form frozen at the canonical one-form coefficients (p, 0), whose
+        flow is the canonical equations of ``energy_net``."""
+        d = energy_net.input_dim // 2
+        coeff = np.zeros((2 * d, 2 * d))
+        coeff[:d, d:] = np.eye(d)
+        return cls(energy_net, MlpParams([(coeff, np.zeros(2 * d), None)]), eps=eps)
+
+    def skew_node(self, z: Node, prefix: str) -> Node:
+        """W at one state z = (q, p): W_ab = d_a f_b - d_b f_a = (J^T - J)_ab
+        for J_ij = df_i/dz_j, with J assembled row by row."""
+        f_out = self.form_net.graph(z, f"{prefix}.form")
+        rows = [eg.gradient_all(eg.reduce_sum(eg.narrow(f_out, a, a + 1)), [z],
+                                allow_unused=True, stop_at=(z,))[0]
+                for a in range(2 * self.q_dim)]
+        jac = eg.stack_rows(rows)
+        return eg.add(eg.transpose(jac), eg.negate(jac))
+
+    def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
+        """One solve per state; a batch is solved row by row."""
+        if len(q.shape) == 2:
+            dqs, dps = zip(*[self.field_nodes(_row(q, i), _row(p, i), prefix)
+                             for i in range(q.shape[0])])
+            return eg.stack_rows(dqs), eg.stack_rows(dps)
+        d = self.q_dim
+        z = eg.concat([q, p], axis=-1)
+        regular = eg.add(self.skew_node(z, prefix),
+                         eg.constant(self.eps * canonical_skew_matrix(d)))
+        energy = self.energy_net.graph(z, f"{prefix}.energy")
+        grad_z = eg.gradient_all(eg.reduce_sum(energy), [z], stop_at=(z,))[0]
+        flow = eg.solve(regular, grad_z)
+        return eg.narrow(flow, 0, d), eg.narrow(flow, d, 2 * d)
+
 
 @dataclass
-class GeodesicRelaxed(GeodesicMetric):
+class GeodesicRelaxed(_Relaxed, GeodesicMetric):
     """Cogeodesic flow with an extra position-dependent bias on the momentum."""
 
     bias_net: MlpParams
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require_map(self.bias_net, self.q_dim, self.q_dim, "bias net must map d -> d")
-
 
 @dataclass
-class HigherDimMomentum:
+class HigherDimMomentum(HamiltonianSpec):
     """Coupled flow with a momentum of dimension k, not necessarily d.
 
     dq = phi(h1(p) - rho q), dp = phi(h2(q) - rho p).  No scalar energy.
@@ -221,9 +313,17 @@ class HigherDimMomentum:
     def p_dim(self) -> int:
         return self.h2_net.output_dim
 
+    def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
+        phi = eg.ACTIVATIONS[self.phi]
+        dq = phi(eg.add(self.h1_net.graph(p, f"{prefix}.h1"),
+                        eg.negate(eg.scale(q, self.rho))))
+        dp = phi(eg.add(self.h2_net.graph(q, f"{prefix}.h2"),
+                        eg.negate(eg.scale(p, self.rho))))
+        return dq, dp
+
 
 @dataclass
-class VanillaOde:
+class VanillaOde(HamiltonianSpec):
     """First-order baseline dq = f(q); the momentum is carried but frozen."""
 
     f_net: MlpParams
@@ -239,11 +339,8 @@ class VanillaOde:
 
     p_dim = q_dim
 
-
-HamiltonianSpec = Union[
-    GeodesicMetric, FlexibleHamiltonian, ConvexHamiltonian, RelaxedHamiltonian,
-    LearnedSymplecticForm, GeodesicRelaxed, HigherDimMomentum, VanillaOde,
-]
+    def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
+        return self.f_net.graph(q, f"{prefix}.f"), eg.scale(p, 0.0)
 
 
 VARIANT_TAGS = ("geodesic", "flexible", "convex", "relaxed", "symplectic",
@@ -294,58 +391,19 @@ def make_spec(tag: str, dim: int, hidden: int, rng: np.random.Generator,
     raise ValueError(f"unknown variant tag {tag!r}")
 
 
-def _spec_nets(spec) -> list[tuple[str, MlpParams]]:
-    """The spec's networks, one per field named ``<role>_net``, in field order."""
-    return [(f.name.removesuffix("_net"), getattr(spec, f.name))
-            for f in fields(spec) if f.name.endswith("_net")]
-
-
-def spec_param_items(spec, prefix: str) -> list[tuple[str, np.ndarray]]:
-    """Ordered (name, array) parameter pairs; arrays are live storage."""
-    items = []
-    for sub, net in _spec_nets(spec):
-        items.extend(net.param_items(f"{prefix}.{sub}"))
-    return items
-
-
-def spec_bindings(spec, prefix: str) -> dict:
-    return dict(spec_param_items(spec, prefix))
-
-
 def has_hamiltonian(spec) -> bool:
     return hasattr(spec, "energy_node")
 
 
-def hamiltonian_node(spec, q: Node, p: Node, prefix: str = "field",
-                     per_state: bool = False) -> Node:
+def hamiltonian_node(spec, q: Node, p: Node, prefix: str = "field") -> Node:
     """Energy of the variant as a graph over q and p.
 
-    Scalar for one state.  For batched (row-per-state) inputs the default is
-    the batch total, whose gradient gives every state's field at once;
-    ``per_state`` instead yields the vector of per-row energies.
+    Scalar for one state.  For batched (row-per-state) inputs it is the batch
+    total, whose gradient gives every state's field at once.
     """
     if not has_hamiltonian(spec):
         raise ValueError("variant has no Hamiltonian")
-    batched = len(q.shape) == 2
-    return spec.energy_node(q, p, prefix, axis=1 if (batched and per_state) else None)
-
-
-def _symplectic_state_field(spec: LearnedSymplecticForm, q: Node, p: Node,
-                            prefix: str) -> tuple[Node, Node]:
-    d = spec.q_dim
-    z = eg.concat([q, p], axis=-1)
-    f_out = spec.form_net.graph(z, f"{prefix}.form")
-    rows = [eg.gradient_all(eg.reduce_sum(eg.narrow(f_out, a, a + 1)), [z],
-                            allow_unused=True, stop_at=(z,))[0]
-            for a in range(2 * d)]
-    jac = eg.stack_rows(rows)
-    # W_ab = d_a f_b - d_b f_a  =  (J^T - J)_ab for J_ij = df_i/dz_j
-    skew = eg.add(eg.transpose(jac), eg.negate(jac))
-    regular = eg.add(skew, eg.constant(spec.eps * canonical_skew_matrix(d)))
-    energy = spec.energy_net.graph(z, f"{prefix}.energy")
-    grad_z = eg.gradient_all(eg.reduce_sum(energy), [z], stop_at=(z,))[0]
-    flow = eg.solve(regular, grad_z)
-    return eg.narrow(flow, 0, d), eg.narrow(flow, d, 2 * d)
+    return spec.energy_node(q, p, prefix, axis=None)
 
 
 def canonical_skew_matrix(d: int) -> np.ndarray:
@@ -356,51 +414,13 @@ def canonical_skew_matrix(d: int) -> np.ndarray:
     return k
 
 
-def _row(x: Node, i: int) -> Node:
-    return eg.reduce_sum(eg.gather_rows(x, (i,)), axis=0)
-
-
-def phase_velocity_nodes(spec, q: Node, p: Node,
+def phase_velocity_nodes(spec: HamiltonianSpec, q: Node, p: Node,
                          prefix: str = "field") -> tuple[Node, Node]:
     """Graphs for (dq/dt, dp/dt) under the variant's equations.
 
-    For the energy-based variants the field is the engine gradient of
-    ``hamiltonian_node`` — there is no separate hand-coded formula.
     Accepts a single state (vectors) or a batch (row per state).
     """
-    batched = len(q.shape) == 2
-
-    if isinstance(spec, HigherDimMomentum):
-        phi = eg.ACTIVATIONS[spec.phi]
-        dq = phi(eg.add(spec.h1_net.graph(p, f"{prefix}.h1"),
-                        eg.negate(eg.scale(q, spec.rho))))
-        dp = phi(eg.add(spec.h2_net.graph(q, f"{prefix}.h2"),
-                        eg.negate(eg.scale(p, spec.rho))))
-        return dq, dp
-
-    if isinstance(spec, VanillaOde):
-        return spec.f_net.graph(q, f"{prefix}.f"), eg.scale(p, 0.0)
-
-    if isinstance(spec, LearnedSymplecticForm):
-        if not batched:
-            return _symplectic_state_field(spec, q, p, prefix)
-        dqs, dps = [], []
-        for i in range(q.shape[0]):
-            dq_i, dp_i = _symplectic_state_field(spec, _row(q, i), _row(p, i), prefix)
-            dqs.append(dq_i)
-            dps.append(dp_i)
-        return eg.stack_rows(dqs), eg.stack_rows(dps)
-
-    total = hamiltonian_node(spec, q, p, prefix)
-    # Partial derivatives at the current state: stop the sweep at q and p so
-    # states produced by an unrolled solver are treated as independent inputs.
-    # A frozen or degenerate energy may not reference q at all: zero gradient.
-    gq, gp = eg.gradient_all(total, [q, p], allow_unused=True, stop_at=(q, p))
-    dq = gp
-    dp = eg.negate(gq)
-    if isinstance(spec, (RelaxedHamiltonian, GeodesicRelaxed)):
-        dp = eg.add(dp, spec.bias_net.graph(q, f"{prefix}.bias"))
-    return dq, dp
+    return spec.field_nodes(q, p, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +436,19 @@ def _state_leaves(state: PhaseState) -> tuple[Node, Node, dict]:
 def metric_inverse_diag(spec, q) -> Tensor:
     """Inverse-metric diagonal at a position; entries keep |g^ii| in
     (floor, 1 + floor) with signs fixed by the signature."""
-    if not isinstance(spec, GeodesicMetric):
-        raise TypeError("metric diagonal is defined for the metric variants only")
     q = eg.as_array(q)
     if q.shape != (spec.q_dim,):
         raise ValueError(f"position must have dimension {spec.q_dim}")
     leaf = eg.parameter("q", q.shape)
     return eg.forward(spec.metric_diag_node(leaf, "field"),
-                      {"q": q, **spec_bindings(spec, "field")})
+                      {"q": q, **spec.bindings("field")})
 
 
 def eval_hamiltonian(spec, state: PhaseState) -> float:
     """Energy of one phase-space state."""
     q, p, binds = _state_leaves(state)
     node = hamiltonian_node(spec, q, p, "field")
-    binds.update(spec_bindings(spec, "field"))
+    binds.update(spec.bindings("field"))
     return float(eg.evaluate(node, binds))
 
 
@@ -442,31 +460,16 @@ def phase_velocity(spec, state: PhaseState) -> tuple[Tensor, Tensor]:
             f"spec ({spec.q_dim}, {spec.p_dim})")
     q, p, binds = _state_leaves(state)
     dq, dp = phase_velocity_nodes(spec, q, p, "field")
-    binds.update(spec_bindings(spec, "field"))
+    binds.update(spec.bindings("field"))
     dq_val, dp_val = eg.evaluate([dq, dp], binds)
     return Tensor(dq_val), Tensor(dp_val)
 
 
 def assemble_W(spec: LearnedSymplecticForm, state: PhaseState) -> Tensor:
     """Skew matrix of the learned two-form at one state: W_ab = d_a f_b - d_b f_a."""
-    if not isinstance(spec, LearnedSymplecticForm):
-        raise TypeError("W is defined for the learned symplectic form only")
-    d = spec.q_dim
-    z_leaf = eg.parameter("z", (2 * d,))
-    f_out = spec.form_net.graph(z_leaf, "field.form")
-    binds = {"z": np.concatenate([state.q, state.p]),
-             **spec.form_net.bindings("field.form")}
-    jac = eg.jacobian(f_out, z_leaf, binds).array
-    return Tensor(jac.T - jac)
-
-
-def project_convex(spec: ConvexHamiltonian) -> ConvexHamiltonian:
-    """Clamp layer-2+ weights to be non-negative, in place; layer 1 and all
-    biases stay untouched."""
-    if not isinstance(spec, ConvexHamiltonian):
-        raise TypeError("projection applies to the convex variant only")
-    spec.energy_net.clamp_nonnegative_from_second()
-    return spec
+    z = eg.parameter("z", (2 * spec.q_dim,))
+    binds = {"z": np.concatenate([state.q, state.p]), **spec.bindings("field")}
+    return Tensor(eg.evaluate(spec.skew_node(z, "field"), binds))
 
 
 # ---------------------------------------------------------------------------
@@ -477,20 +480,18 @@ def check_field_gradients(spec, n_states: int, rng: np.random.Generator,
                           fd_step: float = 1e-5, tol: float = 1e-5) -> dict:
     """Check the field against finite differences of the energy.
 
-    For the canonical-equation variants the field must equal
-    (dH/dp, -dH/dq [+ bias]); each partial is compared against central
+    The conservative form of a canonical-equation variant must have the
+    field (dH/dp, -dH/dq); each partial is compared against central
     differences of the energy over random states.  Graphs are built once and
     re-evaluated per state.
     """
+    spec = spec.conservative()
     d = spec.q_dim
-    base = spec_bindings(spec, "field")
+    base = spec.bindings("field")
     q_leaf = eg.parameter("q", (d,))
     p_leaf = eg.parameter("p", (d,))
     h_node = hamiltonian_node(spec, q_leaf, p_leaf, "field")
-    field_nodes = list(phase_velocity_nodes(spec, q_leaf, p_leaf, "field"))
-    if isinstance(spec, (RelaxedHamiltonian, GeodesicRelaxed)):
-        bias = spec.bias_net.graph(q_leaf, "field.bias")
-        field_nodes[1] = eg.add(field_nodes[1], eg.negate(bias))
+    field_nodes = phase_velocity_nodes(spec, q_leaf, p_leaf, "field")
 
     def energy(q, p):
         return float(eg.evaluate(h_node, {**base, "q": q, "p": p}))

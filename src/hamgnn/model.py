@@ -29,7 +29,7 @@ __all__ = [
     "ModelConfig", "ModelParams", "init_params",
     "compress", "init_momentum", "aggregate", "aggregation_matrix",
     "encode_nodes", "encode", "decode_class", "decode_link",
-    "baseline_mlp_params", "baseline_mlp",
+    "baseline_mlp_params", "baseline_mlp_nodes",
     "save_checkpoint", "load_checkpoint",
 ]
 
@@ -96,7 +96,7 @@ class ModelParams:
         items = list(self.compressor.param_items("compress"))
         for i, (qnet, spec) in enumerate(zip(self.momentum_nets, self.field_specs)):
             items.extend(qnet.param_items(f"layer{i}.momentum"))
-            items.extend(ham.spec_param_items(spec, f"layer{i}.field"))
+            items.extend(spec.param_items(f"layer{i}.field"))
         if self.head is not None:
             items.extend(self.head.param_items("head"))
         return items
@@ -111,8 +111,7 @@ class ModelParams:
     def project_feasible(self):
         """Re-impose per-variant weight constraints after an optimizer step."""
         for spec in self.field_specs:
-            if isinstance(spec, ham.ConvexHamiltonian):
-                ham.project_convex(spec)
+            spec.project()
 
 
 def init_params(cfg: ModelConfig, num_features: int, num_classes: int,
@@ -236,15 +235,9 @@ def baseline_mlp_params(num_features: int, num_classes: int, hidden: int,
                           ("relu", "relu", None), rng)
 
 
-def baseline_mlp(params: MlpParams, dataset: GraphDataset) -> Tensor:
-    """Logits of the baseline applied rowwise to raw features; never reads
-    edges."""
-    leaf = eg.parameter("x", dataset.features.shape)
-    return eg.forward(params.graph(leaf, "mlp"),
-                      {"x": dataset.features, **params.bindings("mlp")})
-
-
 def baseline_mlp_nodes(params: MlpParams, dataset: GraphDataset) -> tuple[Node, dict]:
+    """Logits graph of the baseline applied rowwise to raw features, and its
+    bindings; never reads edges."""
     x = eg.constant(dataset.features, label="raw features")
     return params.graph(x, "mlp"), params.bindings("mlp")
 

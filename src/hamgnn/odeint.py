@@ -127,7 +127,7 @@ def integrate(spec, state0: PhaseState, cfg: IntegrationConfig) -> Trajectory:
     p0 = eg.parameter("p0", state0.p.shape)
     nodes = integrate_nodes(spec, q0, p0, cfg)
     flat = [n for pair in nodes for n in pair]
-    binds = {"q0": state0.q, "p0": state0.p, **ham.spec_bindings(spec, "field")}
+    binds = {"q0": state0.q, "p0": state0.p, **spec.bindings("field")}
     try:
         values = eg.evaluate(flat, binds)
     except FloatingPointError as exc:
@@ -142,7 +142,7 @@ def energy_drift(spec, traj: Trajectory) -> dict:
     q = eg.parameter("q", traj.states[0].q.shape)
     p = eg.parameter("p", traj.states[0].p.shape)
     node = ham.hamiltonian_node(spec, q, p, "field")
-    binds = ham.spec_bindings(spec, "field")
+    binds = spec.bindings("field")
     energies = np.array([
         float(eg.evaluate(node, {**binds, "q": s.q, "p": s.p}))
         for s in traj.states])

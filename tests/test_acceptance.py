@@ -50,14 +50,6 @@ def _require_dataset(number: int, name: str) -> gd.GraphDataset:
     return gd.load_dataset(path)
 
 
-def _canonical_symplectic(d, rng):
-    coeff = np.zeros((2 * d, 2 * d))
-    coeff[:d, d:] = np.eye(d)
-    return ham.LearnedSymplecticForm(
-        eg.MlpParams.init((2 * d, 16, 1), ("tanh", None), rng),
-        eg.MlpParams([(coeff, np.zeros(2 * d), None)]), eps=1e-12)
-
-
 def test_criterion_1_field_partials_match_energy_differences():
     """Every Hamiltonian variant: field vs central differences of the energy,
     relative error <= 1e-5, >= 100 seeded states per variant, d in {2,8,16}."""
@@ -68,7 +60,9 @@ def test_criterion_1_field_partials_match_energy_differences():
                 "symplectic"):
         top = 0.0
         for d in (2, 8, 16):
-            spec = (_canonical_symplectic(d, rng) if tag == "symplectic"
+            spec = (ham.LearnedSymplecticForm.canonical(
+                        eg.MlpParams.init((2 * d, 16, 1), ("tanh", None), rng))
+                    if tag == "symplectic"
                     else ham.make_spec(tag, d, 16, rng))
             rep = ham.check_field_gradients(spec, 34, rng, tol=1e-5)
             top = max(top, rep["max_relative_error"])
@@ -248,10 +242,8 @@ def _fit_zero_dynamics(layers, dataset, tcfg):
     params = md.init_params(cfg, dataset.num_features, dataset.num_classes,
                             seed=tcfg.seed)
     for spec in params.field_specs:
-        for _, net in ham._spec_nets(spec):
-            for w, b, _ in net.layers:
-                w[...] = 0.0
-                b[...] = 0.0
+        for _, arr in spec.param_items("field"):
+            arr[...] = 0.0
     for qnet in params.momentum_nets:
         for w, b, _ in qnet.layers:
             w[...] = 0.0

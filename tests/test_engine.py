@@ -149,53 +149,6 @@ def test_same_name_leaves_share_gradient():
 
 
 # ---------------------------------------------------------------------------
-# jacobian
-
-
-def test_jacobian_linear_map():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    x = eg.parameter("x", (2,))
-    f = eg.affine(x, eg.constant(a), transpose_weight=True)
-    assert eg.jacobian(f, x, {"x": [0.7, -0.1]}).tolist() == a.tolist()
-
-
-def test_jacobian_componentwise():
-    x = eg.parameter("x", (2,))
-    f = eg.concat([eg.sin(eg.narrow(x, 0, 1)),
-                   eg.mul(eg.narrow(x, 1, 2), eg.narrow(x, 1, 2))])
-    got = eg.jacobian(f, x, {"x": [0.0, 3.0]})
-    assert got.array == pytest.approx(np.array([[1.0, 0.0], [0.0, 6.0]]))
-
-
-def test_jacobian_random_tanh_network_matches_fd(rng):
-    w0 = rng.normal(size=(5, 3))
-    b0 = rng.normal(size=5)
-    w1 = rng.normal(size=(4, 5))
-    b1 = rng.normal(size=4)
-    x = eg.parameter("x", (3,))
-    hidden = eg.tanh(eg.affine(x, eg.constant(w0), eg.constant(b0),
-                               transpose_weight=True))
-    f = eg.affine(hidden, eg.constant(w1), eg.constant(b1), transpose_weight=True)
-    x0 = rng.normal(size=3)
-    jac = eg.jacobian(f, x, {"x": x0}).array
-
-    step = 1e-5
-    fd = np.zeros((4, 3))
-    for j in range(3):
-        plus, minus = x0.copy(), x0.copy()
-        plus[j] += step
-        minus[j] -= step
-        fd[:, j] = (eg.evaluate(f, {"x": plus}) - eg.evaluate(f, {"x": minus})) / (2 * step)
-    assert eg.relative_error(jac, fd) <= 1e-6
-
-
-def test_jacobian_requires_vector_output():
-    x = eg.parameter("x", (2,))
-    with pytest.raises(ValueError, match="vector"):
-        eg.jacobian(eg.reduce_sum(x), x, {"x": [1.0, 2.0]})
-
-
-# ---------------------------------------------------------------------------
 # check_gradient
 
 

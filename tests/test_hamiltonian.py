@@ -1,12 +1,16 @@
 """Dynamics variants: metric diagonals, energies, fields, the learned
 two-form, and the convexity projection."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from hamgnn import engine as eg
 from hamgnn import hamiltonian as ham
+from hamgnn import odeint as oi
 from hamgnn.hamiltonian import PhaseState, Signature
+from hamgnn.odeint import IntegrationConfig
 
 
 def zero_energy_net(d):
@@ -14,13 +18,9 @@ def zero_energy_net(d):
                          (np.zeros((1, 4)), np.zeros(1), None)])
 
 
-def canonical_symplectic(d, rng, eps=1e-12):
-    """Learned form frozen at the canonical one-form coefficients (p, 0)."""
-    coeff = np.zeros((2 * d, 2 * d))
-    coeff[:d, d:] = np.eye(d)
-    return ham.LearnedSymplecticForm(
-        eg.MlpParams.init((2 * d, 12, 1), ("tanh", None), rng),
-        eg.MlpParams([(coeff, np.zeros(2 * d), None)]), eps=eps)
+def canonical_symplectic(d, rng):
+    return ham.LearnedSymplecticForm.canonical(
+        eg.MlpParams.init((2 * d, 12, 1), ("tanh", None), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +213,69 @@ def test_batched_field_matches_per_state(rng):
         qn = eg.parameter("qb", qb.shape)
         pn = eg.parameter("pb", pb.shape)
         dq_n, dp_n = ham.phase_velocity_nodes(spec, qn, pn, "field")
-        binds = {"qb": qb, "pb": pb, **ham.spec_bindings(spec, "field")}
+        binds = {"qb": qb, "pb": pb, **spec.bindings("field")}
         dq, dp = eg.evaluate([dq_n, dp_n], binds)
         for i in range(4):
             dq_i, dp_i = ham.phase_velocity(spec, PhaseState(qb[i], pb[i]))
             assert eg.relative_error(dq[i], dq_i.array) <= 1e-12, tag
             assert eg.relative_error(dp[i], dp_i.array) <= 1e-12, tag
+
+
+# ---------------------------------------------------------------------------
+# spec interface
+
+
+@dataclass
+class Rotation(ham.HamiltonianSpec):
+    """A variant defined outside the library: the field dq = p, dp = -q.
+    Its one network is a trainable parameter that the field does not read."""
+
+    carried_net: eg.MlpParams
+    q_dim = p_dim = 1
+
+    def field_nodes(self, q, p, prefix):
+        return p, eg.negate(q)
+
+
+def test_spec_subclass_supplies_its_own_field(rng):
+    spec = Rotation(eg.MlpParams.init((1, 2, 1), ("tanh", None), rng))
+    items = spec.param_items("field")
+    expected = spec.carried_net.param_items("field.carried")
+    assert [n for n, _ in items] == [n for n, _ in expected]
+    assert all(a is b for (_, a), (_, b) in zip(items, expected))
+
+    traj = oi.integrate(spec, PhaseState([1.0], [0.0]),
+                        IntegrationConfig("rk4", 1.0, 0.01))
+    for t, st in zip(traj.times, traj.states):
+        assert abs(st.q[0] - np.cos(t)) <= 1e-6
+        assert abs(st.p[0] + np.sin(t)) <= 1e-6
+
+
+@pytest.mark.parametrize("tag", ham.VARIANT_TAGS)
+def test_conservative_form_zeroes_only_the_relaxed_bias(tag, rng):
+    spec = ham.make_spec(tag, 3, 8, rng)
+    before = [(n, a.tobytes()) for n, a in spec.param_items("field")]
+    kept = spec.conservative()
+    assert [(n, a.tobytes()) for n, a in spec.param_items("field")] == before
+    if tag not in ("relaxed", "geodesic_relaxed"):
+        assert kept is spec
+        return
+    assert type(kept) is type(spec)
+    q = eg.parameter("q", (3,))
+    bias = eg.evaluate(kept.bias_net.graph(q, "b"),
+                       {"q": rng.normal(size=3), **kept.bias_net.bindings("b")})
+    assert np.all(bias == 0.0)
+    for (name, old), (_, new) in zip(before, kept.param_items("field")):
+        if ".bias." not in name:
+            assert new.tobytes() == old, name
+
+
+def test_spec_specific_value_functions_name_the_missing_method(rng):
+    flexible = ham.make_spec("flexible", 2, 8, rng)
+    with pytest.raises(AttributeError, match="metric_diag_node"):
+        ham.metric_inverse_diag(flexible, [0.0, 0.0])
+    with pytest.raises(AttributeError, match="skew_node"):
+        ham.assemble_W(flexible, PhaseState([0.0, 0.0], [0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +331,7 @@ def test_assemble_w_random_net_skew_and_fd(rng):
 
 
 # ---------------------------------------------------------------------------
-# project_convex
+# project
 
 
 def test_project_convex_clamps_later_layers(rng):
@@ -283,16 +340,11 @@ def test_project_convex_clamps_later_layers(rng):
     spec.energy_net.layers[1][0][0, 1] = 0.7
     first = spec.energy_net.layers[0][0]
     first[0, 0] = -0.3
-    ham.project_convex(spec)
+    spec.project()
     assert spec.energy_net.layers[1][0][0, 0] == 0.0
     assert spec.energy_net.layers[1][0][0, 1] == 0.7
     assert first[0, 0] == -0.3
     assert all(np.all(w >= 0.0) for w, _, _ in spec.energy_net.layers[1:])
-
-
-def test_project_convex_rejects_other_variants(rng):
-    with pytest.raises(TypeError):
-        ham.project_convex(ham.make_spec("flexible", 3, 8, rng))
 
 
 def test_convex_variant_admits_kappa_activations(rng):
@@ -304,7 +356,7 @@ def test_convex_variant_admits_kappa_activations(rng):
 
 def test_convexity_witness(rng):
     spec = ham.make_spec("convex", 4, 8, rng)
-    ham.project_convex(spec)
+    spec.project()
     for _ in range(1000):
         a = PhaseState(rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4))
         b = PhaseState(rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4))

@@ -58,10 +58,8 @@ def graph_nodes(output):
 
 def zero_fields(params):
     for spec in params.field_specs:
-        for name, net in ham._spec_nets(spec):
-            for w, b, _ in net.layers:
-                w[...] = 0.0
-                b[...] = 0.0
+        for _, arr in spec.param_items("field"):
+            arr[...] = 0.0
     return params
 
 
@@ -104,6 +102,19 @@ def test_param_names_per_variant(tag):
         expected += [f"layer{i}.field.{name}" for name in FIELD_PARAM_NAMES[tag].split()]
     expected += ["head.w0", "head.b0"]
     assert [name for name, _ in params.param_items()] == expected
+
+
+@pytest.mark.parametrize("variant", ham.VARIANT_TAGS)
+def test_project_feasible_clamps_only_negative_convex_weights(variant):
+    params = md.init_params(small_config(variant=variant), 5, 2, seed=0)
+    if variant == "convex":
+        params.field_specs[1].energy_net.layers[1][0][0, 0] = -0.5
+    before = [(n, a.copy()) for n, a in params.param_items()]
+    params.project_feasible()
+    changed = {n: new[old.view(np.uint64) != new.view(np.uint64)].tolist()
+               for (n, old), (_, new) in zip(before, params.param_items())
+               if old.tobytes() != new.tobytes()}
+    assert changed == ({"layer1.field.energy.w1": [0.0]} if variant == "convex" else {})
 
 
 # ---------------------------------------------------------------------------
@@ -437,24 +448,25 @@ def test_baseline_mlp_zero_params_uniform(sbm_dataset):
     for w, b, _ in params.layers:
         w[...] = 0.0
         b[...] = 0.0
-    logits = md.baseline_mlp(params, sbm_dataset).array
+    logits = eg.forward(*md.baseline_mlp_nodes(params, sbm_dataset)).array
     assert np.all(logits == 0.0)
 
 
 def test_baseline_mlp_ignores_topology(sbm_dataset):
     params = md.baseline_mlp_params(sbm_dataset.num_features,
                                     sbm_dataset.num_classes, 8, seed=1)
-    with_edges = md.baseline_mlp(params, sbm_dataset).array
+    with_edges = eg.forward(*md.baseline_mlp_nodes(params, sbm_dataset)).array
     stripped = gd.GraphDataset("bare", sbm_dataset.features, sbm_dataset.labels,
                                [], sbm_dataset.train_mask, sbm_dataset.val_mask,
                                sbm_dataset.test_mask)
-    assert np.array_equal(with_edges, md.baseline_mlp(params, stripped).array)
+    assert np.array_equal(with_edges,
+                          eg.forward(*md.baseline_mlp_nodes(params, stripped)).array)
 
 
 def test_baseline_mlp_matches_rowwise(rng, sbm_dataset):
     params = md.baseline_mlp_params(sbm_dataset.num_features,
                                     sbm_dataset.num_classes, 8, seed=2)
-    batch = md.baseline_mlp(params, sbm_dataset).array
+    batch = eg.forward(*md.baseline_mlp_nodes(params, sbm_dataset)).array
     leaf = eg.parameter("x", (sbm_dataset.num_features,))
     node = params.graph(leaf, "mlp")
     for i in range(0, sbm_dataset.n, 7):

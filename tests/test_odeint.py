@@ -179,7 +179,7 @@ def test_gradient_through_solver_matches_fd(rng):
     nodes = oi.integrate_nodes(spec, q0, p0, IntegrationConfig("euler", 1.0, 0.25))
     target = eg.reduce_sum(eg.mul(nodes[-1][0], nodes[-1][0]))
     binds = {"q0": rng.normal(size=4), "p0": rng.normal(size=4),
-             **ham.spec_bindings(spec, "field")}
+             **spec.bindings("field")}
     assert eg.check_gradient(target, p0, binds, 1e-6, 1e-4).passed
     assert eg.check_gradient(target, q0, binds, 1e-6, 1e-4).passed
 
