@@ -243,14 +243,15 @@ class LearnedSymplecticForm(FlexibleHamiltonian):
             raise ValueError("eps must be positive")
 
     @classmethod
-    def canonical(cls, energy_net: MlpParams,
-                  eps: float = 1e-12) -> "LearnedSymplecticForm":
+    def canonical(cls, energy_net: MlpParams) -> "LearnedSymplecticForm":
         """The form frozen at the canonical one-form coefficients (p, 0), whose
         flow is the canonical equations of ``energy_net``."""
         d = energy_net.input_dim // 2
         coeff = np.zeros((2 * d, 2 * d))
         coeff[:d, d:] = np.eye(d)
-        return cls(energy_net, MlpParams([(coeff, np.zeros(2 * d), None)]), eps=eps)
+        # W is already nonsingular here, so the regularizer only has to be
+        # small enough not to perturb the canonical flow
+        return cls(energy_net, MlpParams([(coeff, np.zeros(2 * d), None)]), eps=1e-12)
 
     def skew_node(self, z: Node, prefix: str) -> Node:
         """W at one state z = (q, p): W_ab = d_a f_b - d_b f_a = (J^T - J)_ab

@@ -163,9 +163,7 @@ def test_canonical_form_reproduces_plain_field(rng):
         assert eg.relative_error(dp1.array, dp2.array) <= 1e-8
 
 
-def test_relaxed_field_adds_position_bias(rng):
-    spec = ham.make_spec("relaxed", 3, 8, rng)
-    plain = ham.FlexibleHamiltonian(spec.energy_net)
+def assert_field_adds_bias(spec, plain, rng):
     st = PhaseState(rng.normal(size=3), rng.normal(size=3))
     dq_r, dp_r = ham.phase_velocity(spec, st)
     dq_p, dp_p = ham.phase_velocity(plain, st)
@@ -174,6 +172,16 @@ def test_relaxed_field_adds_position_bias(rng):
                        {"q": st.q, **spec.bias_net.bindings("b")})
     assert dq_r.array == pytest.approx(dq_p.array)
     assert dp_r.array == pytest.approx(dp_p.array + bias)
+
+
+def test_relaxed_field_adds_position_bias(rng):
+    spec = ham.make_spec("relaxed", 3, 8, rng)
+    assert_field_adds_bias(spec, ham.FlexibleHamiltonian(spec.energy_net), rng)
+
+
+def test_geodesic_relaxed_field_adds_position_bias(rng):
+    spec = ham.make_spec("geodesic_relaxed", 3, 8, rng)
+    assert_field_adds_bias(spec, ham.GeodesicMetric(spec.metric_net, spec.signature), rng)
 
 
 def test_higher_dim_momentum_field_matches_direct_formula(rng):
