@@ -225,6 +225,7 @@ def cmd_mix(args) -> int:
 
 def run_gradcheck(variant: str, dim: int, seed: int) -> dict:
     """Field-gradient, conservation, and solver-differentiability checks."""
+    cfg = ModelConfig(hidden_dim=dim, net_hidden=16, variant=variant)
     rng = np.random.default_rng(seed)
     report: dict = {"variant": variant, "dim": dim, "checks": {}}
 
@@ -234,7 +235,7 @@ def run_gradcheck(variant: str, dim: int, seed: int) -> dict:
         spec = ham.LearnedSymplecticForm.canonical(
             eg.MlpParams.init((2 * dim, 16, 1), ("tanh", None), rng))
     else:
-        spec = ham.make_spec(variant, dim, 16, rng, momentum_dim=dim)
+        spec = ham.make_spec(cfg, rng)
 
     if ham.has_hamiltonian(spec):
         field = ham.check_field_gradients(spec, 20, rng)

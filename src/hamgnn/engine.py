@@ -706,6 +706,16 @@ def _vjp_slice(node, g):
     return [concat(parts, axis=ax) if len(parts) > 1 else g]
 
 
+def _vjp_concat(node, g):
+    ax = node.attrs["axis"]
+    grads, offset = [], 0
+    for part in node.inputs:
+        extent = part.shape[ax]
+        grads.append(narrow(g, offset, offset + extent, axis=ax))
+        offset += extent
+    return grads
+
+
 def _vjp_kappa(node, g):
     x = node.inputs[0]
     on_plus = step(x, include_zero=True)
@@ -748,19 +758,9 @@ _VJP = {
     "negate": lambda node, g: [negate(g)],
     "sum": _vjp_sum,
     "dot": lambda node, g: [mul(g, node.inputs[1]), mul(g, node.inputs[0])],
-    "concat": None,  # handled inline (needs per-part offsets)
+    "concat": _vjp_concat,
     "slice": _vjp_slice,
 }
-
-
-def _vjp_concat(node, g):
-    ax = node.attrs["axis"]
-    grads, offset = [], 0
-    for part in node.inputs:
-        extent = part.shape[ax]
-        grads.append(narrow(g, offset, offset + extent, axis=ax))
-        offset += extent
-    return grads
 
 
 def gradient_all(f: Node, wrts: Sequence[Node], allow_unused: bool = False,
@@ -783,11 +783,7 @@ def gradient_all(f: Node, wrts: Sequence[Node], allow_unused: bool = False,
         g = adjoint.get(node.nid)
         if g is None or node.nid in stop or node.op in ("constant", "parameter"):
             continue
-        if node.op == "concat":
-            contribs = _vjp_concat(node, g)
-        else:
-            contribs = _VJP[node.op](node, g)
-        for inp, contrib in zip(node.inputs, contribs):
+        for inp, contrib in zip(node.inputs, _VJP[node.op](node, g)):
             if contrib is None:
                 continue
             prev = adjoint.get(inp.nid)

@@ -25,7 +25,7 @@ __all__ = [
     "GeodesicMetric", "FlexibleHamiltonian", "ConvexHamiltonian",
     "RelaxedHamiltonian", "LearnedSymplecticForm", "GeodesicRelaxed",
     "HigherDimMomentum", "VanillaOde", "HamiltonianSpec",
-    "VARIANT_TAGS", "make_spec",
+    "VARIANTS", "make_spec",
     "has_hamiltonian", "hamiltonian_node", "phase_velocity_nodes",
     "metric_inverse_diag", "eval_hamiltonian", "phase_velocity",
     "assemble_W", "canonical_skew_matrix", "check_field_gradients",
@@ -80,13 +80,19 @@ def _require_map(net: MlpParams, d_in: int, d_out: int, message: str):
         raise ValueError(message)
 
 
+def _mlp(cfg, d_in: int, d_out: int, rng, act: str = "tanh") -> MlpParams:
+    """A fresh one-hidden-layer field net of the configured width."""
+    return MlpParams.init((d_in, cfg.field_hidden, d_out), (act, None), rng)
+
+
 def _row(x: Node, i: int) -> Node:
     return eg.reduce_sum(eg.gather_rows(x, (i,)), axis=0)
 
 
 class HamiltonianSpec:
     """Base of the variant specs: a dataclass subclass keeps each network in a
-    field named ``<role>_net`` and defines ``field_nodes(q, p, prefix)``."""
+    field named ``<role>_net``, defines ``field_nodes(q, p, prefix)`` and draws
+    its fresh fields from a validated ``ModelConfig`` in ``init_fields(cfg, rng)``."""
 
     def param_items(self, prefix: str) -> list[tuple[str, np.ndarray]]:
         """Ordered (name, array) pairs of the networks; arrays are live storage."""
@@ -128,6 +134,11 @@ class _Relaxed:
         super().__post_init__()
         _require_map(self.bias_net, self.q_dim, self.q_dim, "bias net must map d -> d")
 
+    @classmethod
+    def init_fields(cls, cfg, rng: np.random.Generator) -> dict:
+        d = cfg.hidden_dim
+        return {**super().init_fields(cfg, rng), "bias_net": _mlp(cfg, d, d, rng)}
+
     def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
         dq, dp = super().field_nodes(q, p, prefix)
         return dq, eg.add(dp, self.bias_net.graph(q, f"{prefix}.bias"))
@@ -156,6 +167,12 @@ class GeodesicMetric(_EnergySpec):
     def __post_init__(self):
         _require_map(self.metric_net, self.q_dim, self.q_dim, "metric net must map d -> d")
 
+    @classmethod
+    def init_fields(cls, cfg, rng: np.random.Generator) -> dict:
+        d = cfg.hidden_dim
+        return {"metric_net": _mlp(cfg, d, d, rng),
+                "signature": cfg.signature or Signature(0, d)}
+
     @property
     def q_dim(self) -> int:
         return self.signature.dim
@@ -183,6 +200,10 @@ class FlexibleHamiltonian(_EnergySpec):
     def __post_init__(self):
         _require_map(self.energy_net, 2 * self.q_dim, 1, "energy net must map 2d -> 1")
 
+    @classmethod
+    def init_fields(cls, cfg, rng: np.random.Generator) -> dict:
+        return {"energy_net": _mlp(cfg, 2 * cfg.hidden_dim, 1, rng)}
+
     @property
     def q_dim(self) -> int:
         return self.energy_net.input_dim // 2
@@ -207,6 +228,12 @@ class ConvexHamiltonian(FlexibleHamiltonian):
         if not self.energy_net.convex_from_second:
             raise ValueError("energy net must be convexity-constrained")
         super().__post_init__()
+
+    @classmethod
+    def init_fields(cls, cfg, rng: np.random.Generator) -> dict:
+        d, h, act = cfg.hidden_dim, cfg.field_hidden, cfg.convex_activation
+        return {"energy_net": MlpParams.init((2 * d, h, h, 1), (act, act, None), rng,
+                                             convex_from_second=True)}
 
     def project(self) -> None:
         """Clamp layer-2+ weights to be non-negative, in place; layer 1 and
@@ -233,7 +260,7 @@ class LearnedSymplecticForm(FlexibleHamiltonian):
     """
 
     form_net: MlpParams
-    eps: float = 1e-3
+    eps: float
 
     def __post_init__(self):
         super().__post_init__()
@@ -241,6 +268,12 @@ class LearnedSymplecticForm(FlexibleHamiltonian):
         _require_map(self.form_net, two_d, two_d, "form net must map 2d -> 2d")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
+
+    @classmethod
+    def init_fields(cls, cfg, rng: np.random.Generator) -> dict:
+        two_d = 2 * cfg.hidden_dim
+        return {"energy_net": _mlp(cfg, two_d, 1, rng, "sin"),
+                "form_net": _mlp(cfg, two_d, two_d, rng, "sin"), "eps": cfg.eps}
 
     @classmethod
     def canonical(cls, energy_net: MlpParams) -> "LearnedSymplecticForm":
@@ -295,8 +328,8 @@ class HigherDimMomentum(HamiltonianSpec):
 
     h1_net: MlpParams
     h2_net: MlpParams
-    rho: float = 0.1
-    phi: str = "tanh"
+    rho: float
+    phi: str
 
     def __post_init__(self):
         if self.rho < 0.0:
@@ -305,6 +338,12 @@ class HigherDimMomentum(HamiltonianSpec):
             raise ValueError(f"unknown activation tag {self.phi!r}")
         _require_map(self.h1_net, self.p_dim, self.q_dim, "h1 net must map k -> d")
         _require_map(self.h2_net, self.q_dim, self.p_dim, "h2 net must map d -> k")
+
+    @classmethod
+    def init_fields(cls, cfg, rng: np.random.Generator) -> dict:
+        d, k = cfg.hidden_dim, cfg.momentum_dim or cfg.hidden_dim
+        return {"h1_net": _mlp(cfg, k, d, rng), "h2_net": _mlp(cfg, d, k, rng),
+                "rho": cfg.rho, "phi": cfg.phi}
 
     @property
     def q_dim(self) -> int:
@@ -334,6 +373,10 @@ class VanillaOde(HamiltonianSpec):
         if len(self.f_net.layers) != 2:
             raise ValueError("baseline field uses exactly two affine layers")
 
+    @classmethod
+    def init_fields(cls, cfg, rng: np.random.Generator) -> dict:
+        return {"f_net": _mlp(cfg, cfg.hidden_dim, cfg.hidden_dim, rng)}
+
     @property
     def q_dim(self) -> int:
         return self.f_net.input_dim
@@ -344,52 +387,19 @@ class VanillaOde(HamiltonianSpec):
         return self.f_net.graph(q, f"{prefix}.f"), eg.scale(p, 0.0)
 
 
-VARIANT_TAGS = ("geodesic", "flexible", "convex", "relaxed", "symplectic",
-                "geodesic_relaxed", "higher_dim", "vanilla_ode")
+# the variant tags of ``ModelConfig.variant``
+VARIANTS: dict[str, type[HamiltonianSpec]] = {
+    "geodesic": GeodesicMetric, "flexible": FlexibleHamiltonian,
+    "convex": ConvexHamiltonian, "relaxed": RelaxedHamiltonian,
+    "symplectic": LearnedSymplecticForm, "geodesic_relaxed": GeodesicRelaxed,
+    "higher_dim": HigherDimMomentum, "vanilla_ode": VanillaOde,
+}
 
 
-def make_spec(tag: str, dim: int, hidden: int, rng: np.random.Generator,
-              signature: Signature | None = None, rho: float = 0.1,
-              phi: str = "tanh", eps: float = 1e-3,
-              momentum_dim: int | None = None,
-              convex_activation: str = "rehu") -> HamiltonianSpec:
-    """Build a freshly initialized spec for a variant tag."""
-    sig = signature or Signature(0, dim)
-    if sig.dim != dim:
-        raise ValueError(f"signature ({sig.r}, {sig.s}) does not match dimension {dim}")
-    k = momentum_dim or dim
-    if tag == "geodesic":
-        return GeodesicMetric(
-            MlpParams.init((dim, hidden, dim), ("tanh", None), rng), sig)
-    if tag == "flexible":
-        return FlexibleHamiltonian(
-            MlpParams.init((2 * dim, hidden, 1), ("tanh", None), rng))
-    if tag == "convex":
-        act = convex_activation
-        return ConvexHamiltonian(
-            MlpParams.init((2 * dim, hidden, hidden, 1), (act, act, None), rng,
-                           convex_from_second=True))
-    if tag == "relaxed":
-        return RelaxedHamiltonian(
-            MlpParams.init((2 * dim, hidden, 1), ("tanh", None), rng),
-            MlpParams.init((dim, hidden, dim), ("tanh", None), rng))
-    if tag == "symplectic":
-        return LearnedSymplecticForm(
-            MlpParams.init((2 * dim, hidden, 1), ("sin", None), rng),
-            MlpParams.init((2 * dim, hidden, 2 * dim), ("sin", None), rng),
-            eps=eps)
-    if tag == "geodesic_relaxed":
-        return GeodesicRelaxed(
-            MlpParams.init((dim, hidden, dim), ("tanh", None), rng), sig,
-            MlpParams.init((dim, hidden, dim), ("tanh", None), rng))
-    if tag == "higher_dim":
-        return HigherDimMomentum(
-            MlpParams.init((k, hidden, dim), ("tanh", None), rng),
-            MlpParams.init((dim, hidden, k), ("tanh", None), rng),
-            rho=rho, phi=phi)
-    if tag == "vanilla_ode":
-        return VanillaOde(MlpParams.init((dim, hidden, dim), ("tanh", None), rng))
-    raise ValueError(f"unknown variant tag {tag!r}")
+def make_spec(cfg, rng: np.random.Generator) -> HamiltonianSpec:
+    """A freshly initialized spec of the variant a validated ``ModelConfig`` names."""
+    cls = VARIANTS[cfg.variant]
+    return cls(**cls.init_fields(cfg, rng))
 
 
 def has_hamiltonian(spec) -> bool:

@@ -54,9 +54,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.hidden_dim < 1 or self.layers < 1:
             raise ValueError("hidden dimension and layer count must be positive")
-        if self.variant not in ham.VARIANT_TAGS:
+        if self.variant not in ham.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
-                             f"expected one of {ham.VARIANT_TAGS}")
+                             f"expected one of {tuple(ham.VARIANTS)}")
+        for key in ("net_hidden", "momentum_dim"):  # null means hidden_dim
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"{key} must be at least 1 or null, got {value}")
         if self.decoder not in ("classification", "link"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.signature is not None and self.signature.dim != self.hidden_dim:
@@ -122,10 +126,7 @@ def init_params(cfg: ModelConfig, num_features: int, num_classes: int,
     compressor = MlpParams.init((num_features, d), (None,), rng)
     momentum_nets, field_specs = [], []
     for _ in range(cfg.layers):
-        spec = ham.make_spec(cfg.variant, d, cfg.field_hidden, rng,
-                             signature=cfg.signature, rho=cfg.rho, phi=cfg.phi,
-                             eps=cfg.eps, momentum_dim=cfg.momentum_dim,
-                             convex_activation=cfg.convex_activation)
+        spec = ham.make_spec(cfg, rng)
         momentum_nets.append(MlpParams.init((d, spec.p_dim), (None,), rng))
         field_specs.append(spec)
     head = None

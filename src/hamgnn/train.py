@@ -130,15 +130,9 @@ def roc_auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(labels.size)
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # a tie group's average 1-based rank
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     pos_rank_sum = float(ranks[pos].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -147,11 +141,9 @@ def roc_auc(scores, labels) -> float:
 # negative sampling and link splits
 
 
-def negative_sample(graph_or_size, count: int, seed, forbidden) -> list:
+def negative_sample(n_nodes: int, count: int, seed, forbidden) -> list:
     """Uniform distinct non-self pairs outside ``forbidden``. Deterministic
     per seed; raises when the graph is too dense to supply them."""
-    n_nodes = graph_or_size.n if isinstance(graph_or_size, GraphDataset) \
-        else int(graph_or_size)
     if count < 1:
         raise ValueError("need a positive sample count")
     forbidden = {(min(u, v), max(u, v)) for u, v in forbidden}

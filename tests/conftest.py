@@ -6,6 +6,7 @@ import pytest
 from hamgnn import engine as eg
 from hamgnn import graphdata as gd
 from hamgnn import hamiltonian as ham
+from hamgnn.model import ModelConfig
 
 
 @pytest.fixture
@@ -63,3 +64,14 @@ def oscillator():
     """``oscillator(spec)``: a flexible spec turned into the harmonic
     oscillator."""
     return lambda spec: Oscillator(spec.energy_net)
+
+
+@pytest.fixture
+def new_spec():
+    """``new_spec(variant, dim, net_hidden, rng, **settings)``: a freshly drawn
+    spec from ``make_spec`` on the model config with those settings."""
+    def build(variant, dim, net_hidden, rng, **settings):
+        cfg = ModelConfig(hidden_dim=dim, net_hidden=net_hidden, variant=variant,
+                          **settings)
+        return ham.make_spec(cfg, rng)
+    return build

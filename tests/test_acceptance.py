@@ -50,7 +50,7 @@ def _require_dataset(number: int, name: str) -> gd.GraphDataset:
     return gd.load_dataset(path)
 
 
-def test_criterion_1_field_partials_match_energy_differences():
+def test_criterion_1_field_partials_match_energy_differences(new_spec):
     """Every Hamiltonian variant: field vs central differences of the energy,
     relative error <= 1e-5, >= 100 seeded states per variant, d in {2,8,16}."""
     started = time.time()
@@ -63,7 +63,7 @@ def test_criterion_1_field_partials_match_energy_differences():
             spec = (ham.LearnedSymplecticForm.canonical(
                         eg.MlpParams.init((2 * d, 16, 1), ("tanh", None), rng))
                     if tag == "symplectic"
-                    else ham.make_spec(tag, d, 16, rng))
+                    else new_spec(tag, d, 16, rng))
             rep = ham.check_field_gradients(spec, 34, rng, tol=1e-5)
             top = max(top, rep["max_relative_error"])
         worst[tag] = top
@@ -96,12 +96,12 @@ def test_criterion_2_end_to_end_gradient_gate():
             worst <= 1e-4, started, 60)
 
 
-def test_criterion_3_energy_conservation(oscillator):
+def test_criterion_3_energy_conservation(oscillator, new_spec):
     """Harmonic oscillator: rk4 drift <= 1e-8 over a full turn; explicit Euler
     drift halves with the step; random learned energy: rk4 drift <= 1e-3."""
     started = time.time()
     rng = np.random.default_rng(103)
-    osc = oscillator(ham.make_spec("flexible", 1, 4, rng))
+    osc = oscillator(new_spec("flexible", 1, 4, rng))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # 2*pi is not an exact step multiple
         traj = oi.integrate(osc, PhaseState([1.0], [0.0]),
@@ -115,7 +115,7 @@ def test_criterion_3_energy_conservation(oscillator):
 
     ratio = euler_drift(0.02) / euler_drift(0.01)
 
-    learned = ham.make_spec("flexible", 8, 16, rng)
+    learned = new_spec("flexible", 8, 16, rng)
     traj2 = oi.integrate(learned,
                          PhaseState(rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8)),
                          IntegrationConfig("rk4", 1.0, 0.01))

@@ -57,6 +57,14 @@ def test_train_rejects_unknown_key(workdir, capsys):
     assert "lr_sched" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["net_hidden", "momentum_dim"])
+def test_train_rejects_zero_width(workdir, capsys, key):
+    rc = main(["train", "--config", str(workdir / "config.json"),
+               "--set", f"model.{key}=0"])
+    assert rc == 1
+    assert f"error: {key} must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("model", "signature", [4]),
     ("model", "layers", 2.5),

@@ -2,8 +2,10 @@
 the baseline, and checkpoints."""
 
 import gc
+import hashlib
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -76,6 +78,16 @@ def test_model_config_validation():
         small_config(decoder="regression")
 
 
+@pytest.mark.parametrize("key", ["net_hidden", "momentum_dim"])
+def test_model_config_rejects_widths_below_one(key):
+    for value in (0, -2):
+        with pytest.raises(ValueError, match=f"{key} must be at least 1"):
+            small_config(**{key: value})
+    cfg = small_config(variant="higher_dim", **{key: None})  # null: hidden_dim
+    assert cfg.field_hidden == (4 if key == "net_hidden" else 6)
+    assert md.init_params(cfg, 3, 2).field_specs[0].p_dim == 4
+
+
 # Parameter names of one layer's field spec, in order.  Checkpoints store
 # tensors under these names, so they must not change.
 FIELD_PARAM_NAMES = {
@@ -93,7 +105,7 @@ FIELD_PARAM_NAMES = {
 }
 
 
-@pytest.mark.parametrize("tag", ham.VARIANT_TAGS)
+@pytest.mark.parametrize("tag", ham.VARIANTS)
 def test_param_names_per_variant(tag):
     params = md.init_params(small_config(variant=tag), 3, 2, seed=0)
     expected = ["compress.w0", "compress.b0"]
@@ -104,7 +116,54 @@ def test_param_names_per_variant(tag):
     assert [name for name, _ in params.param_items()] == expected
 
 
-@pytest.mark.parametrize("variant", ham.VARIANT_TAGS)
+# sha256 of init_params(hidden_dim=4, layers=2, seed=7) for 5 features and 3
+# classes: every parameter's name, shape and bytes, then each spec's fields
+# with nets reduced to their activation tags.  Checkpoints reload by
+# re-running init_params, so these pin each variant's draw order.
+INIT_DIGESTS = [
+    ("geodesic", {}, "676bfbc01de567d46c1ba242ec00a53bf7a997f7775457a065108233f325ea71"),
+    ("flexible", {}, "0fa5e029d3b8e411faa82d3a0532a5471a28d31cf74f44b2234c154dd25c0cd5"),
+    ("convex", {}, "4ac3985b093cdc50984af89516625c51aee59097b5e35c6524d9eed6b785d18e"),
+    ("relaxed", {}, "c6cce44d4db01580ad33c6f70c43f70ffc9c15460d50d06214eec1700a6d2b62"),
+    ("symplectic", {}, "f580a64f6b58088466ff5604748d2700e2fdc07bcba61b44947b02a9760a3351"),
+    ("geodesic_relaxed", {}, "2f9ef4958464d38af503eaa0ed63d2199d8e40c484fea0217b78e9996722011e"),
+    ("higher_dim", {}, "bfbd20e71240d2c1b6767f2487f76b8d450ca8ce8638990f9263aec2278edcb0"),
+    ("vanilla_ode", {}, "7a0ada104ba424e4b5b058394be6ca56aed02f81ab0e9b78199c7fd81126c100"),
+    ("geodesic", {"signature": ham.Signature(1, 3)},
+     "9950190e1568df7f7f2878ff44bd4e1e99361e5e12d7b61030590260cf892a72"),
+    ("geodesic_relaxed", {"signature": ham.Signature(2, 2)},
+     "89911cac996b97bbf67c13e76417dab503188d0fbd959407d383829282bd8611"),
+    ("higher_dim", {"momentum_dim": 6, "rho": 0.3, "phi": "sin"},
+     "396f37cbb7a883737ca8f8b8e6ae069dc9302a74e851d0bce5f610003cd29ca3"),
+    ("convex", {"convex_activation": "kappa"},
+     "d7bbcb27072d9ef92526142b8d707c5de5857cb02c798fce2a02abe5b0aab618"),
+    ("symplectic", {"eps": 0.01},
+     "2f9f25b0dfdfe9da9101c1e38593a96d33a6ed95dc23c3c5a62a5aa106150e97"),
+    ("flexible", {"net_hidden": 5},
+     "eab5f1ad0fd922eb6188ce11052f864ad6a68c64f2c244238b6489be25770cb8"),
+]
+
+
+@pytest.mark.parametrize("variant, settings, digest", INIT_DIGESTS)
+def test_init_params_digest_is_pinned(variant, settings, digest):
+    def describe(value):
+        if isinstance(value, eg.MlpParams):
+            return [act for _, _, act in value.layers], value.convex_from_second
+        return value
+
+    cfg = ModelConfig(hidden_dim=4, layers=2, variant=variant, **settings)
+    params = md.init_params(cfg, 5, 3, seed=7)
+    h = hashlib.sha256()
+    for name, arr in params.param_items():
+        h.update(f"{name}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    for spec in params.field_specs:
+        h.update(repr([(f.name, describe(getattr(spec, f.name)))
+                       for f in fields(spec)]).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("variant", ham.VARIANTS)
 def test_project_feasible_clamps_only_negative_convex_weights(variant):
     params = md.init_params(small_config(variant=variant), 5, 2, seed=0)
     if variant == "convex":
@@ -165,9 +224,9 @@ def test_init_momentum_examples(rng):
     assert eg.relative_error(md.init_momentum(net, q).array, w @ q + b) <= 1e-12
 
 
-def test_zero_momentum_freezes_metric_orbit(rng):
+def test_zero_momentum_freezes_metric_orbit(rng, new_spec):
     # with p = 0 the cogeodesic field is dq = g * 0 = 0: the position is fixed
-    spec = ham.make_spec("geodesic", 3, 6, rng)
+    spec = new_spec("geodesic", 3, 6, rng)
     q0 = rng.normal(size=3)
     traj = oi.integrate(spec, PhaseState(q0, np.zeros(3)),
                         IntegrationConfig("rk4", 1.0, 0.25))
@@ -382,8 +441,8 @@ def test_per_node_energy_conservation_along_layers(rng):
         h = q_end + mat @ q_end
 
 
-def test_euler_drift_ratio_along_orbit(rng):
-    spec = ham.make_spec("flexible", 4, 8, rng)
+def test_euler_drift_ratio_along_orbit(rng, new_spec):
+    spec = new_spec("flexible", 4, 8, rng)
     st = PhaseState(rng.normal(size=4), rng.normal(size=4))
 
     def drift(h):
@@ -394,9 +453,9 @@ def test_euler_drift_ratio_along_orbit(rng):
     assert 1.8 <= ratio <= 2.2
 
 
-def test_quadratic_energy_norm_is_stable(rng, oscillator):
+def test_quadratic_energy_norm_is_stable(rng, oscillator, new_spec):
     # conserved H = (|q|^2 + |p|^2) / 2 pins the phase-space norm
-    spec = oscillator(ham.make_spec("flexible", 3, 4, rng))
+    spec = oscillator(new_spec("flexible", 3, 4, rng))
     st = PhaseState(rng.normal(size=3), rng.normal(size=3))
     traj = oi.integrate(spec, st, IntegrationConfig("rk4", 2.0, 0.01))
     norms = [np.hypot(np.linalg.norm(s.q), np.linalg.norm(s.p))

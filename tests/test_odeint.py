@@ -14,8 +14,8 @@ from hamgnn.hamiltonian import PhaseState
 from hamgnn.odeint import AnalyticDiagMetric, IntegrationConfig
 
 
-def harmonic(oscillator, rng, dim=1):
-    return oscillator(ham.make_spec("flexible", dim, 4, rng))
+def harmonic(oscillator, new_spec, rng, dim=1):
+    return oscillator(new_spec("flexible", dim, 4, rng))
 
 
 def identity_metric(d=2):
@@ -63,8 +63,8 @@ def test_config_exact_division_is_silent():
 # integrate
 
 
-def test_free_particle_euler_is_exact(rng, frozen_metric):
-    spec = frozen_metric(ham.make_spec("geodesic", 1, 4, rng), np.ones(1))
+def test_free_particle_euler_is_exact(rng, frozen_metric, new_spec):
+    spec = frozen_metric(new_spec("geodesic", 1, 4, rng), np.ones(1))
     traj = oi.integrate(spec, PhaseState([0.0], [2.0]),
                         IntegrationConfig("euler", 1.0, 0.5))
     assert len(traj) == 3
@@ -72,8 +72,8 @@ def test_free_particle_euler_is_exact(rng, frozen_metric):
     assert traj.last.p.tolist() == [2.0]
 
 
-def test_harmonic_oscillator_rk4_full_turn(rng, oscillator):
-    spec = harmonic(oscillator, rng)
+def test_harmonic_oscillator_rk4_full_turn(rng, oscillator, new_spec):
+    spec = harmonic(oscillator, new_spec, rng)
     cfg = IntegrationConfig("rk4", 2 * math.pi, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -93,8 +93,8 @@ def test_zero_field_keeps_state_fixed(rng):
         assert np.array_equal(s.p, st.p)
 
 
-def test_integrate_dimension_mismatch(rng):
-    spec = ham.make_spec("flexible", 3, 4, rng)
+def test_integrate_dimension_mismatch(rng, new_spec):
+    spec = new_spec("flexible", 3, 4, rng)
     with pytest.raises(ValueError, match="dimensions"):
         oi.integrate(spec, PhaseState([0.0], [0.0]),
                      IntegrationConfig("euler", 1.0, 0.5))
@@ -114,15 +114,15 @@ def test_integrate_reports_divergence():
 # energy drift
 
 
-def test_rk4_drift_tiny_on_harmonic(rng, oscillator):
-    spec = harmonic(oscillator, rng)
+def test_rk4_drift_tiny_on_harmonic(rng, oscillator, new_spec):
+    spec = harmonic(oscillator, new_spec, rng)
     traj = oi.integrate(spec, PhaseState([1.0], [0.0]),
                         IntegrationConfig("rk4", 1.0, 0.01))
     assert oi.energy_drift(spec, traj)["relative_drift"] <= 1e-8
 
 
-def test_euler_drift_halves_with_step(rng, oscillator):
-    spec = harmonic(oscillator, rng)
+def test_euler_drift_halves_with_step(rng, oscillator, new_spec):
+    spec = harmonic(oscillator, new_spec, rng)
 
     def drift(h):
         traj = oi.integrate(spec, PhaseState([1.0], [0.0]),
@@ -144,8 +144,8 @@ def test_zero_energy_zero_drift(rng):
     assert report["relative_drift"] == 0.0
 
 
-def test_energy_drift_requires_hamiltonian(rng):
-    spec = ham.make_spec("vanilla_ode", 2, 4, rng)
+def test_energy_drift_requires_hamiltonian(rng, new_spec):
+    spec = new_spec("vanilla_ode", 2, 4, rng)
     traj = oi.integrate(spec, PhaseState(np.zeros(2), np.zeros(2)),
                         IntegrationConfig("euler", 1.0, 0.5))
     with pytest.raises(ValueError, match="variant has no Hamiltonian"):
@@ -163,8 +163,8 @@ def _endpoint_error(spec, method, h):
                       traj.last.p[0] + math.sin(1.0))
 
 
-def test_global_order_euler_and_rk4(rng, oscillator):
-    spec = harmonic(oscillator, rng)
+def test_global_order_euler_and_rk4(rng, oscillator, new_spec):
+    spec = harmonic(oscillator, new_spec, rng)
     hs = [0.1, 0.05, 0.025, 0.0125]
     for method, order in (("euler", 1.0), ("rk4", 4.0)):
         errs = [_endpoint_error(spec, method, h) for h in hs]
@@ -172,8 +172,8 @@ def test_global_order_euler_and_rk4(rng, oscillator):
         assert abs(slope - order) <= 0.3, (method, slope)
 
 
-def test_gradient_through_solver_matches_fd(rng):
-    spec = ham.make_spec("flexible", 4, 8, rng)
+def test_gradient_through_solver_matches_fd(rng, new_spec):
+    spec = new_spec("flexible", 4, 8, rng)
     q0 = eg.parameter("q0", (4,))
     p0 = eg.parameter("p0", (4,))
     nodes = oi.integrate_nodes(spec, q0, p0, IntegrationConfig("euler", 1.0, 0.25))
@@ -184,8 +184,8 @@ def test_gradient_through_solver_matches_fd(rng):
     assert eg.check_gradient(target, q0, binds, 1e-6, 1e-4).passed
 
 
-def test_time_reversal_quadratic_hamiltonian(rng, oscillator):
-    spec = harmonic(oscillator, rng, dim=3)
+def test_time_reversal_quadratic_hamiltonian(rng, oscillator, new_spec):
+    spec = harmonic(oscillator, new_spec, rng, dim=3)
     cfg = IntegrationConfig("rk4", 1.5, 0.01)
     start = PhaseState(rng.normal(size=3), rng.normal(size=3))
     fwd = oi.integrate(spec, start, cfg)

@@ -169,6 +169,21 @@ def test_roc_auc_all_ties():
     assert tr.roc_auc([0.5] * 6, [1, 0, 1, 0, 1, 0]) == 0.5
 
 
+def test_roc_auc_equals_pair_count_with_ties():
+    # heavy ties, and -0.0 tied with 0.0; ranks and pair counts are exact
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        scores = np.where(rng.random(n) < 0.7,
+                          rng.choice([-1.0, -0.0, 0.0, 0.25, 1.0], size=n),
+                          rng.random(n))
+        labels = rng.permutation(np.r_[0, 1, rng.integers(0, 2, n - 2)])
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        pairs = sum(1.0 if a > b else 0.5 if a == b else 0.0
+                    for a in pos for b in neg)
+        assert tr.roc_auc(scores, labels) == pairs / (pos.size * neg.size)
+
+
 def test_roc_auc_single_class_errors():
     with pytest.raises(ValueError, match="both classes"):
         tr.roc_auc([0.5, 0.6], [1, 1])
@@ -292,7 +307,7 @@ def test_end_to_end_gradients_through_metric_variant(rng):
 
 def test_loss_decreases_for_every_variant():
     ds = gd.synth_dataset("sbm", sizes=(10, 10), p_in=0.6, p_out=0.05, seed=5)
-    for tag in ham.VARIANT_TAGS:
+    for tag in ham.VARIANTS:
         cfg = ModelConfig(hidden_dim=4, layers=1, variant=tag,
                           integration=IntegrationConfig("euler", 1.0, 1.0),
                           net_hidden=4)
