@@ -25,7 +25,7 @@ __all__ = [
     "constant", "parameter",
     "affine", "outer", "solve", "stack_rows", "transpose",
     "gather_rows", "scatter_rows", "sparse_matmul",
-    "tanh", "sigmoid", "sin", "relu", "rehu", "kappa", "step",
+    "tanh", "sigmoid", "sin", "relu", "rehu", "kappa", "step", "zeros_like",
     "softmax", "log_softmax",
     "add", "mul", "scale", "negate", "reduce_sum", "dot", "concat", "narrow",
     "forward", "evaluate", "gradient", "gradient_all", "grad",
@@ -232,14 +232,15 @@ def transpose(x: Node) -> Node:
 
 
 def gather_rows(x: Node, indices: Sequence[int]) -> Node:
-    idx = tuple(int(i) for i in indices)
+    """Rows ``x[indices]``; the indices are kept as a read-only array."""
+    idx = _frozen(indices, np.intp)
     if len(x.shape) not in (1, 2):
         raise ValueError("gather_rows expects a vector or matrix")
     n = x.shape[0]
-    for i in idx:
-        if not 0 <= i < n:
-            raise ValueError(f"gather index {i} out of range [0, {n})")
-    return Node("gather-rows", (x,), {"indices": idx}, (len(idx),) + x.shape[1:])
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        bad = idx[(idx < 0) | (idx >= n)][0]
+        raise ValueError(f"gather index {bad} out of range [0, {n})")
+    return Node("gather-rows", (x,), {"indices": idx}, (idx.size,) + x.shape[1:])
 
 
 def scatter_rows(x: Node, indices: Sequence[int], num_rows: int) -> Node:
@@ -318,6 +319,13 @@ def kappa(x: Node) -> Node:
 def step(x: Node, include_zero: bool = False) -> Node:
     """Indicator of x > 0 (or x >= 0); derivative is zero everywhere."""
     return _unary("step", x, {"include_zero": include_zero})
+
+
+def zeros_like(x: Node) -> Node:
+    """Zeros of x's shape.  ``x`` stays an input, so a leaf it depends on is
+    still in the graph, but like ``step`` no derivative flows back to it, so
+    a backward sweep ends here instead of carrying zeros through x's history."""
+    return _unary("zeros-like", x)
 
 
 def softmax(x: Node) -> Node:
@@ -492,7 +500,7 @@ _FORWARD = {
         vals[0].T if node.attrs["tm"] else vals[0], vals[1]),
     "stack-rows": lambda node, vals: np.stack(vals),
     "transpose": lambda node, vals: vals[0].T,
-    "gather-rows": lambda node, vals: vals[0][np.array(node.attrs["indices"], dtype=np.intp)],
+    "gather-rows": lambda node, vals: vals[0][node.attrs["indices"]],
     "sparse-matmul": _fw_sparse_matmul,
     "tanh": lambda node, vals: np.tanh(vals[0]),
     "sigmoid": _fw_sigmoid,
@@ -503,6 +511,7 @@ _FORWARD = {
     "step": lambda node, vals: (
         (vals[0] >= 0.0) if node.attrs["include_zero"] else (vals[0] > 0.0)
     ).astype(np.float64),
+    "zeros-like": lambda node, vals: np.zeros(node.shape),
     "softmax": _fw_softmax,
     "log-softmax": _fw_log_softmax,
     "elementwise-add": lambda node, vals: vals[0] + vals[1],
@@ -522,7 +531,7 @@ _FORWARD = {
 # constant holds a Tensor's array, checked when the Tensor was built.
 _FINITE_IF_INPUTS_FINITE = frozenset({
     "constant", "negate", "transpose", "slice", "concat", "gather-rows",
-    "stack-rows", "step", "relu", "tanh", "sin", "sigmoid",
+    "stack-rows", "step", "zeros-like", "relu", "tanh", "sin", "sigmoid",
 })
 
 
@@ -691,7 +700,7 @@ def _vjp_sum(node, g):
     if node.attrs["axis"] == 1:
         return [outer(g, constant(np.ones(x.shape[1])))]
     # scalar or row adjoint broadcasts back over the summed entries
-    return [add(scale(x, 0.0), g)]
+    return [add(zeros_like(x), g)]
 
 
 def _vjp_slice(node, g):
@@ -699,10 +708,10 @@ def _vjp_slice(node, g):
     ax, start, stop = node.attrs["axis"], node.attrs["start"], node.attrs["stop"]
     parts = []
     if start > 0:
-        parts.append(scale(narrow(x, 0, start, axis=ax), 0.0))
+        parts.append(zeros_like(narrow(x, 0, start, axis=ax)))
     parts.append(g)
     if stop < x.shape[ax]:
-        parts.append(scale(narrow(x, stop, x.shape[ax], axis=ax), 0.0))
+        parts.append(zeros_like(narrow(x, stop, x.shape[ax], axis=ax)))
     return [concat(parts, axis=ax) if len(parts) > 1 else g]
 
 
@@ -746,6 +755,7 @@ _VJP = {
                                                         constant(-1.0))))))],
     "kappa": _vjp_kappa,
     "step": lambda node, g: [None],
+    "zeros-like": lambda node, g: [None],
     "softmax": _vjp_softmax,
     "log-softmax": _vjp_log_softmax,
     "elementwise-add": lambda node, g: [
@@ -814,7 +824,7 @@ def gradient_all(f: Node, wrts: Sequence[Node], allow_unused: bool = False,
             present = wrt.nid in in_graph
         if got is None:
             if present or allow_unused:
-                got = scale(wrt, 0.0)  # unused, or reached only through
+                got = zeros_like(wrt)  # unused, or reached only through
                                        # zero-derivative operations
             else:
                 raise ValueError(f"leaf {wrt!r} does not appear in the graph")

@@ -100,9 +100,6 @@ class GraphDataset:
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1 if self.n else 0
 
-    def edge_set(self) -> set:
-        return set(self.edges)
-
     def neighbors(self) -> list:
         adj = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -274,10 +271,8 @@ def save_dataset(dataset: GraphDataset, path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     header = ["id", "label"] + [f"f{i}" for i in range(dataset.num_features)]
     lines = [",".join(header)]
-    for i in range(dataset.n):
-        cells = [str(i), str(int(dataset.labels[i]))]
-        cells += [repr(float(x)) for x in dataset.features[i]]
-        lines.append(",".join(cells))
+    for i, (label, row) in enumerate(zip(dataset.labels.tolist(), dataset.features)):
+        lines.append(",".join([f"{i},{label}", *map(repr, row.tolist())]))
     (root / "nodes.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (root / "edges.tsv").write_text(
         "".join(f"{u}\t{v}\n" for u, v in dataset.edges), encoding="utf-8")

@@ -384,7 +384,7 @@ class VanillaOde(HamiltonianSpec):
     p_dim = q_dim
 
     def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
-        return self.f_net.graph(q, f"{prefix}.f"), eg.scale(p, 0.0)
+        return self.f_net.graph(q, f"{prefix}.f"), eg.zeros_like(p)
 
 
 # the variant tags of ``ModelConfig.variant``

@@ -63,6 +63,16 @@ class ModelConfig:
                 raise ValueError(f"{key} must be at least 1 or null, got {value}")
         if self.decoder not in ("classification", "link"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
+        if not self.rho >= 0.0:
+            raise ValueError(f"rho must be non-negative, got {self.rho!r}")
+        if self.phi not in eg.ACTIVATIONS:
+            raise ValueError(f"phi must be one of {tuple(eg.ACTIVATIONS)}, "
+                             f"got {self.phi!r}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be positive, got {self.eps!r}")
+        if self.convex_activation not in eg.CONVEX_ACTIVATIONS:
+            raise ValueError(f"convex_activation must be one of "
+                             f"{eg.CONVEX_ACTIVATIONS}, got {self.convex_activation!r}")
         if self.signature is not None and self.signature.dim != self.hidden_dim:
             raise ValueError(
                 f"signature ({self.signature.r}, {self.signature.s}) does not "
@@ -218,12 +228,16 @@ def decode_link(embeddings, pairs) -> np.ndarray:
     """Probability of an edge: logistic of the embedding dot product."""
     z = eg.as_array(embeddings)
     n = z.shape[0]
-    scores = []
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"pair ({u}, {v}) references an unknown node")
-        scores.append(float(z[u] @ z[v]))
-    s = np.asarray(scores)
+    idx = np.asarray(pairs)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"pairs must hold integer node ids, got {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False).reshape(-1, 2)
+    bad = ((idx < 0) | (idx >= n)).any(axis=1)
+    if bad.any():
+        u, v = idx[np.argmax(bad)]
+        raise ValueError(f"pair ({u}, {v}) references an unknown node")
+    # one (1, d) @ (d, 1) product per pair, the same dot as z[u] @ z[v]
+    s = (z[idx[:, 0], None, :] @ z[idx[:, 1], :, None]).reshape(-1)
     e = np.exp(-np.abs(s))  # overflow-free logistic
     return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 

@@ -141,35 +141,65 @@ def roc_auc(scores, labels) -> float:
 # negative sampling and link splits
 
 
+def _pair_keys(pairs, n_nodes: int) -> np.ndarray:
+    """Sorted distinct keys ``min * n + max`` of unordered node pairs."""
+    arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs),
+                     dtype=np.int64).reshape(-1, 2)
+    if arr.size and (arr.min() < 0 or arr.max() >= n_nodes):
+        raise ValueError(f"forbidden pair references a node outside [0, {n_nodes})")
+    u, v = arr.T
+    keys = np.sort(np.minimum(u, v) * n_nodes + np.maximum(u, v))
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _in_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each key occurs in the sorted array ``table``."""
+    if not table.size:
+        return np.zeros(keys.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    return table[at] == keys
+
+
 def negative_sample(n_nodes: int, count: int, seed, forbidden) -> list:
-    """Uniform distinct non-self pairs outside ``forbidden``. Deterministic
-    per seed; raises when the graph is too dense to supply them."""
+    """Uniform distinct non-self pairs ``(u, v)``, ``u < v``, outside
+    ``forbidden`` (pairs in either order: a set, a list or an ``(m, 2)``
+    array).  Deterministic per seed; raises when the graph is too dense to
+    supply them.
+
+    Pairs are drawn as ``rng.integers(0, n_nodes, size=(k, 2))`` blocks, whose
+    values are those of ``2k`` scalar draws, and the first new valid pairs are
+    kept in draw order: the result is that of drawing one pair at a time and
+    rejecting self, forbidden and repeated pairs.
+    """
     if count < 1:
         raise ValueError("need a positive sample count")
-    forbidden = {(min(u, v), max(u, v)) for u, v in forbidden}
-    possible = n_nodes * (n_nodes - 1) // 2 - len(forbidden)
+    forbidden = _pair_keys(forbidden, n_nodes)
+    possible = n_nodes * (n_nodes - 1) // 2 - forbidden.size
     if count > possible:
         raise ValueError(
             f"graph too dense: only {possible} candidate negatives, need {count}")
     rng = np.random.default_rng(seed)
     if count > possible // 2:
-        pool = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)
-                if (u, v) not in forbidden]
-        idx = rng.choice(len(pool), size=count, replace=False)
-        return [pool[i] for i in sorted(idx)]
-    picked: set = set()
-    out = []
-    while len(out) < count:
-        u = int(rng.integers(0, n_nodes))
-        v = int(rng.integers(0, n_nodes))
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in forbidden or key in picked:
-            continue
-        picked.add(key)
-        out.append(key)
-    return out
+        u, v = np.triu_indices(n_nodes, 1)  # every pair, in lexicographic order
+        free = ~_in_sorted(u * n_nodes + v, forbidden)
+        u, v = u[free], v[free]
+        idx = np.sort(rng.choice(u.size, size=count, replace=False))
+        return list(zip(u[idx].tolist(), v[idx].tolist()))
+    picked = np.empty(0, dtype=np.int64)  # keys of the kept pairs, in draw order
+    while picked.size < count:
+        need = count - picked.size
+        u, v = rng.integers(0, n_nodes, size=(need + need // 4 + 16, 2)).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = (lo * n_nodes + hi)[lo != hi]
+        keys = keys[~_in_sorted(keys, forbidden)]
+        # a stable sort ranks each key's earliest draw first among its equals
+        drawn = np.concatenate([picked, keys])
+        order = np.argsort(drawn, kind="stable")
+        first = np.empty(drawn.size, dtype=bool)
+        first[order] = np.diff(drawn[order], prepend=-1) != 0
+        picked = np.concatenate([picked, keys[first[picked.size:]][:need]])
+    lo, hi = np.divmod(picked, n_nodes)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def make_link_split(dataset: GraphDataset, seed,
@@ -237,19 +267,15 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float,
 # training loops
 
 
-def _link_scores_node(z: Node, pairs) -> Node:
-    us = [u for u, _ in pairs]
-    vs = [v for _, v in pairs]
-    prods = eg.mul(eg.gather_rows(z, us), eg.gather_rows(z, vs))
-    return eg.reduce_sum(prods, axis=1)
-
-
-def _link_loss_node(z: Node, positives, negatives) -> Node:
+def _link_loss_node(z: Node, positives: np.ndarray, negatives) -> Node:
     # two-class logits [score, 0]: softmax class 0 equals the logistic of the
     # score, so the masked cross entropy below is exactly logistic loss
-    scores = _link_scores_node(z, list(positives) + list(negatives))
+    negatives = np.asarray(negatives, dtype=np.intp).reshape(-1, 2)
+    pairs = np.concatenate([positives, negatives])
+    scores = eg.reduce_sum(eg.mul(eg.gather_rows(z, pairs[:, 0]),
+                                  eg.gather_rows(z, pairs[:, 1])), axis=1)
     logits = eg.outer(scores, eg.constant([1.0, 0.0]))
-    labels = np.array([0] * len(positives) + [1] * len(negatives))
+    labels = np.repeat([0, 1], [len(positives), len(negatives)])
     return cross_entropy_node(logits, labels, np.arange(labels.size))
 
 
@@ -291,14 +317,15 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
         grad_nodes = eg.gradient_all(loss_node, leaves, allow_unused=True)
     else:
         link_split = make_link_split(dataset, train_cfg.seed)
+        positives = np.array(link_split.train_edges, dtype=np.intp).reshape(-1, 2)
+        edges = np.array(dataset.edges, dtype=np.int64).reshape(-1, 2)
 
     stale = 0
     for epoch in range(1, train_cfg.max_epochs + 1):
         if task == "link":
-            negatives = negative_sample(
-                dataset.n, len(link_split.train_edges) * train_cfg.negative_ratio,
-                [train_cfg.seed, 3, epoch], dataset.edge_set())
-            loss_node = _link_loss_node(z_node, link_split.train_edges, negatives)
+            loss_node = _link_loss_node(z_node, positives, negative_sample(
+                dataset.n, len(positives) * train_cfg.negative_ratio,
+                [train_cfg.seed, 3, epoch], edges))
             grad_nodes = eg.gradient_all(loss_node, leaves, allow_unused=True)
 
         outputs = [loss_node, z_node] + grad_nodes

@@ -139,6 +139,21 @@ def test_grad_through_zero_derivative_op_is_zero():
     assert eg.grad(f, x, {"x": [0.3, -0.2, 1.0]}).tolist() == [0.0, 0.0, 0.0]
 
 
+def test_gradient_through_zeros_like_is_zero_and_ends_the_sweep():
+    x = eg.parameter("x", (2, 3))
+    zeros = eg.zeros_like(eg.tanh(x))
+    assert zeros.inputs[0].op == "tanh"
+    got = eg.evaluate(zeros, {"x": -np.ones((2, 3))})
+    assert got.shape == (2, 3) and not np.signbit(got).any() and not got.any()
+    # x is still in the graph, so it needs no allow_unused; its adjoint is a
+    # zero fill of its own, not a chain of zeros back through tanh
+    (g,) = eg.gradient_all(eg.reduce_sum(zeros), [x])
+    assert g.op == "zeros-like" and g.inputs == (x,)
+    assert eg.evaluate(g, {"x": -np.ones((2, 3))}).tolist() == [[0.0] * 3] * 2
+    f = eg.reduce_sum(eg.add(zeros, eg.mul(x, x)))
+    assert eg.grad(f, x, {"x": np.full((2, 3), 1.5)}).tolist() == [[3.0] * 3] * 2
+
+
 def test_same_name_leaves_share_gradient():
     # two parameter nodes with one name are one logical leaf
     x1 = eg.parameter("x", (2,))
@@ -356,6 +371,18 @@ def test_scatter_rows_sums_repeated_rows_with_the_sparse_product(rng):
                              fd_step=1e-5, tol=1e-5).passed
 
 
+def test_gather_rows_keeps_a_frozen_index_array_and_names_a_bad_index():
+    x = eg.parameter("x", (3, 2))
+    node = eg.gather_rows(x, [2, 0, 2])
+    idx = node.attrs["indices"]
+    assert idx.dtype == np.intp and not idx.flags.writeable
+    assert idx.tolist() == [2, 0, 2] and node.shape == (3, 2)
+    assert eg.gather_rows(x, []).shape == (0, 2)
+    for bad, first in (([0, 3, 5], 3), ([1, -1], -1)):
+        with pytest.raises(ValueError, match=rf"gather index {first} out of range \[0, 3\)"):
+            eg.gather_rows(x, bad)
+
+
 # ---------------------------------------------------------------------------
 # finiteness guard
 
@@ -440,7 +467,7 @@ def test_skipped_ops_map_finite_inputs_to_finite_outputs(rng):
         "gather-rows": eg.gather_rows(x, [9, 0, 3, 3]),
         "stack-rows": eg.stack_rows([row, row]),
         "step": eg.step(x), "relu": eg.relu(x), "tanh": eg.tanh(x),
-        "sin": eg.sin(x), "sigmoid": eg.sigmoid(x),
+        "sin": eg.sin(x), "sigmoid": eg.sigmoid(x), "zeros-like": eg.zeros_like(x),
     }
     assert set(built) == eg._FINITE_IF_INPUTS_FINITE - {"constant"}
     built["step-include-zero"] = eg.step(x, include_zero=True)

@@ -225,6 +225,21 @@ def test_roundtrip_identity(tmp_path):
     assert np.array_equal(second.features, first.features)
 
 
+def test_save_dataset_writes_each_cell_as_its_repr(tmp_path):
+    features = np.array([[-0.0, 1e-300, 5e-324, 1 / 3],
+                         [1e20, -2.5, 0.1, 123456789.0]])
+    for ds in (GraphDataset("x", features, [0, 3], [(0, 1)], [0], [1], []),
+               GraphDataset("w0", np.zeros((2, 0)), [1, 0], [], [0], [], [1])):
+        gd.save_dataset(ds, tmp_path / ds.name)
+        expected = [",".join(["id", "label"] + [f"f{j}" for j in range(ds.num_features)])]
+        for i in range(ds.n):
+            cells = [str(i), str(int(ds.labels[i]))]
+            cells += [repr(float(x)) for x in ds.features[i]]
+            expected.append(",".join(cells))
+        got = (tmp_path / ds.name / "nodes.csv").read_bytes()
+        assert got == ("\n".join(expected) + "\n").encode("utf-8")
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError, match="self-loop"):
         GraphDataset("x", np.eye(2), [0, 0], [(1, 1)], [], [], [])

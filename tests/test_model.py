@@ -88,6 +88,22 @@ def test_model_config_rejects_widths_below_one(key):
     assert md.init_params(cfg, 3, 2).field_specs[0].p_dim == 4
 
 
+@pytest.mark.parametrize("key, bad, good", [
+    ("rho", [-3.0, -1e-12, float("nan")], [0.0, 0.5]),
+    ("phi", ["bogus", "softmax"], ["sin", "relu"]),
+    ("eps", [0.0, -1.0, float("nan")], [1e-12, 0.5]),
+    ("convex_activation", ["tanh", "relu"], ["kappa", "rehu"]),
+])
+def test_model_config_rejects_bad_variant_settings_by_name(key, bad, good):
+    # checked for every variant, also one that does not read the setting, so
+    # no bad value is echoed into metrics or a checkpoint
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            small_config(**{key: value})
+    for value in good:
+        assert getattr(small_config(**{key: value}), key) == value
+
+
 # Parameter names of one layer's field spec, in order.  Checkpoints store
 # tensors under these names, so they must not change.
 FIELD_PARAM_NAMES = {
@@ -500,6 +516,27 @@ def test_decode_link_values(rng):
     assert np.all(probs < 1.0)
     with pytest.raises(ValueError, match="unknown node"):
         md.decode_link(z, [(0, 7)])
+
+
+def test_decode_link_equals_per_pair_dot(rng):
+    for d in (1, 3, 64):
+        z = rng.normal(size=(30, d)) * 3.0
+        pairs = rng.integers(0, 30, size=(200, 2))
+        s = np.array([float(z[u] @ z[v]) for u, v in pairs.tolist()])
+        e = np.exp(-np.abs(s))
+        expected = np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        for form in (pairs, [tuple(p) for p in pairs.tolist()]):
+            assert md.decode_link(z, form).tobytes() == expected.tobytes()
+    assert md.decode_link(z, []).shape == (0,)
+
+
+def test_decode_link_names_the_first_bad_pair():
+    z = np.zeros((3, 2))
+    for pairs, named in (([(0, 1), (0, 7), (9, 1)], r"\(0, 7\)"), ([(-1, 2)], r"\(-1, 2\)")):
+        with pytest.raises(ValueError, match=rf"^pair {named} references an unknown node$"):
+            md.decode_link(z, pairs)
+    with pytest.raises(ValueError, match="integer node ids"):
+        md.decode_link(z, [(1.9, 2.2)])
 
 
 def test_baseline_mlp_zero_params_uniform(sbm_dataset):

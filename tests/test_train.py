@@ -1,5 +1,6 @@
 """Losses, optimizer, sampling, metrics, and the training loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -82,11 +83,72 @@ def test_negative_sample_deterministic():
     assert all(u != v and (u, v) != (0, 1) for u, v in a)
 
 
+def _scalar_negative_sample(n_nodes, count, seed, forbidden):
+    """The one-pair-at-a-time sampler ``negative_sample`` must reproduce."""
+    forbidden = {(min(u, v), max(u, v)) for u, v in forbidden}
+    possible = n_nodes * (n_nodes - 1) // 2 - len(forbidden)
+    rng = np.random.default_rng(seed)
+    if count > possible // 2:
+        pool = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)
+                if (u, v) not in forbidden]
+        idx = rng.choice(len(pool), size=count, replace=False)
+        return [pool[i] for i in sorted(idx)]
+    picked, out = set(), []
+    while len(out) < count:
+        u = int(rng.integers(0, n_nodes))
+        v = int(rng.integers(0, n_nodes))
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in forbidden or key in picked:
+            continue
+        picked.add(key)
+        out.append(key)
+    return out
+
+
+@pytest.mark.parametrize("form", ["set", "list", "array"])
+def test_negative_sample_equals_scalar_reference(form):
+    rng = np.random.default_rng(31)
+    branches = set()
+    for trial in range(60):
+        n = int(rng.integers(3, 40))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, n * 2)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        listed = [tuple(p) for p in pairs.tolist()]  # repeats, either order
+        forbidden = {"set": set(listed), "list": listed, "array": pairs}[form]
+        possible = n * (n - 1) // 2 - len({(min(p), max(p)) for p in listed})
+        if possible < 1:
+            continue
+        count = int(rng.integers(1, possible + 1))
+        seed = [trial, 3, int(rng.integers(0, 100))]
+        got = tr.negative_sample(n, count, seed, forbidden)
+        assert got == _scalar_negative_sample(n, count, seed, listed)
+        assert all(type(u) is int and type(v) is int for u, v in got)
+        branches.add(count > possible // 2)
+    assert branches == {False, True}
+
+
+def test_negative_sample_equals_scalar_reference_at_scale():
+    ds = gd.synth_dataset("sbm", sizes=(150, 150), p_in=0.05, p_out=0.005, seed=2)
+    edges = np.array(ds.edges)
+    for epoch in (1, 2):
+        got = tr.negative_sample(ds.n, len(ds.edges), [7, 3, epoch], edges)
+        assert got == _scalar_negative_sample(ds.n, len(ds.edges), [7, 3, epoch],
+                                              ds.edges)
+
+
+def test_negative_sample_rejects_pairs_outside_the_graph():
+    for bad in ([(0, 5)], np.array([[-1, 2]])):
+        with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
+            tr.negative_sample(5, 2, 0, bad)
+
+
 def test_link_split_properties(sbm_dataset):
     split = tr.make_link_split(sbm_dataset, seed=3)
     n_edges = len(sbm_dataset.edges)
     assert len(split.train_edges) + len(split.val_edges) + len(split.test_edges) == n_edges
-    edge_set = sbm_dataset.edge_set()
+    edge_set = set(sbm_dataset.edges)
     for pair in split.val_negatives + split.test_negatives:
         assert pair not in edge_set
         assert pair[0] != pair[1]
@@ -365,3 +427,40 @@ def test_history_csv(tmp_path, sbm_dataset):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "epoch,train_loss,val_metric,test_metric"
     assert len(lines) == len(history.records) + 1
+
+
+# sha256 of fit's history and of encode on the returned parameters, on the
+# 40-node SBM fixture.  Taken with the one-pair-at-a-time sampler and
+# scale-by-zero fills, so equal digests show that the block sampler and
+# zeros_like keep every bit.  The symplectic variant is kept small: its
+# field takes a Jacobian row by row.
+FIT_DIGESTS = [
+    ("flexible", "classification",
+     "c5d96112e99998d7e5ccaf42ba1af52bdc0c87f39a55a0dd06f9d81206dad509"),
+    ("flexible", "link", "9e56ae4cadb6d9bc46fc185b2ee78c774be861c6c7ed3bd4aef4d91f6fab175f"),
+    ("geodesic", "classification",
+     "c9e1d9d77197a17db310f1638232fe6ec1b7a4944919294702bf870a02af3723"),
+    ("geodesic", "link", "ac645dd6bd9dc961528167f39e996e73c0bcc24b2007de9a162b7741124eae4b"),
+    ("symplectic", "classification",
+     "f74e9e2a34f477ec6c10bb63d6104115c44bbfe8242117fc09a92d4c3a2d37a5"),
+    ("symplectic", "link", "dde359e7fe8dc0e04abaf7fc2a7c3803146b62817a1e9a013f5ed957b44773f7"),
+    ("vanilla_ode", "classification",
+     "580600718d4a0c99362aa38cea15b1b8d66a5f12162f20f2e41617a69c2770dc"),
+    ("vanilla_ode", "link", "62acf2f0f2f586d88a7904465f291447e5ad51ddf8e9d388c465eb1aca6ae565"),
+]
+
+
+@pytest.mark.parametrize("variant, task, digest", FIT_DIGESTS)
+def test_fit_and_encode_digest_is_pinned(sbm_dataset, variant, task, digest):
+    small = variant == "symplectic"
+    cfg = small_model(hidden_dim=4 if small else 8, layers=1 if small else 2,
+                      net_hidden=4 if small else 8, variant=variant,
+                      decoder="link" if task == "link" else "classification")
+    epochs = 4 if small else 6
+    tcfg = TrainConfig(lr=0.01, max_epochs=epochs, patience=epochs, seed=5, task=task)
+    params, history = tr.fit(cfg, tcfg, sbm_dataset)
+    h = hashlib.sha256()
+    h.update(repr((history.records, history.best_epoch, history.best_val,
+                   history.test_at_best, history.diverged_at)).encode())
+    h.update(np.ascontiguousarray(md.encode(params, cfg, sbm_dataset), dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
