@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor", "Node", "GradCheckReport", "MlpParams",
+    "Tensor", "Node", "GradCheckReport", "MlpParams", "SparseMatrix",
     "constant", "parameter",
     "affine", "outer", "solve", "stack_rows", "transpose",
     "gather_rows", "scatter_rows", "sparse_matmul",
@@ -233,7 +233,7 @@ def transpose(x: Node) -> Node:
 
 def gather_rows(x: Node, indices: Sequence[int]) -> Node:
     """Rows ``x[indices]``; the indices are kept as a read-only array."""
-    idx = _frozen(indices, np.intp)
+    idx = _index_array(indices, "gather_rows indices")
     if len(x.shape) not in (1, 2):
         raise ValueError("gather_rows expects a vector or matrix")
     n = x.shape[0]
@@ -245,10 +245,11 @@ def gather_rows(x: Node, indices: Sequence[int]) -> Node:
 
 def scatter_rows(x: Node, indices: Sequence[int], num_rows: int) -> Node:
     """Rows of ``x`` accumulated into a zero array of ``num_rows`` rows."""
-    idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+    idx = _index_array(indices, "scatter_rows indices")
     if x.shape[0] != idx.size:
         raise ValueError("scatter_rows: one index per input row required")
-    return sparse_matmul(x, idx, np.arange(idx.size), np.ones(idx.size), num_rows)
+    return sparse_matmul(x, SparseMatrix(idx, np.arange(idx.size), np.ones(idx.size),
+                                         (num_rows, idx.size)))
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -257,33 +258,119 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
-def sparse_matmul(x: Node, rows, cols, weights, num_rows: int,
-                  label: str | None = None) -> Node:
-    """Product ``S @ x`` with a fixed sparse ``S`` of ``num_rows`` rows.
+def _index_array(values, what: str) -> np.ndarray:
+    """A read-only flat ``intp`` copy of integer ids; a float or bool id
+    raises instead of being truncated."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {arr.dtype}")
+    return _frozen(arr, np.intp)
 
-    ``S`` is given in coordinate form: entry ``k`` adds ``weights[k]`` at
-    ``(rows[k], cols[k])``; repeated coordinates sum.  ``x`` may be a vector
-    or a matrix.  Time is O(nnz * d) and the graph holds O(nnz) memory, so a
-    graph operator never needs a dense ``num_rows x n`` constant.  The
-    derivative is the same operation on the transposed index set.
+
+def _sum_entries(block: np.ndarray) -> np.ndarray:
+    """Sums over axis 1, adding the entries in order onto +0.0."""
+    if block.ndim == 3 and block.shape[2] > 1:
+        # a reduction over a non-trailing axis adds whole (m, d) slabs, one
+        # entry after the other
+        return np.add.reduce(block, axis=1, initial=0.0)
+    # numpy sums a trailing axis pairwise; accumulate keeps the entry order,
+    # and adding +0.0 at the end is the same as starting from it
+    return np.add.accumulate(block, axis=1)[:, -1] + 0.0
+
+
+class SparseMatrix:
+    """A fixed sparse matrix of ``shape`` in coordinate form, immutable.
+
+    Entry ``k`` adds ``weights[k]`` at ``(rows[k], cols[k])``; repeated
+    coordinates sum.  ``S @ x`` (``x`` a vector or matrix) forms each output
+    row by adding its entries' terms ``weights[k] * x[cols[k]]`` in entry
+    order, starting from +0.0; an empty row is +0.0.  That is bit for bit the
+    sum a flat ``np.bincount`` over the entries makes.
+
+    The product runs on a row-grouped plan built on first use and kept: rows
+    with equal entry counts ``k`` are gathered as one ``(m, k, d)`` block and
+    summed over ``k``.  Time is O(nnz * d), and the temporaries are one block
+    at a time, never an (nnz, d) array.  ``S.T`` is built once, and its
+    ``.T`` is ``S``, so a graph's forward products and all of its backward
+    sweeps share two plans.  Two threads evaluating at once may both build a
+    plan or a transpose; the copies are equal and either one is kept.
     """
-    rows, cols = _frozen(rows, np.intp), _frozen(cols, np.intp)
-    weights = _frozen(weights, np.float64)
-    num_rows = int(num_rows)
+
+    __slots__ = ("rows", "cols", "weights", "shape", "_plan", "_transpose")
+
+    def __init__(self, rows, cols, weights, shape: tuple[int, int]):
+        num_rows, num_cols = (int(s) for s in shape)
+        rows = _index_array(rows, "SparseMatrix rows")
+        cols = _index_array(cols, "SparseMatrix cols")
+        weights = _frozen(weights, np.float64)
+        if not rows.size == cols.size == weights.size:
+            raise ValueError("SparseMatrix: rows, cols and weights differ in length")
+        if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+            raise ValueError(f"SparseMatrix row index out of range [0, {num_rows})")
+        if cols.size and (cols.min() < 0 or cols.max() >= num_cols):
+            raise ValueError(f"SparseMatrix column index out of range [0, {num_cols})")
+        if not all_finite(weights):
+            raise ValueError("SparseMatrix weights must be finite")
+        for name, value in (("rows", rows), ("cols", cols), ("weights", weights),
+                            ("shape", (num_rows, num_cols)), ("_plan", None),
+                            ("_transpose", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseMatrix is immutable")
+
+    @property
+    def T(self) -> "SparseMatrix":
+        """The transpose, built on first use; its ``.T`` is this matrix."""
+        if self._transpose is None:
+            t = SparseMatrix(self.cols, self.rows, self.weights, self.shape[::-1])
+            object.__setattr__(t, "_transpose", self)
+            object.__setattr__(self, "_transpose", t)
+        return self._transpose
+
+    def plan(self) -> tuple:
+        """``(row_ids, cols, weights)`` per entry count ``k``: the ``m`` rows
+        with ``k`` entries and their ``(m, k)`` entries in entry order."""
+        if self._plan is None:
+            by_row = np.argsort(self.rows, kind="stable")
+            counts = np.bincount(self.rows, minlength=self.shape[0])
+            first = np.cumsum(counts) - counts
+            by_count = np.argsort(counts, kind="stable")
+            bounds = np.flatnonzero(np.diff(counts[by_count])) + 1
+            groups = []
+            for ids in np.split(by_count, bounds):
+                k = counts[ids[0]] if ids.size else 0
+                if k:
+                    entries = by_row[first[ids][:, None] + np.arange(k)]
+                    groups.append((ids, self.cols[entries], self.weights[entries]))
+            object.__setattr__(self, "_plan", tuple(groups))
+        return self._plan
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape[:1] + x.shape[1:])
+        for ids, cols, weights in self.plan():
+            block = x[cols]
+            block *= weights if x.ndim == 1 else weights[:, :, None]
+            out[ids] = _sum_entries(block)
+        return out
+
+
+def sparse_matmul(x: Node, matrix: SparseMatrix, label: str | None = None) -> Node:
+    """Product ``matrix @ x`` with a fixed ``SparseMatrix``.
+
+    ``x`` may be a vector or a matrix.  The graph holds the matrix by
+    reference, so nothing dense of the matrix's shape is ever built.  The
+    derivative is the same operation with ``matrix.T``.
+    """
     if len(x.shape) not in (1, 2):
         raise ValueError("sparse_matmul expects a vector or matrix")
-    if not rows.size == cols.size == weights.size:
-        raise ValueError("sparse_matmul: rows, cols and weights differ in length")
-    if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
-        raise ValueError(f"sparse_matmul row index out of range [0, {num_rows})")
-    if cols.size and (cols.min() < 0 or cols.max() >= x.shape[0]):
-        raise ValueError(f"sparse_matmul column index out of range [0, {x.shape[0]})")
-    if not all_finite(weights):
-        raise ValueError("sparse_matmul weights must be finite")
-    attrs = {"rows": rows, "cols": cols, "weights": weights}
+    if matrix.shape[1] != x.shape[0]:
+        raise ValueError(f"sparse_matmul: a {matrix.shape} matrix cannot multiply "
+                         f"{x.shape[0]} rows")
+    attrs = {"matrix": matrix}
     if label:
         attrs["label"] = label
-    return Node("sparse-matmul", (x,), attrs, (num_rows,) + x.shape[1:])
+    return Node("sparse-matmul", (x,), attrs, matrix.shape[:1] + x.shape[1:])
 
 
 def _unary(op: str, x: Node, attrs: dict | None = None) -> Node:
@@ -407,7 +494,8 @@ def concat(parts: Sequence[Node], axis: int = -1) -> Node:
 
 
 def narrow(x: Node, start: int, stop: int, axis: int = -1) -> Node:
-    """Contiguous slice [start, stop) along one axis."""
+    """Contiguous slice [start, stop) along one axis.  The slice of a
+    ``concat`` that is exactly one of its parts is that part."""
     nd = len(x.shape)
     if nd not in (1, 2):
         raise ValueError("narrow supports vectors and matrices")
@@ -415,6 +503,12 @@ def narrow(x: Node, start: int, stop: int, axis: int = -1) -> Node:
     extent = x.shape[ax]
     if not (0 <= start <= stop <= extent):
         raise ValueError(f"slice [{start}, {stop}) out of range for extent {extent}")
+    if x.op == "concat" and x.attrs["axis"] == ax:
+        offset = 0
+        for part in x.inputs:
+            if (offset, offset + part.shape[ax]) == (start, stop):
+                return part
+            offset += part.shape[ax]
     out = list(x.shape)
     out[ax] = stop - start
     return Node("slice", (x,), {"start": start, "stop": stop, "axis": ax}, tuple(out))
@@ -473,19 +567,6 @@ def _fw_log_softmax(node, vals):
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _fw_sparse_matmul(node, vals):
-    # one flat bincount: entry k of S adds weights[k] * x[cols[k], j] to
-    # output cell (rows[k], j), which is flat position rows[k] * d + j
-    x = vals[0] if vals[0].ndim == 2 else vals[0][:, None]
-    d = x.shape[1]
-    terms = x[node.attrs["cols"]]
-    terms *= node.attrs["weights"][:, None]
-    flat = node.attrs["rows"][:, None] * d + np.arange(d)
-    out = np.bincount(flat.reshape(-1), weights=terms.reshape(-1),
-                      minlength=node.shape[0] * d)
-    return out.reshape(node.shape)
-
-
 def _fw_slice(node, vals):
     s = [slice(None)] * len(vals[0].shape)
     s[node.attrs["axis"]] = slice(node.attrs["start"], node.attrs["stop"])
@@ -501,7 +582,7 @@ _FORWARD = {
     "stack-rows": lambda node, vals: np.stack(vals),
     "transpose": lambda node, vals: vals[0].T,
     "gather-rows": lambda node, vals: vals[0][node.attrs["indices"]],
-    "sparse-matmul": _fw_sparse_matmul,
+    "sparse-matmul": lambda node, vals: node.attrs["matrix"] @ vals[0],
     "tanh": lambda node, vals: np.tanh(vals[0]),
     "sigmoid": _fw_sigmoid,
     "sin": lambda node, vals: np.sin(vals[0]),
@@ -743,9 +824,7 @@ _VJP = {
     "transpose": lambda node, g: [transpose(g)],
     "gather-rows": lambda node, g: [
         scatter_rows(g, node.attrs["indices"], node.inputs[0].shape[0])],
-    "sparse-matmul": lambda node, g: [
-        sparse_matmul(g, node.attrs["cols"], node.attrs["rows"], node.attrs["weights"],
-                      node.inputs[0].shape[0])],
+    "sparse-matmul": lambda node, g: [sparse_matmul(g, node.attrs["matrix"].T)],
     "tanh": lambda node, g: [mul(g, add(constant(1.0), negate(mul(node, node))))],
     "sigmoid": lambda node, g: [mul(g, mul(node, add(constant(1.0), negate(node))))],
     "sin": lambda node, g: [mul(g, sin(add(node.inputs[0], constant(math.pi / 2.0))))],
@@ -773,6 +852,22 @@ _VJP = {
 }
 
 
+def _add_adjoints(a: Node, b: Node) -> Node:
+    """``a + b`` for two adjoint contributions.  Two concats with the same
+    split add part by part and a ``zeros_like`` part adds nothing, so the
+    zero-padded adjoints of two slices of one array become one concat of
+    their parts, with no half-zero array built."""
+    if (a.op == b.op == "concat" and a.attrs["axis"] == b.attrs["axis"]
+            and [p.shape for p in a.inputs] == [p.shape for p in b.inputs]):
+        return concat([_add_adjoints(p, q) for p, q in zip(a.inputs, b.inputs)],
+                      axis=a.attrs["axis"])
+    if a.op == "zeros-like":
+        return b
+    if b.op == "zeros-like":
+        return a
+    return add(a, b)
+
+
 def gradient_all(f: Node, wrts: Sequence[Node], allow_unused: bool = False,
                  stop_at: Sequence[Node] = ()) -> list[Node]:
     """Adjoints of a scalar graph with respect to several nodes, one sweep.
@@ -797,7 +892,7 @@ def gradient_all(f: Node, wrts: Sequence[Node], allow_unused: bool = False,
             if contrib is None:
                 continue
             prev = adjoint.get(inp.nid)
-            adjoint[inp.nid] = contrib if prev is None else add(prev, contrib)
+            adjoint[inp.nid] = contrib if prev is None else _add_adjoints(prev, contrib)
 
     # Distinct parameter nodes with one name are one logical leaf (bindings
     # are by name), so their adjoints sum.

@@ -34,6 +34,21 @@ __all__ = [
 ]
 
 
+def _mask_ids(name: str, ids) -> np.ndarray:
+    """The sorted int64 node ids of one split mask.  A float or bool id, or
+    an id listed twice, raises naming the mask."""
+    arr = np.asarray(ids)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu") or (
+            not isinstance(ids, np.ndarray)
+            and any(isinstance(i, (bool, np.bool_)) for i in ids)):
+        raise ValueError(f"{name} mask must be a list of integer node ids")
+    mask = np.sort(arr.astype(np.int64))
+    repeated = mask[1:][mask[1:] == mask[:-1]]
+    if repeated.size:
+        raise ValueError(f"{name} mask lists node {repeated[0]} more than once")
+    return mask
+
+
 @dataclass
 class GraphDataset:
     """Undirected graph with node features, labels and split masks.
@@ -78,10 +93,11 @@ class GraphDataset:
         self.edges = sorted(canon)
         masks = []
         seen = set()
-        for mask in (self.train_mask, self.val_mask, self.test_mask):
-            mask = np.asarray(sorted(int(i) for i in mask), dtype=np.int64)
+        for name, mask in (("train", self.train_mask), ("val", self.val_mask),
+                           ("test", self.test_mask)):
+            mask = _mask_ids(name, mask)
             if mask.size and (mask[0] < 0 or mask[-1] >= n):
-                raise ValueError("mask references an unknown node")
+                raise ValueError(f"{name} mask references an unknown node")
             if seen & set(mask.tolist()):
                 raise ValueError("masks overlap")
             seen |= set(mask.tolist())

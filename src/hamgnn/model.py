@@ -165,24 +165,29 @@ def init_momentum(momentum_net: MlpParams, q) -> Tensor:
     return eg.forward(node, {"q": arr, **momentum_net.bindings("momentum")})
 
 
-def aggregation_matrix(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Neighbor-mean operator in coordinate form: ``(rows, cols, weights)``.
+def aggregation_matrix(n: int, edges) -> eg.SparseMatrix:
+    """Neighbor-mean operator as an (n, n) ``SparseMatrix``.
 
     Each undirected edge {u, v} gives the entries (u, v) and (v, u), weighted
     1/|N(row)|.  Isolated nodes have no entries, so their mean term vanishes.
+    The entries run first over the edges as (u, v), then as (v, u), so row u
+    of ``S @ x`` adds its terms ``x[v] / |N(u)|`` onto +0.0 in that order:
+    the edges where u is the first endpoint, then those where it is the
+    second, each in edge order.  Every layer and every backward sweep of one
+    graph share the matrix and its row plans.
     """
     pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     degree = np.bincount(rows, minlength=n)
-    return rows, cols, 1.0 / degree[rows]
+    return eg.SparseMatrix(rows, cols, 1.0 / degree[rows], (n, n))
 
 
 def aggregate(features, edges) -> Tensor:
     """Each node keeps its vector and adds the mean of its neighbors'."""
     x = eg.as_array(features)
     leaf = eg.parameter("x", x.shape)
-    mean = eg.sparse_matmul(leaf, *aggregation_matrix(x.shape[0], edges), x.shape[0])
+    mean = eg.sparse_matmul(leaf, aggregation_matrix(x.shape[0], edges))
     return eg.forward(eg.add(leaf, mean), {"x": x})
 
 
@@ -194,7 +199,7 @@ def encode_nodes(params: ModelParams, cfg: ModelConfig,
             f"compressor expects {params.compressor.input_dim} features, "
             f"dataset has {dataset.num_features}")
     x = eg.constant(dataset.features, label="raw features")
-    coo = aggregation_matrix(dataset.n, dataset.edges)
+    mean = aggregation_matrix(dataset.n, dataset.edges)
     h = params.compressor.graph(x, "compress")
     for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
         p = qnet.graph(h, f"layer{i}.momentum")
@@ -202,7 +207,7 @@ def encode_nodes(params: ModelParams, cfg: ModelConfig,
                                  prefix=f"layer{i}.field")
         q_end = states[-1][0]
         q_end.attrs["label"] = f"layer {i} orbit end"
-        h = eg.add(q_end, eg.sparse_matmul(q_end, *coo, dataset.n, label="neighbor mean"))
+        h = eg.add(q_end, eg.sparse_matmul(q_end, mean, label="neighbor mean"))
     return h, params.bindings()
 
 

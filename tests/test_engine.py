@@ -1,12 +1,14 @@
 """Tensor invariants, forward evaluation, and differentiation to depth two."""
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from hamgnn import engine as eg
+from hamgnn import model as md
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +321,8 @@ def test_sparse_matmul_matches_dense_product(rng, shape):
         rows, cols, weights = _random_coo(rng, 6, shape[0], 20)
         x = rng.normal(size=shape)
         leaf = eg.parameter("x", shape)
-        got = eg.evaluate(eg.sparse_matmul(leaf, rows, cols, weights, 6), {"x": x})
+        matrix = eg.SparseMatrix(rows, cols, weights, (6, shape[0]))
+        got = eg.evaluate(eg.sparse_matmul(leaf, matrix), {"x": x})
         expected = _dense(rows, cols, weights, 6, shape[0]) @ x
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
@@ -329,13 +332,15 @@ def test_sparse_matmul_matches_dense_product(rng, shape):
 def test_sparse_matmul_rejects_bad_coordinates():
     x = eg.parameter("x", (4, 2))
     with pytest.raises(ValueError, match="differ in length"):
-        eg.sparse_matmul(x, [0, 1], [0], [1.0, 1.0], 3)
+        eg.SparseMatrix([0, 1], [0], [1.0, 1.0], (3, 4))
     with pytest.raises(ValueError, match="row index"):
-        eg.sparse_matmul(x, [3], [0], [1.0], 3)
+        eg.SparseMatrix([3], [0], [1.0], (3, 4))
     with pytest.raises(ValueError, match="column index"):
-        eg.sparse_matmul(x, [0], [4], [1.0], 3)
+        eg.SparseMatrix([0], [4], [1.0], (3, 4))
     with pytest.raises(ValueError, match="finite"):
-        eg.sparse_matmul(x, [0], [0], [np.inf], 3)
+        eg.SparseMatrix([0], [0], [np.inf], (3, 4))
+    with pytest.raises(ValueError, match=r"cannot multiply 4 rows"):
+        eg.sparse_matmul(x, eg.SparseMatrix([0], [0], [1.0], (3, 5)))
     with pytest.raises(ValueError, match="row index"):
         eg.scatter_rows(x, [0, 5, 1, 2], 5)
 
@@ -343,7 +348,7 @@ def test_sparse_matmul_rejects_bad_coordinates():
 def test_sparse_matmul_first_and_second_order_gradients(rng):
     rows, cols, weights = _random_coo(rng, 7, 5, 16)
     x = eg.parameter("x", (5, 3))
-    f = eg.reduce_sum(eg.tanh(eg.sparse_matmul(x, rows, cols, weights, 7)))
+    f = eg.reduce_sum(eg.tanh(eg.sparse_matmul(x, eg.SparseMatrix(rows, cols, weights, (7, 5)))))
     binds = {"x": rng.normal(size=(5, 3))}
     assert eg.check_gradient(f, x, binds, fd_step=1e-6, tol=1e-6).passed
     # the derivative of the gradient runs through the transposed product
@@ -381,6 +386,156 @@ def test_gather_rows_keeps_a_frozen_index_array_and_names_a_bad_index():
     for bad, first in (([0, 3, 5], 3), ([1, -1], -1)):
         with pytest.raises(ValueError, match=rf"gather index {first} out of range \[0, 3\)"):
             eg.gather_rows(x, bad)
+
+
+def test_narrow_of_a_concat_part_is_that_part_and_slice_adjoints_meet_by_part(rng):
+    a, b = eg.parameter("a", (3, 2)), eg.parameter("b", (3, 4))
+    joined = eg.concat([a, b], axis=1)
+    assert eg.narrow(joined, 0, 2) is a and eg.narrow(joined, 2, 6) is b
+    assert eg.narrow(joined, 1, 4).op == "slice"
+    assert eg.narrow(joined, 0, 2, axis=0).op == "slice"
+    # the adjoints of two slices of x, each padded with zeros, add part by
+    # part into one concat of the two slice adjoints
+    x = eg.parameter("x", (3, 6))
+    f = eg.reduce_sum(eg.add(eg.sin(eg.narrow(x, 0, 3)), eg.tanh(eg.narrow(x, 3, 6))))
+    gx = eg.gradient(f, x)
+    assert gx.op == "concat" and "zeros-like" not in [i.op for i in gx.inputs]
+    xv = rng.normal(size=(3, 6))
+    expected = np.concatenate([np.cos(xv[:, :3]), 1.0 - np.tanh(xv[:, 3:]) ** 2], axis=1)
+    assert np.allclose(eg.evaluate(gx, {"x": xv}), expected, rtol=1e-15, atol=1e-15)
+    assert eg.check_gradient(eg.reduce_sum(eg.mul(gx, gx)), x, {"x": xv},
+                             fd_step=1e-6, tol=1e-6).passed
+
+
+def _bincount_product(rows, cols, weights, num_rows, x):
+    """The flat-bincount product the row-grouped plan replaced, kept as the
+    reference: entry k adds weights[k] * x[cols[k], j] to flat cell
+    rows[k] * d + j, in entry order, onto +0.0."""
+    x2 = x if x.ndim == 2 else x[:, None]
+    d = x2.shape[1]
+    terms = x2[cols]
+    terms *= np.asarray(weights)[:, None]
+    flat = np.asarray(rows)[:, None] * d + np.arange(d)
+    out = np.bincount(flat.reshape(-1), weights=terms.reshape(-1),
+                      minlength=num_rows * d)
+    return out.reshape((num_rows,) + x.shape[1:])
+
+
+def _assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("width", [None, 1, 2, 7])
+def test_sparse_product_equals_the_bincount_reference_bit_for_bit(rng, width):
+    for trial in range(20):
+        num_rows, num_cols = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        nnz = int(rng.integers(0, 60))
+        # few distinct rows, so rows repeat and many reach more than eight
+        # entries (where a pairwise sum would reorder the terms)
+        rows = rng.integers(0, max(1, num_rows // 2), size=nnz)
+        cols = rng.integers(0, num_cols, size=nnz)
+        weights = rng.normal(size=nnz) * 10.0 ** rng.integers(-6, 7, size=nnz)
+        weights[rng.random(nnz) < 0.2] = 0.0   # explicit zero entries
+        shape = (num_cols,) if width is None else (num_cols, width)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        x[rng.random(shape) < 0.2] = -0.0      # signed zeros in, +0.0 sums out
+        matrix = eg.SparseMatrix(rows, cols, weights, (num_rows, num_cols))
+        expected = _bincount_product(rows, cols, weights, num_rows, x)
+        _assert_same_bits(matrix @ x, expected)
+        got = eg.evaluate(eg.sparse_matmul(eg.parameter("x", shape), matrix), {"x": x})
+        _assert_same_bits(got, expected)
+    # rows whose every term is -0.0 sum to +0.0, as they do from +0.0
+    x = np.array([-0.0, 0.0]) if width is None else np.array([[-0.0] * width, [0.0] * width])
+    matrix = eg.SparseMatrix([0, 0, 1], [0, 0, 1], [1.0, 2.0, -1.0], (3, 2))
+    got = matrix @ x
+    _assert_same_bits(got, _bincount_product(matrix.rows, matrix.cols, matrix.weights, 3, x))
+    assert not np.signbit(got).any()
+
+
+def test_sparse_plan_groups_rows_by_entry_count_in_entry_order(rng):
+    rows = rng.integers(0, 9, size=50)
+    matrix = eg.SparseMatrix(rows, rng.integers(0, 4, size=50), rng.normal(size=50),
+                             (10, 4))
+    plan = matrix.plan()
+    assert plan is matrix.plan()
+    counts = np.bincount(rows, minlength=10)
+    seen = []
+    for ids, cols, weights in plan:
+        k = cols.shape[1]
+        assert k > 0 and cols.shape == weights.shape == (ids.size, k)
+        for r, c, w in zip(ids, cols, weights):
+            entries = np.flatnonzero(rows == r)
+            assert counts[r] == k
+            assert c.tolist() == matrix.cols[entries].tolist()
+            assert w.tolist() == matrix.weights[entries].tolist()
+        seen.extend(ids.tolist())
+    assert sorted(seen) == np.flatnonzero(counts).tolist()
+    assert len({cols.shape[1] for _, cols, _ in plan}) == len(plan)
+
+
+def test_sparse_transpose_is_built_once_and_shared_by_every_backward_sweep(rng):
+    rows, cols, weights = _random_coo(rng, 7, 5, 16)
+    wide = eg.SparseMatrix(rows, cols, weights, (7, 5))
+    assert wide.T is wide.T and wide.T.T is wide and wide.T.shape == (5, 7)
+    assert np.array_equal(wide.T.rows, cols) and np.array_equal(wide.T.cols, rows)
+    matrix = eg.SparseMatrix(rows, rng.integers(0, 7, size=16), weights, (7, 7))
+    # two layers of one graph, as in encode_nodes
+    x = eg.parameter("x", (7, 3))
+    f = eg.reduce_sum(eg.tanh(eg.sparse_matmul(eg.tanh(eg.sparse_matmul(x, matrix)),
+                                               matrix)))
+    backward = [n for n in eg._toposort([eg.gradient(f, x)])
+                if n.op == "sparse-matmul" and n.attrs["matrix"] is matrix.T]
+    assert len(backward) == 2
+    binds = {"x": rng.normal(size=(7, 3))}
+    eg.evaluate(eg.gradient(f, x), binds)
+    plan = matrix.T.plan()
+    eg.evaluate(eg.gradient(f, x), binds)
+    assert matrix.T.plan() is plan
+    with pytest.raises(AttributeError, match="immutable"):
+        matrix.rows = rows
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda ids: eg.gather_rows(eg.parameter("x", (4, 2)), ids), "gather_rows indices"),
+    (lambda ids: eg.scatter_rows(eg.parameter("x", (2, 2)), ids, 4),
+     "scatter_rows indices"),
+    (lambda ids: eg.SparseMatrix(ids, [0, 1], [1.0, 1.0], (4, 4)), "SparseMatrix rows"),
+    (lambda ids: eg.SparseMatrix([0, 1], ids, [1.0, 1.0], (4, 4)), "SparseMatrix cols"),
+])
+def test_index_arrays_reject_float_and_bool_ids(build, what):
+    assert build([3, 0]) is not None
+    for bad, dtype in (([1.7, 0.2], "float64"), ([1.0, 0.0], "float64"),
+                       ([True, False], "bool")):
+        with pytest.raises(ValueError, match=f"^{what} must be integers, got {dtype}$"):
+            build(bad)
+
+
+def test_neighbour_mean_product_allocates_about_its_output(rng):
+    n, d = 600, 16
+    pairs = rng.choice(n * n, size=2400, replace=False)
+    u, v = pairs // n, pairs % n
+    edges = sorted({(min(a, b), max(a, b)) for a, b in zip(u, v) if a != b})[:2000]
+    assert len(edges) == 2000
+    node = eg.sparse_matmul(eg.parameter("x", (n, d)), md.aggregation_matrix(n, edges))
+    binds = {"x": rng.normal(size=(n, d))}
+    eg.evaluate(node, binds)    # the plan is built on first use and kept
+    tracemalloc.start()
+    try:
+        out = eg.evaluate(node, binds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.nbytes
+    # the flat-bincount kernel held three (4000, 16) arrays at once
+    matrix = node.attrs["matrix"]
+    tracemalloc.start()
+    try:
+        _bincount_product(matrix.rows, matrix.cols, matrix.weights, n, binds["x"])
+        assert tracemalloc.get_traced_memory()[1] > 12 * out.nbytes
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,41 @@ def test_dataset_validation():
         GraphDataset("x", np.eye(2), [0, 0], [(0, 1), (1, 0)], [], [], [])
 
 
+# each bad mask, in the slot it is put in, and the error that names it
+BAD_MASKS = [
+    ([1.7], "must be a list of integer node ids"),
+    ([True], "must be a list of integer node ids"),
+    ([0, True], "must be a list of integer node ids"),
+    (np.array([1.0]), "must be a list of integer node ids"),
+    ([2, 0, 2], "lists node 2 more than once"),
+]
+
+
+@pytest.mark.parametrize("slot", ["train", "val", "test"])
+def test_dataset_rejects_non_integer_and_repeated_mask_ids(slot):
+    for mask, message in BAD_MASKS:
+        masks = {"train": [], "val": [], "test": [], slot: mask}
+        with pytest.raises(ValueError, match=f"^{slot} mask {message}$"):
+            GraphDataset("x", np.eye(3), [0, 0, 0], [], masks["train"],
+                         masks["val"], masks["test"])
+    ds = GraphDataset("x", np.eye(3), [0, 0, 0], [], np.array([2, 0]), (1,), [])
+    assert ds.train_mask.tolist() == [0, 2] and ds.train_mask.dtype == np.int64
+    assert ds.val_mask.tolist() == [1] and ds.test_mask.size == 0
+
+
+@pytest.mark.parametrize("ids, message", [
+    ("[1.7]", "must be a list of integer node ids"),
+    ("[1.0]", "must be a list of integer node ids"),
+    ("[true]", "must be a list of integer node ids"),
+    ("[1, 1]", "lists node 1 more than once"),
+])
+def test_load_rejects_bad_split_ids_by_mask(tmp_path, ids, message):
+    splits = '{"train": [0], "val": %s, "test": [2]}' % ids
+    p = write_dataset(tmp_path / "x", PATH3_NODES, "0\t1\n1\t2\n", splits)
+    with pytest.raises(ValueError, match=f"^val mask {message}$"):
+        gd.load_dataset(p)
+
+
 # ---------------------------------------------------------------------------
 # mixing
 

@@ -277,12 +277,12 @@ def test_neighbor_mean_matches_dense_reference(rng, width):
     pool = [(u, v) for u in range(n - isolated) for v in range(u + 1, n - isolated)]
     for _ in range(5):
         edges = [pool[i] for i in rng.choice(len(pool), size=40, replace=False)]
-        rows, cols, weights = md.aggregation_matrix(n, edges)
-        assert rows.size == 2 * len(edges)
-        assert max(rows.max(), cols.max()) < n - isolated
+        mean = md.aggregation_matrix(n, edges)
+        assert mean.shape == (n, n) and mean.rows.size == 2 * len(edges)
+        assert max(mean.rows.max(), mean.cols.max()) < n - isolated
         x = rng.normal(size=(n,) if width is None else (n, width))
         leaf = eg.parameter("x", x.shape)
-        got = eg.evaluate(eg.sparse_matmul(leaf, rows, cols, weights, n), {"x": x})
+        got = eg.evaluate(eg.sparse_matmul(leaf, mean), {"x": x})
         assert_roundoff_close(got, dense_neighbor_mean(n, edges) @ x)
         assert np.all(got[n - isolated:] == 0.0)
 

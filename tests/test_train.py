@@ -464,3 +464,23 @@ def test_fit_and_encode_digest_is_pinned(sbm_dataset, variant, task, digest):
                    history.test_at_best, history.diverged_at)).encode())
     h.update(np.ascontiguousarray(md.encode(params, cfg, sbm_dataset), dtype="<f8").tobytes())
     assert h.hexdigest() == digest
+
+
+def test_flexible_training_graph_builds_no_half_zero_adjoint_sums(sbm_dataset):
+    cfg = small_model()
+    params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
+    z, _ = md.encode_nodes(params, cfg, sbm_dataset)
+    loss = tr.cross_entropy_node(params.head.graph(z, "head"), sbm_dataset.labels,
+                                 sbm_dataset.train_mask)
+    leaves = [eg.parameter(name, arr.shape) for name, arr in params.param_items()]
+    nodes = eg._toposort([loss, *eg.gradient_all(loss, leaves, allow_unused=True)])
+    assert not [n for n in nodes if n.op == "slice" and n.inputs[0].op == "concat"]
+    # the two halves of the energy gradient's adjoint meet as one concat of
+    # their parts, not as a sum of two zero-padded (n, 2d) arrays
+    assert not [n for n in nodes
+                if n.op == "elementwise-add" and "concat" in [i.op for i in n.inputs]]
+    # a zero pad is left only where one half is unused: the last step's dp,
+    # whose momentum the layer drops
+    pads = [n for n in nodes
+            if n.op == "concat" and "zeros-like" in [i.op for i in n.inputs]]
+    assert len(pads) == cfg.layers
