@@ -411,7 +411,8 @@ def step(x: Node, include_zero: bool = False) -> Node:
 def zeros_like(x: Node) -> Node:
     """Zeros of x's shape.  ``x`` stays an input, so a leaf it depends on is
     still in the graph, but like ``step`` no derivative flows back to it, so
-    a backward sweep ends here instead of carrying zeros through x's history."""
+    a backward sweep ends here instead of carrying zeros through x's history.
+    ``evaluate`` reads only the shape: it never computes ``x`` for the fill."""
     return _unary("zeros-like", x)
 
 
@@ -651,22 +652,44 @@ def _bad_rows(val: np.ndarray) -> str:
     return f" (rows {rows})" if rows else ""
 
 
+def _operands(node: Node) -> tuple:
+    # a zero fill reads only its own static shape, never its input's value
+    return () if node.op == "zeros-like" else node.inputs
+
+
+def _construction_order(outputs: Sequence[Node]) -> list[Node]:
+    """The nodes the outputs' values need, by ascending ``nid``.  Each input
+    is built before its consumer, so this is always a topological order."""
+    reached: dict[int, Node] = {}
+    stack = list(outputs)
+    while stack:
+        node = stack.pop()
+        if node.nid not in reached:
+            reached[node.nid] = node
+            stack.extend(_operands(node))
+    return [reached[nid] for nid in sorted(reached)]
+
+
 def evaluate(outputs, bindings=None):
     """Evaluate one node or a sequence of nodes under the given bindings.
 
-    Values of interior nodes are cached in a per-call workspace and freed as
-    soon as their last consumer has run, so peak memory tracks graph width,
-    not graph size.  A non-finite binding or intermediate value raises
-    ``FloatingPointError`` naming the leaf or the node that produced it.
+    Nodes run in construction order.  A derivative rule builds each adjoint
+    together with the products that consume it, so an adjoint is used up
+    right after it is made.  Values of interior nodes are cached in a
+    per-call workspace and freed as soon as their last consumer has run.  A
+    ``zeros_like`` fill needs only its shape: its input is not computed for
+    it, and a leaf that only zero fills reach needs no binding.  A non-finite
+    binding or intermediate value raises ``FloatingPointError`` naming the
+    leaf or the node that produced it.
     """
     single = isinstance(outputs, Node)
     outs = [outputs] if single else list(outputs)
     bindings = bindings or {}
-    order = _toposort(outs)
+    order = _construction_order(outs)
 
     consumers: dict[int, int] = {}
     for node in order:
-        for inp in node.inputs:
+        for inp in _operands(node):
             consumers[inp.nid] = consumers.get(inp.nid, 0) + 1
     pinned = {o.nid for o in outs}
 
@@ -683,7 +706,7 @@ def evaluate(outputs, bindings=None):
             if not all_finite(val):
                 raise FloatingPointError(f"non-finite value bound to {name!r}")
         else:
-            vals = [values[i.nid] for i in node.inputs]
+            vals = [values[i.nid] for i in _operands(node)]
             # overflow is allowed to surface as inf so the finiteness check
             # below can report the producing node and its offending rows
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -692,7 +715,7 @@ def evaluate(outputs, bindings=None):
                 raise FloatingPointError(
                     f"non-finite intermediate at {node!r}{_bad_rows(val)}")
         values[node.nid] = val
-        for inp in node.inputs:
+        for inp in _operands(node):
             consumers[inp.nid] -= 1
             if consumers[inp.nid] == 0 and inp.nid not in pinned:
                 del values[inp.nid]
@@ -881,6 +904,7 @@ def gradient_all(f: Node, wrts: Sequence[Node], allow_unused: bool = False,
     if f.shape != ():
         raise ValueError(f"gradient target must be scalar, got shape {f.shape}")
     stop = frozenset(n.nid for n in stop_at)
+    # this depth-first order fixes the order in which adjoints are summed
     order = _toposort([f], stop)
     in_graph = {n.nid for n in order}
     adjoint: dict[int, Node] = {f.nid: constant(1.0)}

@@ -6,6 +6,8 @@ import pytest
 from hamgnn import engine as eg
 from hamgnn import graphdata as gd
 from hamgnn import hamiltonian as ham
+from hamgnn import model as md
+from hamgnn import train as tr
 from hamgnn.model import ModelConfig
 
 
@@ -74,4 +76,20 @@ def new_spec():
         cfg = ModelConfig(hidden_dim=dim, net_hidden=net_hidden, variant=variant,
                           **settings)
         return ham.make_spec(cfg, rng)
+    return build
+
+
+@pytest.fixture
+def training_outputs():
+    """``training_outputs(cfg, dataset)``: what one classification epoch of
+    ``fit`` evaluates (loss, embeddings, every parameter gradient in
+    ``param_items`` order, logits) and the bindings of fresh parameters."""
+    def build(cfg, dataset):
+        params = md.init_params(cfg, dataset.num_features, dataset.num_classes, seed=0)
+        z, _ = md.encode_nodes(params, cfg, dataset)
+        logits = params.head.graph(z, "head")
+        loss = tr.cross_entropy_node(logits, dataset.labels, dataset.train_mask)
+        leaves = [eg.parameter(name, arr.shape) for name, arr in params.param_items()]
+        grads = eg.gradient_all(loss, leaves, allow_unused=True)
+        return [loss, z, *grads, logits], params.bindings()
     return build

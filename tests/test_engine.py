@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from hamgnn import engine as eg
+from hamgnn import hamiltonian as ham
 from hamgnn import model as md
+from hamgnn.model import ModelConfig
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +298,76 @@ def test_concurrent_evaluations_share_a_graph(rng):
     with ThreadPoolExecutor(max_workers=4) as pool:
         got = list(pool.map(lambda v: float(eg.evaluate(f, {"x": v})), inputs))
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# evaluation order and zero fills
+
+
+def _dfs_evaluate(outputs, bindings):
+    """Reference evaluator: every node in ``_toposort``'s depth-first
+    post-order, zero fills' inputs included, each value kept to the end."""
+    values = {}
+    for node in eg._toposort(outputs):
+        if node.op == "parameter":
+            val = bindings[node.attrs["name"]]
+        else:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                val = eg._FORWARD[node.op](node, [values[i.nid] for i in node.inputs])
+        values[node.nid] = np.asarray(val, dtype=np.float64)
+    return [values[o.nid] for o in outputs]
+
+
+def _assert_same_bytes(outputs, bindings):
+    got = eg.evaluate(outputs, bindings)
+    expected = _dfs_evaluate(outputs, bindings)
+    assert len(got) == len(expected) == len(outputs)
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape and g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("variant", sorted(ham.VARIANTS))
+def test_evaluation_order_leaves_training_outputs_bit_for_bit(
+        sbm_dataset, training_outputs, variant):
+    small = variant == "symplectic"  # its field takes a Jacobian row by row
+    cfg = ModelConfig(hidden_dim=4, layers=1 if small else 2, net_hidden=4,
+                      variant=variant)
+    _assert_same_bytes(*training_outputs(cfg, sbm_dataset))
+
+
+def test_evaluation_order_leaves_a_gradient_of_a_gradient_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        x, f = _random_composite(rng, 5)
+        (g,) = eg.gradient_all(f, [x])
+        (gg,) = eg.gradient_all(eg.reduce_sum(eg.mul(g, eg.tanh(g))), [x])
+        _assert_same_bytes([f, g, gg], {"x": rng.uniform(-1, 1, 5)})
+
+
+def test_zero_fill_does_not_compute_its_input():
+    got = eg.evaluate(eg.zeros_like(eg.tanh(eg.parameter("u", (2, 3)))), {})
+    _assert_same_bits(got, np.zeros((2, 3)))
+
+
+def test_flexible_training_never_computes_the_energy_total(
+        sbm_dataset, training_outputs, monkeypatch):
+    # each field takes the gradient of an (n, 1) energy total; only the zero
+    # fill of that gradient's sum rule reads the total, and only its shape
+    cfg = ModelConfig(hidden_dim=4, layers=2, net_hidden=4, variant="flexible")
+    outputs, bindings = training_outputs(cfg, sbm_dataset)
+    totals = [n for n in eg._toposort(outputs)
+              if n.op == "affine" and n.shape == (sbm_dataset.n, 1)]
+    assert len(totals) >= 2 * cfg.layers
+    shapes = []
+    affine = eg._FORWARD["affine"]
+
+    def spy(node, vals):
+        shapes.append(node.shape)
+        return affine(node, vals)
+
+    monkeypatch.setitem(eg._FORWARD, "affine", spy)
+    eg.evaluate(outputs, bindings)
+    assert shapes and (sbm_dataset.n, 1) not in shapes
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -466,14 +467,10 @@ def test_fit_and_encode_digest_is_pinned(sbm_dataset, variant, task, digest):
     assert h.hexdigest() == digest
 
 
-def test_flexible_training_graph_builds_no_half_zero_adjoint_sums(sbm_dataset):
+def test_flexible_training_graph_builds_no_half_zero_adjoint_sums(
+        sbm_dataset, training_outputs):
     cfg = small_model()
-    params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
-    z, _ = md.encode_nodes(params, cfg, sbm_dataset)
-    loss = tr.cross_entropy_node(params.head.graph(z, "head"), sbm_dataset.labels,
-                                 sbm_dataset.train_mask)
-    leaves = [eg.parameter(name, arr.shape) for name, arr in params.param_items()]
-    nodes = eg._toposort([loss, *eg.gradient_all(loss, leaves, allow_unused=True)])
+    nodes = eg._toposort(training_outputs(cfg, sbm_dataset)[0])
     assert not [n for n in nodes if n.op == "slice" and n.inputs[0].op == "concat"]
     # the two halves of the energy gradient's adjoint meet as one concat of
     # their parts, not as a sum of two zero-padded (n, 2d) arrays
@@ -484,3 +481,23 @@ def test_flexible_training_graph_builds_no_half_zero_adjoint_sums(sbm_dataset):
     pads = [n for n in nodes
             if n.op == "concat" and "zeros-like" in [i.op for i in n.inputs]]
     assert len(pads) == cfg.layers
+
+
+# Peak of one training evaluation in units of one (n, d) array: about 47x
+# with Euler and 163x with RK4.  A depth-first schedule, which holds each
+# weight gradient's operands until the sweep comes back to it, needs about
+# 64x and 215x.
+@pytest.mark.parametrize("method, bound", [("euler", 52), ("rk4", 180)])
+def test_training_evaluation_peak_memory_is_bounded(training_outputs, method, bound):
+    ds = gd.synth_dataset("sbm", sizes=(150, 150), p_in=0.1, p_out=0.01, seed=0)
+    cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible",
+                      integration=IntegrationConfig(method, 1.0, 0.5))
+    outputs, bindings = training_outputs(cfg, ds)
+    eg.evaluate(outputs, bindings)  # the sparse plans are built on first use
+    tracemalloc.start()
+    try:
+        eg.evaluate(outputs, bindings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * ds.n * cfg.hidden_dim * 8
