@@ -26,7 +26,7 @@ __all__ = [
     "affine", "outer", "solve", "stack_rows", "transpose",
     "gather_rows", "scatter_rows", "sparse_matmul",
     "tanh", "sigmoid", "sin", "relu", "rehu", "kappa", "step", "zeros_like",
-    "softmax", "log_softmax",
+    "expand", "softmax", "log_softmax",
     "add", "mul", "scale", "negate", "reduce_sum", "dot", "concat", "narrow",
     "forward", "evaluate", "gradient", "gradient_all", "grad",
     "check_gradient", "ACTIVATIONS", "all_finite", "frozen_float64",
@@ -399,7 +399,8 @@ def rehu(x: Node) -> Node:
 
 
 def kappa(x: Node) -> Node:
-    """x^2/2 on the positive side, exp(x)-1 on the non-positive side."""
+    """x + x^2/2 on the positive side, exp(x)-1 on the non-positive side: the
+    pieces meet with equal value, slope and curvature at 0, so it is convex."""
     return _unary("kappa", x)
 
 
@@ -414,6 +415,25 @@ def zeros_like(x: Node) -> Node:
     a backward sweep ends here instead of carrying zeros through x's history.
     ``evaluate`` reads only the shape: it never computes ``x`` for the fill."""
     return _unary("zeros-like", x)
+
+
+def expand(x: Node, shape: Sequence[int], like: Node | None = None,
+           column: bool = False) -> Node:
+    """``x`` repeated to ``shape`` as a read-only zero-stride view: a scalar
+    over every entry, a ``(k,)`` or ``(1, k)`` row over every row of an
+    ``(n, k)`` matrix, or with ``column`` an ``(n,)`` column over every column.
+    ``like``, when given, is kept as an input the way ``zeros_like`` keeps
+    its own: its history stays in the graph, but it is never computed for
+    the view and no derivative flows back to it."""
+    shape = tuple(shape)
+    if column:
+        fits = len(shape) == 2 and x.shape == shape[:1]
+    else:
+        fits = x.shape == () or (len(shape) == 2
+                                 and x.shape in (shape[1:], (1, shape[1])))
+    if not fits:
+        raise ValueError(f"cannot expand shape {x.shape} to {shape}")
+    return Node("expand", (x,) if like is None else (like, x), {"column": column}, shape)
 
 
 def softmax(x: Node) -> Node:
@@ -452,10 +472,18 @@ def mul(a: Node, b: Node) -> Node:
 
 
 def scale(x: Node, factor: float) -> Node:
+    if x.op == "negate":
+        # (-x) * f is x * (-f) exactly: a product's sign and magnitude are
+        # rounded independently
+        x, factor = x.inputs[0], -factor
     return Node("scale", (x,), {"factor": float(factor)}, x.shape)
 
 
 def negate(x: Node) -> Node:
+    if x.op == "negate":
+        return x.inputs[0]
+    if x.op == "scale":
+        return scale(x.inputs[0], -x.attrs["factor"])  # -(x * f) is x * (-f)
     return Node("negate", (x,), {}, x.shape)
 
 
@@ -548,11 +576,16 @@ def _fw_rehu(node, vals):
 
 
 def _fw_kappa(node, vals):
-    # quadratic piece only sees the positive part; exponential piece only
+    # polynomial piece only sees the positive part; exponential piece only
     # sees the non-positive part
     x = vals[0]
     pos = np.maximum(x, 0.0)
-    return 0.5 * pos * pos + np.expm1(np.minimum(x, 0.0))
+    return pos + 0.5 * pos * pos + np.expm1(np.minimum(x, 0.0))
+
+
+def _fw_expand(node, vals):
+    x = vals[-1]  # the operand: evaluate never computes the input shaped like
+    return np.broadcast_to(x[:, None] if node.attrs["column"] else x, node.shape)
 
 
 def _fw_softmax(node, vals):
@@ -594,6 +627,7 @@ _FORWARD = {
         (vals[0] >= 0.0) if node.attrs["include_zero"] else (vals[0] > 0.0)
     ).astype(np.float64),
     "zeros-like": lambda node, vals: np.zeros(node.shape),
+    "expand": _fw_expand,
     "softmax": _fw_softmax,
     "log-softmax": _fw_log_softmax,
     "elementwise-add": lambda node, vals: vals[0] + vals[1],
@@ -613,7 +647,7 @@ _FORWARD = {
 # constant holds a Tensor's array, checked when the Tensor was built.
 _FINITE_IF_INPUTS_FINITE = frozenset({
     "constant", "negate", "transpose", "slice", "concat", "gather-rows",
-    "stack-rows", "step", "zeros-like", "relu", "tanh", "sin", "sigmoid",
+    "stack-rows", "step", "zeros-like", "expand", "relu", "tanh", "sin", "sigmoid",
 })
 
 
@@ -653,8 +687,11 @@ def _bad_rows(val: np.ndarray) -> str:
 
 
 def _operands(node: Node) -> tuple:
-    # a zero fill reads only its own static shape, never its input's value
-    return () if node.op == "zeros-like" else node.inputs
+    # a zero fill reads only its own static shape, never its input's value,
+    # and an expand reads only its last input, never the one it is shaped like
+    if node.op == "zeros-like":
+        return ()
+    return node.inputs[-1:] if node.op == "expand" else node.inputs
 
 
 def _construction_order(outputs: Sequence[Node]) -> list[Node]:
@@ -677,10 +714,12 @@ def evaluate(outputs, bindings=None):
     together with the products that consume it, so an adjoint is used up
     right after it is made.  Values of interior nodes are cached in a
     per-call workspace and freed as soon as their last consumer has run.  A
-    ``zeros_like`` fill needs only its shape: its input is not computed for
-    it, and a leaf that only zero fills reach needs no binding.  A non-finite
-    binding or intermediate value raises ``FloatingPointError`` naming the
-    leaf or the node that produced it.
+    ``zeros_like`` fill needs only its shape, and an ``expand`` only its
+    operand: neither computes the input it is shaped like, and a leaf that
+    only those inputs reach needs no binding.  An ``expand`` is a read-only
+    view, so an output that is one comes back as an array of its own.  A
+    non-finite binding or intermediate value raises ``FloatingPointError``
+    naming the leaf or the node that produced it.
     """
     single = isinstance(outputs, Node)
     outs = [outputs] if single else list(outputs)
@@ -720,7 +759,8 @@ def evaluate(outputs, bindings=None):
             if consumers[inp.nid] == 0 and inp.nid not in pinned:
                 del values[inp.nid]
 
-    result = [values[o.nid] for o in outs]
+    result = [np.array(values[o.nid]) if o.op == "expand" else values[o.nid]
+              for o in outs]
     return result[0] if single else result
 
 
@@ -761,7 +801,14 @@ def _vjp_affine(node, g):
         gx = affine(g, w, transpose_weight=not tw)
         gw = outer(g, x) if tw else outer(x, g)
     else:
-        gx = affine(g, w, transpose_weight=not tw)
+        if g.op == "expand" and g.inputs[-1].shape == () and g.shape[1] == 1:
+            # an expanded scalar column times a (1, k) row: with one term per
+            # entry, every row of the product is the scalar times that row
+            row = w if tw else transpose(w)
+            gx = expand(mul(g.inputs[-1], row), (g.shape[0], row.shape[1]),
+                        like=g.inputs[0] if len(g.inputs) == 2 else None)
+        else:
+            gx = affine(g, w, transpose_weight=not tw)
         if tx:
             gx = transpose(gx)
         gw = affine(x, g, transpose_x=not tx)
@@ -785,26 +832,40 @@ def _vjp_solve(node, g):
 
 def _vjp_softmax(node, g):
     s = node
-    t = reduce_sum(mul(g, s), axis=1 if len(node.shape) == 2 else None)
+    minus_t = negate(reduce_sum(mul(g, s), axis=1 if len(node.shape) == 2 else None))
     if len(node.shape) == 2:
-        t = outer(t, constant(np.ones(node.shape[1])))
-    return [mul(s, add(g, negate(t)))]
+        minus_t = expand(minus_t, node.shape, column=True)
+    return [mul(s, add(g, minus_t))]
 
 
 def _vjp_log_softmax(node, g):
     s = softmax(node.inputs[0])
     t = reduce_sum(g, axis=1 if len(node.shape) == 2 else None)
     if len(node.shape) == 2:
-        t = outer(t, constant(np.ones(node.shape[1])))
+        t = expand(t, node.shape, column=True)
     return [add(g, negate(mul(s, t)))]
 
 
 def _vjp_sum(node, g):
     x = node.inputs[0]
     if node.attrs["axis"] == 1:
-        return [outer(g, constant(np.ones(x.shape[1])))]
+        return [expand(g, x.shape, column=True)]
     # scalar or row adjoint broadcasts back over the summed entries
-    return [add(zeros_like(x), g)]
+    return [expand(g, x.shape, like=x)]
+
+
+def _vjp_expand(node, g):
+    # a BLAS product with ones for a column or a (1, k) row, a sum for a
+    # scalar or a (k,) row: the reductions that the rules of a materialised
+    # broadcast (ones products, zero fill plus operand) make, bit for bit
+    x = node.inputs[-1]
+    if node.attrs["column"]:
+        gx = affine(g, constant(np.ones(node.shape[1])))
+    elif len(x.shape) == 2:
+        gx = affine(constant(np.ones((node.shape[0], 1))), g, transpose_x=True)
+    else:
+        gx = _reduce_to_shape(g, x.shape)
+    return [None, gx] if len(node.inputs) == 2 else [gx]
 
 
 def _vjp_slice(node, g):
@@ -829,10 +890,18 @@ def _vjp_concat(node, g):
     return grads
 
 
+def _tanh_slope(node: Node) -> Node:
+    """``1 - t^2`` of a tanh node ``t``, built once and kept in its attrs, so
+    an energy's field and the training sweep through that field share it."""
+    if "slope" not in node.attrs:
+        node.attrs["slope"] = add(constant(1.0), negate(mul(node, node)))
+    return node.attrs["slope"]
+
+
 def _vjp_kappa(node, g):
     x = node.inputs[0]
     on_plus = step(x, include_zero=True)
-    plus = mul(on_plus, x)
+    plus = mul(on_plus, add(x, constant(1.0)))
     minus = mul(add(constant(1.0), negate(on_plus)), add(node, constant(1.0)))
     return [mul(g, add(plus, minus))]
 
@@ -848,7 +917,7 @@ _VJP = {
     "gather-rows": lambda node, g: [
         scatter_rows(g, node.attrs["indices"], node.inputs[0].shape[0])],
     "sparse-matmul": lambda node, g: [sparse_matmul(g, node.attrs["matrix"].T)],
-    "tanh": lambda node, g: [mul(g, add(constant(1.0), negate(mul(node, node))))],
+    "tanh": lambda node, g: [mul(g, _tanh_slope(node))],
     "sigmoid": lambda node, g: [mul(g, mul(node, add(constant(1.0), negate(node))))],
     "sin": lambda node, g: [mul(g, sin(add(node.inputs[0], constant(math.pi / 2.0))))],
     "relu": lambda node, g: [mul(g, step(node.inputs[0]))],
@@ -858,6 +927,7 @@ _VJP = {
     "kappa": _vjp_kappa,
     "step": lambda node, g: [None],
     "zeros-like": lambda node, g: [None],
+    "expand": _vjp_expand,
     "softmax": _vjp_softmax,
     "log-softmax": _vjp_log_softmax,
     "elementwise-add": lambda node, g: [

@@ -1,5 +1,6 @@
 """Command-line behavior: strict configs, reproducible outputs, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -264,6 +265,29 @@ def test_gradcheck_passes_for_known_variants(capsys):
             assert report["checks"]["rk4_drift"]["bias_removed"] is True
             assert report["checks"]["euler_halving_ratio"]["bias_removed"] is True
             assert "bias_removed" not in report["checks"]["field_vs_energy_fd"]
+
+
+# sha256 of the printed JSON of `hamgnn gradcheck --dim 3 --seed 1 --variant V`.
+# Every figure in it comes from derivative rules, so equal digests show that a
+# change to the engine's rules kept every bit of the first- and second-order
+# gradients these checks evaluate.
+GRADCHECK_DIGESTS = {
+    "geodesic": "29fbae62153a7f4848d7a9c2b5641cec3bec9f64518601d8502a9c78dbbaa2f1",
+    "flexible": "b915ddc655577011caedace77b1bbde0206c80e104c2969203126691faaa4145",
+    "convex": "f3d790cb7dd09a6c4bf4eb54b2d23ed0d8cbd91258ba6914bc3c560d5a968f72",
+    "relaxed": "d54cf84ea19f9af307c34d12e6c0969a9a814c68385b60819ac7427d28c59ec9",
+    "symplectic": "a4ed074523eccf6f227381cedd5c7916944e6b2fee27e7cdcc9263a8f5ba2e17",
+    "geodesic_relaxed": "c5eb5f27c0c4be4ed54896e0ad4e6d8dc1e91ead8ab8ca6c12ac6fb7b986ab41",
+    "higher_dim": "09670fb473e82082f9627fd09a30fd5ef68bb4d9e5f31c26d588843fc06f129e",
+    "vanilla_ode": "daef09e7adf18ed1ff9c86b7cd590fe4365133a97764d0e91fbea73d9f8b5d4d",
+}
+
+
+@pytest.mark.parametrize("variant, digest", GRADCHECK_DIGESTS.items())
+def test_gradcheck_report_digest_is_pinned(capsys, variant, digest):
+    rc = main(["gradcheck", "--dim", "3", "--seed", "1", "--variant", variant])
+    assert rc == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_gradcheck_unknown_variant(capsys):

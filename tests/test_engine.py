@@ -57,7 +57,7 @@ def test_rehu_three_pieces():
 def test_kappa_values():
     x = eg.parameter("x", (2,))
     out = eg.forward(eg.kappa(x), {"x": [1.0, -1.0]})
-    assert out.array[0] == 0.5
+    assert out.array[0] == 1.5
     assert out.array[1] == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-15)
 
 
@@ -254,10 +254,10 @@ def test_linearity_near_exact_for_nonlinear_functions(rng):
 def test_kappa_derivative_uses_right_piece_at_zero():
     x = eg.parameter("x", ())
     f = eg.kappa(x)
-    assert eg.grad(f, x, {"x": 0.0}).item() == 0.0
+    assert eg.grad(f, x, {"x": 0.0}).item() == 1.0
     # and approaches the left-piece value from below
     assert eg.grad(f, x, {"x": -1e-9}).item() == pytest.approx(1.0, abs=1e-8)
-    assert eg.grad(f, x, {"x": 2.0}).item() == 2.0
+    assert eg.grad(f, x, {"x": 2.0}).item() == 3.0
 
 
 def test_rehu_derivative_is_continuous():
@@ -349,10 +349,75 @@ def test_zero_fill_does_not_compute_its_input():
     _assert_same_bits(got, np.zeros((2, 3)))
 
 
+# ---------------------------------------------------------------------------
+# broadcast adjoints and folded negations
+
+
+@pytest.mark.parametrize("operand_shape, column", [((), False), ((3,), False),
+                                                   ((1, 3), False), ((4,), True)])
+def test_expand_is_a_zero_stride_view_with_an_exact_gradient(rng, operand_shape, column):
+    u = eg.parameter("u", operand_shape)
+    e = eg.expand(u, (4, 3), column=column)
+    uv = rng.normal(size=operand_shape)
+    expected = np.broadcast_to(uv[:, None] if column else uv, (4, 3))
+    view = eg._FORWARD["expand"](e, [uv])
+    assert 0 in view.strides and not view.flags.writeable
+    # an output that is an expand comes back as an array of its own
+    for got in (eg.evaluate(e, {"u": uv}), eg.evaluate([e, u], {"u": uv})[0]):
+        assert got.flags.owndata and got.flags.writeable
+        _assert_same_bits(got, expected)
+    f = eg.reduce_sum(eg.mul(eg.tanh(e), eg.constant(rng.normal(size=(4, 3)))))
+    assert eg.check_gradient(f, u, {"u": uv}).passed
+
+
+def test_expand_rejects_shapes_it_cannot_repeat():
+    row = eg.parameter("r", (3,))
+    for args in [((3, 4),), ((4, 3, 1),), ((4, 3), None, True)]:
+        with pytest.raises(ValueError, match="cannot expand shape"):
+            eg.expand(row, *args)
+
+
+def test_expand_does_not_compute_the_input_it_is_shaped_like():
+    u = eg.parameter("u", (2, 3))
+    e = eg.expand(eg.constant(2.0), (2, 3), like=eg.tanh(u))
+    _assert_same_bits(eg.evaluate(e, {}), np.full((2, 3), 2.0))
+    # u stays in the graph, as under a zero fill: its gradient is present and 0
+    (gu,) = eg.gradient_all(eg.reduce_sum(e), [u])
+    _assert_same_bits(eg.evaluate(gu, {}), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("transpose_weight", [True, False])
+def test_summed_energy_reaches_its_last_layer_as_an_expanded_row(rng, transpose_weight):
+    x = eg.parameter("x", (5, 4))
+    w1 = eg.parameter("w1", (1, 6) if transpose_weight else (6, 1))
+    hidden = eg.tanh(eg.affine(x, eg.constant(rng.normal(size=(6, 4))),
+                               transpose_weight=True))
+    energy = eg.reduce_sum(eg.affine(hidden, w1, transpose_weight=transpose_weight))
+    (field,) = eg.gradient_all(energy, [x])
+    evaluated = eg._construction_order([field])
+    assert [n.shape for n in evaluated if n.op == "expand"] == [(5, 6)]
+    assert all(1 not in n.inputs[0].shape for n in evaluated if n.op == "affine")
+    binds = {"x": rng.normal(size=(5, 4)), "w1": rng.normal(size=w1.shape)}
+    target = eg.reduce_sum(eg.mul(field, field))
+    for leaf in (x, w1):
+        assert eg.check_gradient(target, leaf, binds).passed
+
+
+def test_negations_fold_into_scales_bit_for_bit():
+    x = eg.parameter("x", (6,))
+    assert eg.negate(eg.negate(x)) is x
+    xv = np.array(EXTREMES[2:] + [0.3, -1e300])
+    for node, expected in [(eg.scale(eg.negate(x), 0.7), (-xv) * 0.7),
+                           (eg.negate(eg.scale(x, 0.7)), -(xv * 0.7))]:
+        assert node.op == "scale" and node.inputs == (x,) and node.attrs["factor"] == -0.7
+        _assert_same_bits(eg.evaluate(node, {"x": xv}), expected)
+
+
 def test_flexible_training_never_computes_the_energy_total(
         sbm_dataset, training_outputs, monkeypatch):
-    # each field takes the gradient of an (n, 1) energy total; only the zero
-    # fill of that gradient's sum rule reads the total, and only its shape
+    # each field takes the gradient of an (n, 1) energy total; only the
+    # expand of that gradient's sum rule keeps the total, as an input it
+    # never computes
     cfg = ModelConfig(hidden_dim=4, layers=2, net_hidden=4, variant="flexible")
     outputs, bindings = training_outputs(cfg, sbm_dataset)
     totals = [n for n in eg._toposort(outputs)
@@ -695,9 +760,11 @@ def test_skipped_ops_map_finite_inputs_to_finite_outputs(rng):
         "stack-rows": eg.stack_rows([row, row]),
         "step": eg.step(x), "relu": eg.relu(x), "tanh": eg.tanh(x),
         "sin": eg.sin(x), "sigmoid": eg.sigmoid(x), "zeros-like": eg.zeros_like(x),
+        "expand": eg.expand(row, xv.shape, like=x),
     }
     assert set(built) == eg._FINITE_IF_INPUTS_FINITE - {"constant"}
     built["step-include-zero"] = eg.step(x, include_zero=True)
+    built["expand-column"] = eg.expand(row, (xv.shape[1], 3), column=True)
     for name, node in built.items():
         for signed in (xv, -xv):
             vals = [signed if inp is x else signed[2] for inp in node.inputs]

@@ -352,8 +352,9 @@ def test_convex_variant_admits_kappa_activations(rng, new_spec):
     assert ham.check_field_gradients(spec, 5, rng)["passed"]
 
 
-def test_convexity_witness(rng, new_spec):
-    spec = new_spec("convex", 4, 8, rng)
+@pytest.mark.parametrize("activation", eg.CONVEX_ACTIVATIONS)
+def test_convexity_witness(rng, new_spec, activation):
+    spec = new_spec("convex", 4, 8, rng, convex_activation=activation)
     spec.project()
     for _ in range(1000):
         a = PhaseState(rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4))

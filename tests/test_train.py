@@ -483,11 +483,70 @@ def test_flexible_training_graph_builds_no_half_zero_adjoint_sums(
     assert len(pads) == cfg.layers
 
 
-# Peak of one training evaluation in units of one (n, d) array: about 47x
-# with Euler and 163x with RK4.  A depth-first schedule, which holds each
-# weight gradient's operands until the sweep comes back to it, needs about
-# 64x and 215x.
-@pytest.mark.parametrize("method, bound", [("euler", 52), ("rk4", 180)])
+def _inner_dim(node):
+    x = node.inputs[0]
+    return x.shape[0] if node.attrs["tx"] else x.shape[-1]
+
+
+def _is_ones(node):
+    return node.op == "constant" and bool(np.all(node.attrs["value"] == 1.0))
+
+
+def _link_training_outputs(cfg, dataset):
+    params = md.init_params(cfg, dataset.num_features, dataset.num_classes, seed=0)
+    z, _ = md.encode_nodes(params, cfg, dataset)
+    positives = np.array(tr.make_link_split(dataset, 0).train_edges).reshape(-1, 2)
+    negatives = tr.negative_sample(dataset.n, len(positives), [0, 3, 1],
+                                   np.array(dataset.edges).reshape(-1, 2))
+    loss = tr._link_loss_node(z, positives, negatives)
+    leaves = [eg.parameter(name, arr.shape) for name, arr in params.param_items()]
+    return [loss, z, *eg.gradient_all(loss, leaves, allow_unused=True)], params.bindings()
+
+
+@pytest.mark.parametrize("task", ["classification", "link"])
+@pytest.mark.parametrize("variant", ["flexible", "geodesic", "convex"])
+def test_training_graph_evaluates_no_materialised_broadcast(
+        sbm_dataset, training_outputs, variant, task):
+    cfg = small_model(variant=variant,
+                      decoder="link" if task == "link" else "classification")
+    build = training_outputs if task == "classification" else _link_training_outputs
+    outputs, bindings = build(cfg, sbm_dataset)
+    evaluated = eg._construction_order(outputs)
+    # each summed energy's seed reaches the last energy layer as an expanded
+    # row, not as a K = 1 product of a ones column with that layer's weight
+    assert not [n for n in evaluated if n.op == "affine" and _inner_dim(n) == 1]
+    assert not [n for n in evaluated
+                if n.op == "outer" and any(_is_ones(i) for i in n.inputs)]
+    assert "expand" in {n.op for n in evaluated}
+    # one tanh slope per tanh node, shared by the field and the training sweep
+    squares = [n.inputs[0] for n in evaluated
+               if n.op == "elementwise-mul" and n.inputs[0] is n.inputs[1]]
+    tanhs = [n for n in evaluated if n.op == "tanh"]
+    assert bool(tanhs) == (variant != "convex")
+    assert all(squares.count(t) == 1 for t in tanhs)
+    assert all(np.isfinite(v).all() for v in eg.evaluate(outputs, bindings))
+
+
+def test_link_score_adjoint_is_an_expanded_column(sbm_dataset):
+    z = eg.parameter("z", (sbm_dataset.n, 3))
+    pairs = np.array([[0, 1], [2, 3], [4, 5]])
+    loss = tr._link_loss_node(z, pairs[:1], pairs[1:])
+    (score,) = [n for n in eg._toposort([loss])
+                if n.op == "sum" and n.attrs["axis"] == 1]
+    (adjoint,) = eg.gradient_all(loss, [score.inputs[0]])
+    assert adjoint.op == "expand" and adjoint.attrs["column"]
+    value = eg.evaluate(adjoint, {"z": np.ones((sbm_dataset.n, 3))})
+    assert value.shape == (3, 3) and value.flags.owndata and value.flags.writeable
+    assert (value == value[:, :1]).all()
+
+
+# Peak of one training evaluation in units of one (n, d) array: about 41x
+# with Euler and 136x with RK4.  Materialising the broadcast adjoints (the
+# ones column of each summed energy, its K = 1 product with the last energy
+# layer, the row-sum outers) needs about 47x and 163x, and a depth-first
+# schedule, which holds each weight gradient's operands until the sweep comes
+# back to it, about 64x and 215x.
+@pytest.mark.parametrize("method, bound", [("euler", 44), ("rk4", 148)])
 def test_training_evaluation_peak_memory_is_bounded(training_outputs, method, bound):
     ds = gd.synth_dataset("sbm", sizes=(150, 150), p_in=0.1, p_out=0.01, seed=0)
     cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible",
