@@ -33,7 +33,7 @@ from . import train as tr
 from .hamiltonian import PhaseState
 from .model import ModelConfig
 from .odeint import IntegrationConfig
-from .schema import check_json_value, config_from_dict, config_to_dict
+from .schema import check_json_value, config_from_dict, config_to_dict, load_json_object
 from .train import TrainConfig
 
 __all__ = ["main"]
@@ -99,13 +99,9 @@ def load_run_config(path, overrides=None) -> dict:
     """Read a run config, apply overrides, and check its top-level keys;
     ``build_configs`` checks the sections."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = load_json_object(path)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
     _apply_overrides(raw, overrides)
     for key in raw:
         if key not in _TOP_KEYS:

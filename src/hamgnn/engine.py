@@ -27,7 +27,7 @@ __all__ = [
     "gather_rows", "scatter_rows", "sparse_matmul",
     "tanh", "sigmoid", "sin", "relu", "rehu", "kappa", "step", "zeros_like",
     "expand", "softmax", "log_softmax",
-    "add", "mul", "scale", "negate", "reduce_sum", "dot", "concat", "narrow",
+    "add", "sub", "mul", "scale", "negate", "reduce_sum", "concat", "narrow",
     "forward", "evaluate", "gradient", "gradient_all", "grad",
     "check_gradient", "ACTIVATIONS", "all_finite", "frozen_float64",
 ]
@@ -153,6 +153,9 @@ def constant(value, label: str | None = None) -> Node:
     return Node("constant", (), attrs, t.shape)
 
 
+_ZERO = constant(0.0)  # the operand of every zero fill
+
+
 def parameter(name: str, shape: Sequence[int]) -> Node:
     """A named leaf bound to a value at evaluation time."""
     return Node("parameter", (), {"name": name}, tuple(shape))
@@ -182,7 +185,7 @@ def affine(x: Node, weight: Node, bias: Node | None = None,
     exs = (xs[1], xs[0]) if transpose_x else xs
     ews = (ws[1], ws[0]) if transpose_weight else ws
     if len(exs) == 1 and len(ews) == 1:
-        raise ValueError("vector-vector product: use dot()")
+        raise ValueError("vector-vector product: use reduce_sum(mul(a, b))")
     inner_x = exs[-1]
     inner_w = ews[0]
     if inner_x != inner_w:
@@ -410,11 +413,14 @@ def step(x: Node, include_zero: bool = False) -> Node:
 
 
 def zeros_like(x: Node) -> Node:
-    """Zeros of x's shape.  ``x`` stays an input, so a leaf it depends on is
-    still in the graph, but like ``step`` no derivative flows back to it, so
-    a backward sweep ends here instead of carrying zeros through x's history.
-    ``evaluate`` reads only the shape: it never computes ``x`` for the fill."""
-    return _unary("zeros-like", x)
+    """Zeros of x's shape, ``_ZERO`` expanded like ``x``: a leaf that ``x``
+    depends on stays in the graph, but no derivative flows back to ``x``, so
+    a backward sweep ends here, and ``evaluate`` never computes ``x``."""
+    return expand(_ZERO, x.shape, like=x)
+
+
+def _is_zero_fill(node: Node) -> bool:
+    return node.op == "expand" and node.inputs[-1] is _ZERO
 
 
 def expand(x: Node, shape: Sequence[int], like: Node | None = None,
@@ -422,9 +428,9 @@ def expand(x: Node, shape: Sequence[int], like: Node | None = None,
     """``x`` repeated to ``shape`` as a read-only zero-stride view: a scalar
     over every entry, a ``(k,)`` or ``(1, k)`` row over every row of an
     ``(n, k)`` matrix, or with ``column`` an ``(n,)`` column over every column.
-    ``like``, when given, is kept as an input the way ``zeros_like`` keeps
-    its own: its history stays in the graph, but it is never computed for
-    the view and no derivative flows back to it."""
+    ``like``, when given, is kept as the first input: its history stays in
+    the graph, but it is never computed for the view and no derivative flows
+    back to it."""
     shape = tuple(shape)
     if column:
         fits = len(shape) == 2 and x.shape == shape[:1]
@@ -471,20 +477,22 @@ def mul(a: Node, b: Node) -> Node:
     return Node("elementwise-mul", (a, b), {}, _broadcast_shape(a.shape, b.shape))
 
 
+def sub(a: Node, b: Node) -> Node:
+    return Node("elementwise-sub", (a, b), {}, _broadcast_shape(a.shape, b.shape))
+
+
 def scale(x: Node, factor: float) -> Node:
-    if x.op == "negate":
-        # (-x) * f is x * (-f) exactly: a product's sign and magnitude are
-        # rounded independently
-        x, factor = x.inputs[0], -factor
-    return Node("scale", (x,), {"factor": float(factor)}, x.shape)
+    factor = float(factor)
+    if x.op == "scale" and -1.0 in (factor, x.attrs["factor"]):
+        # rounding is symmetric in sign: (x * f) * -1 and (x * -1) * f are x * (-f)
+        x, factor = x.inputs[0], x.attrs["factor"] * factor
+        if factor == 1.0:
+            return x
+    return Node("scale", (x,), {"factor": factor}, x.shape)
 
 
 def negate(x: Node) -> Node:
-    if x.op == "negate":
-        return x.inputs[0]
-    if x.op == "scale":
-        return scale(x.inputs[0], -x.attrs["factor"])  # -(x * f) is x * (-f)
-    return Node("negate", (x,), {}, x.shape)
+    return scale(x, -1.0)
 
 
 def reduce_sum(x: Node, axis: int | None = None) -> Node:
@@ -495,12 +503,6 @@ def reduce_sum(x: Node, axis: int | None = None) -> Node:
     else:
         raise ValueError(f"cannot sum shape {x.shape} over axis {axis}")
     return Node("sum", (x,), {"axis": axis}, out)
-
-
-def dot(a: Node, b: Node) -> Node:
-    if len(a.shape) != 1 or a.shape != b.shape:
-        raise ValueError(f"dot expects equal-length vectors, got {a.shape}, {b.shape}")
-    return Node("dot", (a, b), {}, ())
 
 
 def concat(parts: Sequence[Node], axis: int = -1) -> Node:
@@ -626,16 +628,14 @@ _FORWARD = {
     "step": lambda node, vals: (
         (vals[0] >= 0.0) if node.attrs["include_zero"] else (vals[0] > 0.0)
     ).astype(np.float64),
-    "zeros-like": lambda node, vals: np.zeros(node.shape),
     "expand": _fw_expand,
     "softmax": _fw_softmax,
     "log-softmax": _fw_log_softmax,
     "elementwise-add": lambda node, vals: vals[0] + vals[1],
+    "elementwise-sub": lambda node, vals: vals[0] - vals[1],
     "elementwise-mul": lambda node, vals: vals[0] * vals[1],
     "scale": lambda node, vals: vals[0] * node.attrs["factor"],
-    "negate": lambda node, vals: -vals[0],
     "sum": lambda node, vals: np.sum(vals[0], axis=node.attrs["axis"]),
-    "dot": lambda node, vals: np.dot(vals[0], vals[1]),
     "concat": lambda node, vals: np.concatenate(vals, axis=node.attrs["axis"]),
     "slice": _fw_slice,
 }
@@ -646,8 +646,8 @@ _FORWARD = {
 # and a non-finite value is still reported at the node that produced it.  A
 # constant holds a Tensor's array, checked when the Tensor was built.
 _FINITE_IF_INPUTS_FINITE = frozenset({
-    "constant", "negate", "transpose", "slice", "concat", "gather-rows",
-    "stack-rows", "step", "zeros-like", "expand", "relu", "tanh", "sin", "sigmoid",
+    "constant", "transpose", "slice", "concat", "gather-rows",
+    "stack-rows", "step", "expand", "relu", "tanh", "sin", "sigmoid",
 })
 
 
@@ -687,10 +687,7 @@ def _bad_rows(val: np.ndarray) -> str:
 
 
 def _operands(node: Node) -> tuple:
-    # a zero fill reads only its own static shape, never its input's value,
-    # and an expand reads only its last input, never the one it is shaped like
-    if node.op == "zeros-like":
-        return ()
+    # an expand reads only its last input, never the one it is shaped like
     return node.inputs[-1:] if node.op == "expand" else node.inputs
 
 
@@ -713,10 +710,10 @@ def evaluate(outputs, bindings=None):
     Nodes run in construction order.  A derivative rule builds each adjoint
     together with the products that consume it, so an adjoint is used up
     right after it is made.  Values of interior nodes are cached in a
-    per-call workspace and freed as soon as their last consumer has run.  A
-    ``zeros_like`` fill needs only its shape, and an ``expand`` only its
-    operand: neither computes the input it is shaped like, and a leaf that
-    only those inputs reach needs no binding.  An ``expand`` is a read-only
+    per-call workspace and freed as soon as their last consumer has run.  An
+    ``expand`` (a ``zeros_like`` fill is one) needs only its operand: it
+    never computes the input it is shaped like, and a leaf that only such
+    inputs reach needs no binding.  An ``expand`` is a read-only zero-stride
     view, so an output that is one comes back as an array of its own.  A
     non-finite binding or intermediate value raises ``FloatingPointError``
     naming the leaf or the node that produced it.
@@ -843,7 +840,7 @@ def _vjp_log_softmax(node, g):
     t = reduce_sum(g, axis=1 if len(node.shape) == 2 else None)
     if len(node.shape) == 2:
         t = expand(t, node.shape, column=True)
-    return [add(g, negate(mul(s, t)))]
+    return [sub(g, mul(s, t))]
 
 
 def _vjp_sum(node, g):
@@ -859,6 +856,8 @@ def _vjp_expand(node, g):
     # scalar or a (k,) row: the reductions that the rules of a materialised
     # broadcast (ones products, zero fill plus operand) make, bit for bit
     x = node.inputs[-1]
+    if x is _ZERO:
+        return [None, None]  # a zero fill
     if node.attrs["column"]:
         gx = affine(g, constant(np.ones(node.shape[1])))
     elif len(x.shape) == 2:
@@ -894,7 +893,7 @@ def _tanh_slope(node: Node) -> Node:
     """``1 - t^2`` of a tanh node ``t``, built once and kept in its attrs, so
     an energy's field and the training sweep through that field share it."""
     if "slope" not in node.attrs:
-        node.attrs["slope"] = add(constant(1.0), negate(mul(node, node)))
+        node.attrs["slope"] = sub(constant(1.0), mul(node, node))
     return node.attrs["slope"]
 
 
@@ -902,7 +901,7 @@ def _vjp_kappa(node, g):
     x = node.inputs[0]
     on_plus = step(x, include_zero=True)
     plus = mul(on_plus, add(x, constant(1.0)))
-    minus = mul(add(constant(1.0), negate(on_plus)), add(node, constant(1.0)))
+    minus = mul(sub(constant(1.0), on_plus), add(node, constant(1.0)))
     return [mul(g, add(plus, minus))]
 
 
@@ -918,28 +917,27 @@ _VJP = {
         scatter_rows(g, node.attrs["indices"], node.inputs[0].shape[0])],
     "sparse-matmul": lambda node, g: [sparse_matmul(g, node.attrs["matrix"].T)],
     "tanh": lambda node, g: [mul(g, _tanh_slope(node))],
-    "sigmoid": lambda node, g: [mul(g, mul(node, add(constant(1.0), negate(node))))],
+    "sigmoid": lambda node, g: [mul(g, mul(node, sub(constant(1.0), node)))],
     "sin": lambda node, g: [mul(g, sin(add(node.inputs[0], constant(math.pi / 2.0))))],
     "relu": lambda node, g: [mul(g, step(node.inputs[0]))],
-    "rehu": lambda node, g: [mul(g, add(relu(node.inputs[0]),
-                                        negate(relu(add(node.inputs[0],
-                                                        constant(-1.0))))))],
+    "rehu": lambda node, g: [mul(g, sub(relu(node.inputs[0]),
+                                        relu(add(node.inputs[0], constant(-1.0)))))],
     "kappa": _vjp_kappa,
     "step": lambda node, g: [None],
-    "zeros-like": lambda node, g: [None],
     "expand": _vjp_expand,
     "softmax": _vjp_softmax,
     "log-softmax": _vjp_log_softmax,
     "elementwise-add": lambda node, g: [
         _reduce_to_shape(g, node.inputs[0].shape),
         _reduce_to_shape(g, node.inputs[1].shape)],
+    "elementwise-sub": lambda node, g: [
+        _reduce_to_shape(g, node.inputs[0].shape),
+        negate(_reduce_to_shape(g, node.inputs[1].shape))],
     "elementwise-mul": lambda node, g: [
         _reduce_to_shape(mul(g, node.inputs[1]), node.inputs[0].shape),
         _reduce_to_shape(mul(g, node.inputs[0]), node.inputs[1].shape)],
     "scale": lambda node, g: [scale(g, node.attrs["factor"])],
-    "negate": lambda node, g: [negate(g)],
     "sum": _vjp_sum,
-    "dot": lambda node, g: [mul(g, node.inputs[1]), mul(g, node.inputs[0])],
     "concat": _vjp_concat,
     "slice": _vjp_slice,
 }
@@ -947,17 +945,19 @@ _VJP = {
 
 def _add_adjoints(a: Node, b: Node) -> Node:
     """``a + b`` for two adjoint contributions.  Two concats with the same
-    split add part by part and a ``zeros_like`` part adds nothing, so the
+    split add part by part and a zero fill adds nothing, so the
     zero-padded adjoints of two slices of one array become one concat of
     their parts, with no half-zero array built."""
     if (a.op == b.op == "concat" and a.attrs["axis"] == b.attrs["axis"]
             and [p.shape for p in a.inputs] == [p.shape for p in b.inputs]):
         return concat([_add_adjoints(p, q) for p, q in zip(a.inputs, b.inputs)],
                       axis=a.attrs["axis"])
-    if a.op == "zeros-like":
+    if _is_zero_fill(a):
         return b
-    if b.op == "zeros-like":
+    if _is_zero_fill(b):
         return a
+    if b.op == "scale" and b.attrs["factor"] == -1.0:
+        return sub(a, b.inputs[0])  # a + (-b) is a - b exactly
     return add(a, b)
 
 

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as eg
+from .schema import load_json_object
 
 __all__ = [
     "GraphDataset", "LinkSplit", "load_dataset", "save_dataset",
@@ -196,12 +197,12 @@ def _parse_features(cells: list, linenos: list, header: list) -> np.ndarray:
     return features
 
 
-def _int_cell(cell: str, what: str, lineno: int) -> int:
+def _int_cell(cell: str, what: str, lineno: int, fname: str = "nodes.csv") -> int:
     try:
         return int(cell)
     except ValueError:
         raise ValueError(f"{what} must be an integer; got {cell!r}"
-                         f" at nodes.csv line {lineno}") from None
+                         f" at {fname} line {lineno}") from None
 
 
 def load_dataset(path) -> GraphDataset:
@@ -253,7 +254,7 @@ def load_dataset(path) -> GraphDataset:
         parts = row.split("\t")
         if len(parts) != 2:
             raise ValueError(f"edge line {lineno} must hold two tab-separated ids")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = (_int_cell(cell, "node id", lineno, "edges.tsv") for cell in parts)
         if u == v:
             raise ValueError(f"self-loop at line {lineno}")
         for node in (u, v):
@@ -265,7 +266,7 @@ def load_dataset(path) -> GraphDataset:
         seen.add(key)
         edges.append(key)
 
-    splits = json.loads((root / "splits.json").read_text(encoding="utf-8"))
+    splits = load_json_object(root / "splits.json")
     extra = set(splits) - {"train", "val", "test"}
     if extra:
         raise ValueError(f"splits.json has unknown keys: {sorted(extra)}")

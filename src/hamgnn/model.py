@@ -23,7 +23,7 @@ from .engine import MlpParams, Node, Tensor
 from .graphdata import GraphDataset
 from .hamiltonian import Signature
 from .odeint import IntegrationConfig, integrate_nodes
-from .schema import check_json_value, config_from_dict
+from .schema import check_json_value, config_from_dict, load_json_object
 
 __all__ = [
     "ModelConfig", "ModelParams", "init_params",
@@ -288,8 +288,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     config echo as well.  The echo's "model" and "integration" sections must
     list every config field, and its seed and sizes must be integers."""
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    echo = manifest["config"]
+    manifest = load_json_object(root / "manifest.json")
+    echo, entries = (check_json_value(manifest.get(key), hint, f"manifest.json {key}")
+                     for key, hint in (("config", dict), ("tensors", list)))
     integration = config_from_dict(IntegrationConfig, echo.get("integration"),
                                    "integration", complete=True)
     cfg = config_from_dict(ModelConfig, echo.get("model"), "model", complete=True,
@@ -306,8 +307,12 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     # every tensor of the config is listed exactly once and packed back to
     # back in manifest order
     arrays, offset = dict(expected), 0
-    for entry in manifest["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
+    for i, entry in enumerate(entries):
+        where = f"manifest.json tensors[{i}]"
+        entry = check_json_value(entry, dict, where)
+        name, shape, start = (check_json_value(entry.get(key), hint, f"{where}.{key}")
+                              for key, hint in (("name", str), ("shape", list), ("offset", int)))
+        shape = tuple(check_json_value(n, int, f"{where}.shape") for n in shape)
         if name not in arrays:
             cause = "is listed twice" if name in expected else "does not fit the config"
             raise ValueError(f"checkpoint tensor {name!r} {cause}")
@@ -315,9 +320,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         if target.shape != shape:
             raise ValueError(f"checkpoint tensor {name!r} has shape {shape}, "
                              f"expected {target.shape}")
-        if entry["offset"] != offset:
+        if start != offset:
             raise ValueError(f"checkpoint tensor {name!r} starts at byte "
-                             f"{entry['offset']}, expected {offset}")
+                             f"{start}, expected {offset}")
         target[...] = np.frombuffer(raw, dtype="<f8", count=target.size,
                                     offset=offset).reshape(shape)
         offset += 8 * target.size

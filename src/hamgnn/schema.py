@@ -9,19 +9,32 @@ field annotations.
 from __future__ import annotations
 
 import dataclasses
+import json
 import types
 import typing
+from pathlib import Path
 
 from .hamiltonian import Signature
 
-__all__ = ["check_json_value", "config_from_dict", "config_to_dict"]
+__all__ = ["check_json_value", "config_from_dict", "config_to_dict", "load_json_object"]
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string",
-             bool: "true or false", Signature: "a list [r, s] of two integers"}
+             bool: "true or false", dict: "a JSON object", list: "a list",
+             Signature: "a list [r, s] of two integers"}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def load_json_object(path) -> dict:
+    """The JSON object in the file at ``path``; anything else raises naming the file."""
+    path = Path(path)
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path.name} is not valid JSON: {exc}") from None
+    return check_json_value(value, dict, path.name)
 
 
 def check_json_value(value, hint, name: str):
@@ -41,7 +54,7 @@ def check_json_value(value, hint, name: str):
     elif hint is int:
         if _is_int(value):
             return value
-    elif isinstance(value, hint):  # str and bool
+    elif isinstance(value, hint):  # str, bool, dict and list
         return value
     raise ValueError(f"{name} must be {_EXPECTED[hint]}, got {value!r}")
 

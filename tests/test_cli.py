@@ -49,6 +49,24 @@ def test_train_on_sbm_fixture(workdir, capsys):
     assert len(err_lines) == metrics["epochs_run"]
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_malformed_input_file_exits_1_with_one_error_line(workdir, capsys, command):
+    if command == "train":
+        (workdir / "sbm" / "edges.tsv").write_text("0\t1\nx\t2\n")
+        argv = ["train", "--config", str(workdir / "config.json")]
+        named = "node id must be an integer; got 'x' at edges.tsv line 2"
+    else:
+        (workdir / "ckpt").mkdir()
+        (workdir / "ckpt" / "manifest.json").write_text("[]")
+        argv = ["eval", "--checkpoint", str(workdir / "ckpt"),
+                "--dataset", str(workdir / "sbm")]
+        named = "manifest.json must be a JSON object, got []"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert [l for l in err.splitlines() if l.startswith("error:")] == [f"error: {named}"]
+    assert "Traceback" not in err
+
+
 def test_train_rejects_unknown_key(workdir, capsys):
     cfg = json.loads((workdir / "config.json").read_text())
     cfg["train"]["lr_sched"] = "cosine"

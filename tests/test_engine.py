@@ -86,7 +86,7 @@ def test_construction_rejects_bad_shapes():
     with pytest.raises(ValueError, match="inner dimensions"):
         eg.affine(x, w)
     with pytest.raises(ValueError):
-        eg.dot(x, eg.parameter("y", (3,)))
+        eg.reduce_sum(eg.mul(x, eg.parameter("y", (3,))))
     with pytest.raises(ValueError):
         eg.narrow(x, 1, 5)
 
@@ -116,7 +116,7 @@ def test_grad_nested_depth_two():
     sq = eg.reduce_sum(eg.mul(x, x))
     f = eg.scale(eg.mul(sq, sq), 0.25)
     gf = eg.gradient(f, x)
-    h = eg.dot(gf, gf)
+    h = eg.reduce_sum(eg.mul(gf, gf))
     got = eg.grad(h, x, {"x": [1.0, 0.0]})
     assert got.array == pytest.approx([6.0, 0.0], abs=1e-12)
     rep = eg.check_gradient(h, x, {"x": np.array([1.0, 0.0])}, 1e-6, 1e-6)
@@ -152,7 +152,7 @@ def test_gradient_through_zeros_like_is_zero_and_ends_the_sweep():
     # x is still in the graph, so it needs no allow_unused; its adjoint is a
     # zero fill of its own, not a chain of zeros back through tanh
     (g,) = eg.gradient_all(eg.reduce_sum(zeros), [x])
-    assert g.op == "zeros-like" and g.inputs == (x,)
+    assert g.op == "expand" and g.inputs == (x, eg._ZERO)
     assert eg.evaluate(g, {"x": -np.ones((2, 3))}).tolist() == [[0.0] * 3] * 2
     f = eg.reduce_sum(eg.add(zeros, eg.mul(x, x)))
     assert eg.grad(f, x, {"x": np.full((2, 3), 1.5)}).tolist() == [[3.0] * 3] * 2
@@ -208,7 +208,7 @@ def _random_composite(rng, dim):
     act = (eg.tanh, eg.sigmoid, eg.sin, eg.kappa)[rng.integers(0, 4)]
     h = act(h)
     w1 = eg.constant(rng.normal(size=(dim + 1,)))
-    return x, eg.add(eg.dot(h, w1), eg.scale(eg.reduce_sum(eg.mul(x, x)), 0.5))
+    return x, eg.add(eg.reduce_sum(eg.mul(h, w1)), eg.scale(eg.reduce_sum(eg.mul(x, x)), 0.5))
 
 
 def test_nested_gradient_consistency_many_trials():
@@ -218,7 +218,7 @@ def test_nested_gradient_consistency_many_trials():
         dim = int(rng.integers(2, 17))
         x, f = _random_composite(rng, dim)
         direction = eg.constant(rng.normal(size=dim))
-        slice_of_grad = eg.dot(eg.gradient(f, x), direction)
+        slice_of_grad = eg.reduce_sum(eg.mul(eg.gradient(f, x), direction))
         x0 = rng.uniform(-1, 1, dim)
         rep = eg.check_gradient(slice_of_grad, x, {"x": x0},
                                 fd_step=1e-5, tol=1e-4)
@@ -229,8 +229,8 @@ def test_linearity_exact_for_linear_functions():
     c1 = np.array([1.5, -2.25, 0.125])
     c2 = np.array([0.75, 3.5, -1.0])
     x = eg.parameter("x", (3,))
-    f = eg.dot(x, eg.constant(c1))
-    g = eg.dot(x, eg.constant(c2))
+    f = eg.reduce_sum(eg.mul(x, eg.constant(c1)))
+    g = eg.reduce_sum(eg.mul(x, eg.constant(c2)))
     a, b = 0.37, -1.42
     combined = eg.add(eg.scale(f, a), eg.scale(g, b))
     binds = {"x": np.array([0.2, -0.4, 0.9])}
@@ -411,6 +411,69 @@ def test_negations_fold_into_scales_bit_for_bit():
                            (eg.negate(eg.scale(x, 0.7)), -(xv * 0.7))]:
         assert node.op == "scale" and node.inputs == (x,) and node.attrs["factor"] == -0.7
         _assert_same_bits(eg.evaluate(node, {"x": xv}), expected)
+    # a negation is a scale by -1; only a sign flip folds into another scale
+    neg = eg.negate(x)
+    assert neg.op == "scale" and neg.attrs["factor"] == -1.0
+    _assert_same_bits(eg.evaluate(neg, {"x": xv}), -xv)
+    assert eg.scale(neg, -1.0) is x
+    assert eg.scale(eg.scale(x, 0.7), 0.5).inputs[0].op == "scale"
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((6, 6), (6, 6)), ((), (6, 6)),
+                                              ((6, 6), ()), ((6,), (6, 6)),
+                                              ((6, 6), (6,))])
+def test_sub_gives_the_bits_of_adding_a_negation(rng, a_shape, b_shape):
+    # every pair of EXTREMES meets: the square operands pair row with column
+    grid = np.tile(EXTREMES, (6, 1))
+    values = {(6, 6): (grid, grid.T), (6,): (np.array(EXTREMES),) * 2}
+    a, b = eg.parameter("a", a_shape), eg.parameter("b", b_shape)
+    diff = eg.sub(a, b)
+    assert diff.op == "elementwise-sub" and diff.shape == (6, 6)
+    added = eg.add(a, eg.negate(b))
+    scalars = [np.array(v) for v in EXTREMES]
+    a_vals = scalars if a_shape == () else [values[a_shape][0]]
+    b_vals = scalars if b_shape == () else [values[b_shape][1]]
+    for av in a_vals:
+        for bv in b_vals:
+            got, expected = _dfs_evaluate([diff, added], {"a": av, "b": bv})
+            assert got.tobytes() == expected.tobytes()
+    weights = eg.constant(rng.normal(size=(6, 6)))
+    f = eg.reduce_sum(eg.mul(eg.tanh(diff), weights))
+    binds = {"a": rng.normal(size=a_shape), "b": rng.normal(size=b_shape)}
+    for leaf in (a, b):
+        assert eg.check_gradient(f, leaf, binds).passed
+        g = eg.gradient(f, leaf)
+        assert eg.check_gradient(eg.reduce_sum(eg.mul(g, g)), leaf, binds,
+                                 tol=1e-5).passed
+
+
+def test_interior_zero_fill_is_a_view_and_an_output_fill_is_owned(rng, monkeypatch):
+    # the adjoint of a slice pads the rest of its input with a zero fill
+    x = eg.parameter("x", (3, 4))
+    gx = eg.gradient(eg.reduce_sum(eg.sin(eg.narrow(x, 0, 1))), x)
+    assert gx.op == "concat" and eg._is_zero_fill(gx.inputs[1])
+    seen = []
+    concat = eg._FORWARD["concat"]
+
+    def spy(node, vals):
+        seen.extend(vals)
+        return concat(node, vals)
+
+    monkeypatch.setitem(eg._FORWARD, "concat", spy)
+    xv = rng.normal(size=(3, 4))
+    got = eg.evaluate(gx, {"x": xv})
+    pad = seen[1]
+    assert pad.shape == (3, 3) and pad.strides == (0, 0) and not pad.flags.writeable
+    slope = np.sin(xv[:, :1] + math.pi / 2.0)
+    _assert_same_bits(got, np.concatenate([slope, np.zeros((3, 3))], axis=1))
+    fill = eg.evaluate(gx.inputs[1], {})
+    assert fill.flags.owndata and fill.flags.writeable
+    _assert_same_bits(fill, np.zeros((3, 3)))
+
+
+def test_every_op_has_a_forward_and_a_derivative_rule():
+    assert set(eg._VJP) == set(eg._FORWARD) - {"constant"}
+    assert not {"zeros-like", "negate", "dot"} & set(eg._FORWARD)
 
 
 def test_flexible_training_never_computes_the_energy_total(
@@ -508,7 +571,7 @@ def test_scatter_rows_sums_repeated_rows_with_the_sparse_product(rng):
     g = eg.gather_rows(v, [4, 1, 4])
     f = eg.reduce_sum(eg.sin(eg.mul(g, g)))
     direction = eg.constant(rng.normal(size=5))
-    slice_of_grad = eg.dot(eg.gradient(f, v), direction)
+    slice_of_grad = eg.reduce_sum(eg.mul(eg.gradient(f, v), direction))
     assert eg.check_gradient(slice_of_grad, v, {"v": rng.normal(size=5)},
                              fd_step=1e-5, tol=1e-5).passed
 
@@ -536,7 +599,7 @@ def test_narrow_of_a_concat_part_is_that_part_and_slice_adjoints_meet_by_part(rn
     x = eg.parameter("x", (3, 6))
     f = eg.reduce_sum(eg.add(eg.sin(eg.narrow(x, 0, 3)), eg.tanh(eg.narrow(x, 3, 6))))
     gx = eg.gradient(f, x)
-    assert gx.op == "concat" and "zeros-like" not in [i.op for i in gx.inputs]
+    assert gx.op == "concat" and not any(eg._is_zero_fill(i) for i in gx.inputs)
     xv = rng.normal(size=(3, 6))
     expected = np.concatenate([np.cos(xv[:, :3]), 1.0 - np.tanh(xv[:, 3:]) ** 2], axis=1)
     assert np.allclose(eg.evaluate(gx, {"x": xv}), expected, rtol=1e-15, atol=1e-15)
@@ -754,12 +817,12 @@ def test_skipped_ops_map_finite_inputs_to_finite_outputs(rng):
     x = eg.parameter("x", xv.shape)
     row = eg.parameter("row", (xv.shape[1],))
     built = {
-        "negate": eg.negate(x), "transpose": eg.transpose(x),
+        "transpose": eg.transpose(x),
         "slice": eg.narrow(x, 1, 4, axis=0), "concat": eg.concat([x, x], axis=1),
         "gather-rows": eg.gather_rows(x, [9, 0, 3, 3]),
         "stack-rows": eg.stack_rows([row, row]),
         "step": eg.step(x), "relu": eg.relu(x), "tanh": eg.tanh(x),
-        "sin": eg.sin(x), "sigmoid": eg.sigmoid(x), "zeros-like": eg.zeros_like(x),
+        "sin": eg.sin(x), "sigmoid": eg.sigmoid(x),
         "expand": eg.expand(row, xv.shape, like=x),
     }
     assert set(built) == eg._FINITE_IF_INPUTS_FINITE - {"constant"}
@@ -775,7 +838,8 @@ def test_skipped_ops_map_finite_inputs_to_finite_outputs(rng):
 
 def test_first_non_finite_value_is_reported_where_it_is_produced():
     big = eg.constant(1e308)
-    # the overflow happens in the product; negate and tanh pass it on unchecked
+    # the overflow happens in the product and is reported there, not at the
+    # negation or the tanh that pass it on
     with pytest.raises(FloatingPointError, match=r"non-finite intermediate at <Node \d+ "
                                                  r"elementwise-mul shape=\(\)>"):
         eg.evaluate(eg.tanh(eg.negate(eg.mul(big, big))))

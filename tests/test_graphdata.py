@@ -68,6 +68,22 @@ def test_load_rejects_out_of_order_ids(tmp_path):
         gd.load_dataset(p)
 
 
+@pytest.mark.parametrize("edges, splits, message", [
+    ("x\t2\n", PATH3_SPLITS, r"node id must be an integer; got 'x' at edges\.tsv line 1"),
+    ("0\t1\n1\t2.0\n", PATH3_SPLITS,
+     r"node id must be an integer; got '2\.0' at edges\.tsv line 2"),
+    ("0\t1\n", "[]", r"splits\.json must be a JSON object, got \[\]"),
+    ("0\t1\n", "3", r"splits\.json must be a JSON object, got 3"),
+    ("0\t1\n", '{"train": [0],',
+     r"splits\.json is not valid JSON: .*: line 1 column 15 \(char 14\)"),
+], ids=["edge-id-x", "edge-id-float", "splits-array", "splits-number", "splits-invalid"])
+def test_load_names_the_file_and_line_or_key_of_a_malformed_input(
+        tmp_path, edges, splits, message):
+    p = write_dataset(tmp_path / "x", PATH3_NODES, edges, splits)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gd.load_dataset(p)
+
+
 def test_load_missing_file(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(FileNotFoundError, match="nodes.csv"):

@@ -654,6 +654,36 @@ def test_checkpoint_rejects_extra_integration_field(tmp_path, sbm_dataset):
         md.load_checkpoint(tmp_path)
 
 
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: "{", r"manifest\.json is not valid JSON: .*"),
+    (lambda m: [m], r"manifest\.json must be a JSON object, got \[\{.*"),
+    (lambda m: _without(m, "config"), r"manifest\.json config must be a JSON object, got None"),
+    (lambda m: {**m, "tensors": {}}, r"manifest\.json tensors must be a list, got \{\}"),
+    (lambda m: {**m, "tensors": [3] + m["tensors"]},
+     r"manifest\.json tensors\[0\] must be a JSON object, got 3"),
+    (lambda m: {**m, "tensors": [_without(t, "offset") for t in m["tensors"]]},
+     r"manifest\.json tensors\[0\]\.offset must be an integer, got None"),
+    (lambda m: {**m, "tensors": m["tensors"][:1] + [_without(m["tensors"][1], "shape")]},
+     r"manifest\.json tensors\[1\]\.shape must be a list, got None"),
+    (lambda m: {**m, "tensors": [{**t, "shape": [2.0]} for t in m["tensors"]]},
+     r"manifest\.json tensors\[0\]\.shape must be an integer, got 2\.0"),
+    (lambda m: {**m, "tensors": [_without(t, "name") for t in m["tensors"]]},
+     r"manifest\.json tensors\[0\]\.name must be a string, got None"),
+], ids=["invalid-json", "array", "no-config", "tensors-object", "tensor-number",
+        "no-offset", "no-shape", "float-dim", "no-name"])
+def test_checkpoint_names_the_key_of_a_malformed_manifest(tmp_path, sbm_dataset, edit, message):
+    saved_checkpoint(tmp_path, sbm_dataset)
+    path = tmp_path / "manifest.json"
+    edited = edit(json.loads(path.read_text()))
+    path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        md.load_checkpoint(tmp_path)
+
+
 @pytest.mark.parametrize("key", ["seed", "num_features", "num_classes"])
 def test_checkpoint_rejects_missing_top_level_key(tmp_path, sbm_dataset, key):
     saved_checkpoint(tmp_path, sbm_dataset)

@@ -479,7 +479,7 @@ def test_flexible_training_graph_builds_no_half_zero_adjoint_sums(
     # a zero pad is left only where one half is unused: the last step's dp,
     # whose momentum the layer drops
     pads = [n for n in nodes
-            if n.op == "concat" and "zeros-like" in [i.op for i in n.inputs]]
+            if n.op == "concat" and any(eg._is_zero_fill(i) for i in n.inputs)]
     assert len(pads) == cfg.layers
 
 
@@ -525,6 +525,22 @@ def test_training_graph_evaluates_no_materialised_broadcast(
     assert bool(tanhs) == (variant != "convex")
     assert all(squares.count(t) == 1 for t in tanhs)
     assert all(np.isfinite(v).all() for v in eg.evaluate(outputs, bindings))
+
+
+@pytest.mark.parametrize("task", ["classification", "link"])
+@pytest.mark.parametrize("variant", ["flexible", "geodesic", "convex"])
+def test_training_graph_evaluates_one_op_per_job(sbm_dataset, training_outputs, variant, task):
+    cfg = small_model(variant=variant,
+                      decoder="link" if task == "link" else "classification")
+    build = training_outputs if task == "classification" else _link_training_outputs
+    evaluated = eg._construction_order(build(cfg, sbm_dataset)[0])
+    ops = {n.op for n in evaluated}
+    # zero fills are expands of one scalar, negations are scales by -1, and
+    # a difference is one node, not a sum with a negated temporary
+    assert not ops & {"zeros-like", "negate", "dot"}
+    assert "elementwise-sub" in ops
+    assert not [n for n in evaluated if n.op == "elementwise-add" and any(
+        i.op == "scale" and i.attrs["factor"] == -1.0 for i in n.inputs)]
 
 
 def test_link_score_adjoint_is_an_expanded_column(sbm_dataset):
