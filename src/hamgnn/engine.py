@@ -14,6 +14,7 @@ All arithmetic is double precision.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Sequence
@@ -488,6 +489,15 @@ def scale(x: Node, factor: float) -> Node:
         x, factor = x.inputs[0], x.attrs["factor"] * factor
         if factor == 1.0:
             return x
+    if factor == -1.0 and x.op == "elementwise-mul":
+        # -(a * b) is (-a) * b exactly, so the sign goes onto the operand of
+        # an expanded factor rather than over the whole product
+        a, b = x.inputs
+        for part in (a, b):
+            if part.op == "expand" and not _is_zero_fill(part):
+                flipped = expand(negate(part.inputs[-1]), part.shape, column=part.attrs["column"],
+                                 like=part.inputs[0] if len(part.inputs) == 2 else None)
+                return mul(flipped, b) if part is a else mul(a, flipped)
     return Node("scale", (x,), {"factor": factor}, x.shape)
 
 
@@ -704,33 +714,176 @@ def _construction_order(outputs: Sequence[Node]) -> list[Node]:
     return [reached[nid] for nid in sorted(reached)]
 
 
+_LEAVES = frozenset({"constant", "parameter"})
+_VIEWS = frozenset({"expand", "transpose", "slice"})
+# one elementwise pass or a view: cheap enough to run again
+_RECOMPUTABLE = _VIEWS | {"elementwise-add", "elementwise-sub", "elementwise-mul", "scale"}
+
+
+def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
+    """When ``evaluate`` frees values, and which ones it runs a second time.
+
+    Worked out from the node shapes before anything is computed.  A node is
+    freed after its last consumer; leaves are never freed and outputs are
+    kept.  A sweep of live bytes, in which views and leaves own none and
+    every other node ``prod(shape) * 8``, finds the peak.  A value of one
+    elementwise pass or a view that is made before the peak and read on both
+    sides of it is dropped after its last reader before the peak, if no view
+    of it outlives the peak, and runs again before its first reader after
+    it, or earlier where another such value needs it.  Each of its operands
+    must then be live, a leaf, or cheap and recomputable in the same way for
+    that moment only; otherwise the value is kept.
+
+    Returns ``(free, redo)``: ``free[i]`` lists the ids of the nodes freed
+    after position ``i`` has run, and ``redo[i]`` is ``(again, transient)``,
+    the nodes run again just before position ``i``, operands first, and the
+    ids of those among them freed right after.
+    """
+    n = len(order)
+    at = {node.nid: i for i, node in enumerate(order)}
+    uses: list[list[int]] = [[] for _ in order]
+    for i, node in enumerate(order):
+        for inp in node.inputs[-1:] if node.op == "expand" else node.inputs:
+            uses[at[inp.nid]].append(i)
+    # the last position that reads each value; leaves and outputs outlive
+    # the run (every other node has a reader, or it would not be here)
+    last = [n if node.nid in pinned or node.op in _LEAVES else u[-1]
+            for node, u in zip(order, uses)]
+
+    change = [0] * (n + 2)
+    for i, node in enumerate(order):
+        if node.op not in _VIEWS and node.op not in _LEAVES:
+            size = 8 * math.prod(node.shape)
+            change[i] += size
+            change[last[i] + 1] -= size
+    live = top = peak = 0
+    for i in range(n):
+        live += change[i]
+        if live > top:
+            top, peak = live, i
+
+    def operands(i: int) -> list[int]:
+        return [at[inp.nid] for inp in _operands(order[i])]
+
+    def ready(j: int, f: int, transient: list | None) -> bool:
+        """Whether value ``j`` can be had just before position ``f``: it
+        lives until ``f`` (a dropped value is brought back by then), or
+        it is cheap and runs again for that moment, onto ``transient``,
+        from values that can be had."""
+        if last[j] >= f:
+            return True
+        if (order[j].op not in _RECOMPUTABLE
+                or not all(ready(k, f, transient) for k in operands(j))):
+            return False
+        if transient is not None:
+            transient.append(j)
+        return True
+
+    back: dict[int, int] = {}  # dropped value -> where it runs again
+    free: dict[int, list[int]] = {}
+    for i in range(peak):
+        u = uses[i]
+        if last[i] == n or not u[0] < peak < u[-1] or order[i].op not in _RECOMPUTABLE:
+            continue
+        k = bisect.bisect_right(u, peak)
+        if (u[k - 1] < peak and all(ready(j, u[k], None) for j in operands(i))
+                and not any(order[p].op in _VIEWS and last[p] > peak
+                            for p in u[:k])):
+            back[i] = u[k]
+            free.setdefault(u[k - 1], []).append(order[i].nid)
+
+    redo: dict[int, tuple[set[int], set[int]]] = {}
+    for i in sorted(back, reverse=True):  # readers before their operands
+        f = back[i]
+        transient: list[int] = []
+        needed = operands(i)
+        for j in needed:
+            ready(j, f, transient)
+        for t in transient:
+            needed += operands(t)
+        for j in needed:
+            if j in back and last[j] >= f:
+                back[j] = min(back[j], f)  # read here, so back by now
+        again, gone = redo.setdefault(f, (set(), set()))
+        again.update(transient, (i,))
+        gone.update(transient)
+
+    for i, end in enumerate(last):
+        if end < n:
+            free.setdefault(end, []).append(order[i].nid)
+    return free, {f: ([order[j] for j in sorted(again)], [order[j].nid for j in gone])
+                  for f, (again, gone) in redo.items()}
+
+
+def _run(node: Node, values: dict) -> np.ndarray:
+    vals = [values[i.nid] for i in _operands(node)]
+    # overflow is allowed to surface as inf so the finiteness check can
+    # report the producing node and its offending rows
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.asarray(_FORWARD[node.op](node, vals), dtype=np.float64)
+
+
+def _whereabouts(node: Node) -> str:
+    """Where ``node`` sits, by the labels of its nearest ancestors: the
+    network layer (a labelled ``affine``) it is in, if that is nearer, and
+    the nearest other labelled node it comes after, such as a solver state
+    ``layer0.field q after step 2``."""
+    layer = None
+    seen, frontier = {node.nid}, list(node.inputs)
+    while frontier:
+        deeper = []
+        for inp in frontier:
+            if inp.nid in seen:
+                continue
+            seen.add(inp.nid)
+            label = inp.attrs.get("label")
+            if label and inp.op != "affine":
+                return (f" in {layer!r}" if layer else "") + f" after {label!r}"
+            layer = layer or label
+            deeper.extend(inp.inputs)
+        frontier = deeper
+    return f" in {layer!r}" if layer else ""
+
+
 def evaluate(outputs, bindings=None):
     """Evaluate one node or a sequence of nodes under the given bindings.
 
     Nodes run in construction order.  A derivative rule builds each adjoint
     together with the products that consume it, so an adjoint is used up
     right after it is made.  Values of interior nodes are cached in a
-    per-call workspace and freed as soon as their last consumer has run.  An
-    ``expand`` (a ``zeros_like`` fill is one) needs only its operand: it
+    per-call workspace and freed as soon as their last consumer has run.
+
+    Before anything runs, ``_plan`` finds from the node shapes the position
+    where the most bytes are live.  A value of one elementwise pass
+    (``add``, ``sub``, ``mul``, ``scale``) or a view that is read on both
+    sides of that peak is freed before it and computed again after it, by
+    the same numpy call on the same input bits, so the outputs do not
+    change; in a training step these are the tanh slopes ``1 - t*t`` and
+    their products with the field's adjoint.  Outputs are never dropped.
+
+    An ``expand`` (a ``zeros_like`` fill is one) needs only its operand: it
     never computes the input it is shaped like, and a leaf that only such
     inputs reach needs no binding.  An ``expand`` is a read-only zero-stride
     view, so an output that is one comes back as an array of its own.  A
     non-finite binding or intermediate value raises ``FloatingPointError``
-    naming the leaf or the node that produced it.
+    naming the leaf, or the node that produced it and its nearest labelled
+    ancestors, at its first computation; a recomputed value is not checked
+    again.
     """
     single = isinstance(outputs, Node)
     outs = [outputs] if single else list(outputs)
     bindings = bindings or {}
     order = _construction_order(outs)
-
-    consumers: dict[int, int] = {}
-    for node in order:
-        for inp in _operands(node):
-            consumers[inp.nid] = consumers.get(inp.nid, 0) + 1
-    pinned = {o.nid for o in outs}
+    free, redo = _plan(order, {o.nid for o in outs})
 
     values: dict[int, np.ndarray] = {}
-    for node in order:
+    for i, node in enumerate(order):
+        if i in redo:
+            again, transient = redo[i]
+            for other in again:
+                values[other.nid] = _run(other, values)
+            for nid in transient:
+                del values[nid]
         if node.op == "parameter":
             name = node.attrs["name"]
             if name not in bindings:
@@ -742,19 +895,13 @@ def evaluate(outputs, bindings=None):
             if not all_finite(val):
                 raise FloatingPointError(f"non-finite value bound to {name!r}")
         else:
-            vals = [values[i.nid] for i in _operands(node)]
-            # overflow is allowed to surface as inf so the finiteness check
-            # below can report the producing node and its offending rows
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                val = np.asarray(_FORWARD[node.op](node, vals), dtype=np.float64)
+            val = _run(node, values)
             if node.op not in _FINITE_IF_INPUTS_FINITE and not all_finite(val):
-                raise FloatingPointError(
-                    f"non-finite intermediate at {node!r}{_bad_rows(val)}")
+                raise FloatingPointError(f"non-finite intermediate at {node!r}"
+                                         f"{_bad_rows(val)}{_whereabouts(node)}")
         values[node.nid] = val
-        for inp in _operands(node):
-            consumers[inp.nid] -= 1
-            if consumers[inp.nid] == 0 and inp.nid not in pinned:
-                del values[inp.nid]
+        for nid in free.get(i, ()):
+            del values[nid]
 
     result = [np.array(values[o.nid]) if o.op == "expand" else values[o.nid]
               for o in outs]

@@ -287,9 +287,20 @@ def save_dataset(dataset: GraphDataset, path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     header = ["id", "label"] + [f"f{i}" for i in range(dataset.num_features)]
+    # repr once per distinct bit pattern (so -0.0 and 0.0 stay apart), then
+    # every cell is a lookup into those strings.  Only cells other than +0.0
+    # are sorted to find the patterns: a sparse table is mostly +0.0.
+    bits = dataset.features.view(np.int64)
+    nonzero = bits != 0
+    patterns, which = np.unique(bits[nonzero], return_inverse=True)
+    cell = np.zeros(bits.shape, dtype=np.intp)
+    cell[nonzero] = which + 1
+    text = np.array(["0.0"] + [repr(x) for x in patterns.view(np.float64).tolist()],
+                    dtype=object)
+    rows = text[cell].tolist()
     lines = [",".join(header)]
-    for i, (label, row) in enumerate(zip(dataset.labels.tolist(), dataset.features)):
-        lines.append(",".join([f"{i},{label}", *map(repr, row.tolist())]))
+    for i, (label, row) in enumerate(zip(dataset.labels.tolist(), rows)):
+        lines.append(",".join([f"{i},{label}", *row]))
     (root / "nodes.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (root / "edges.tsv").write_text(
         "".join(f"{u}\t{v}\n" for u, v in dataset.edges), encoding="utf-8")

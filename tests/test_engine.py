@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from hamgnn import engine as eg
+from hamgnn import graphdata as gd
 from hamgnn import hamiltonian as ham
 from hamgnn import model as md
 from hamgnn.model import ModelConfig
@@ -350,6 +352,144 @@ def test_zero_fill_does_not_compute_its_input():
 
 
 # ---------------------------------------------------------------------------
+# recomputation across the evaluation peak
+
+
+def _count_runs(monkeypatch) -> Counter:
+    """Counts, by node id, every forward rule that runs from now on."""
+    runs = Counter()
+    for op, rule in list(eg._FORWARD.items()):
+        def spy(node, vals, rule=rule):
+            runs[node.nid] += 1
+            return rule(node, vals)
+        monkeypatch.setitem(eg._FORWARD, op, spy)
+    return runs
+
+
+def _planned(outputs) -> dict:
+    """The nodes that one evaluation of ``outputs`` runs again, by id."""
+    _, redo = eg._plan(eg._construction_order(outputs), {o.nid for o in outputs})
+    return {n.nid: n for again, _ in redo.values() for n in again}
+
+
+def _recomputing_graph(make_operand):
+    """``c = 2 * operand`` is read by ``sin(c)`` before the peak, which three
+    live (m, m) values make, and by a product after it."""
+    x = eg.parameter("x", (40, 40))
+    c = eg.scale(make_operand(x), 2.0)
+    v1 = eg.sin(eg.sin(c))
+    v2 = eg.sin(v1)
+    v3 = eg.sin(v2)
+    total = eg.reduce_sum(eg.add(eg.add(v1, v2), v3))
+    return c, eg.reduce_sum(eg.mul(c, total))
+
+
+SBM_300 = {"sizes": (150, 150), "p_in": 0.1, "p_out": 0.01, "seed": 0}
+
+
+def test_only_the_planned_tanh_slopes_and_products_run_twice(training_outputs, monkeypatch):
+    ds = gd.synth_dataset("sbm", **SBM_300)
+    cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible")
+    outputs, bindings = training_outputs(cfg, ds)
+    order = eg._construction_order(outputs)
+    planned = _planned(outputs)
+    runs = _count_runs(monkeypatch)
+    got = eg.evaluate(outputs, bindings)
+    assert {nid for nid, k in runs.items() if k > 1} == set(planned)
+    assert max(runs.values()) == 2
+    slopes = {n.attrs["slope"].nid for n in order if n.op == "tanh"}
+    squares = {n.inputs[1].nid for n in order if n.nid in slopes}
+    products = {n.nid for n in order if n.op == "elementwise-mul"
+                and any(i.nid in slopes for i in n.inputs)}
+    assert len(slopes) == 6 and slopes <= set(planned) and products & set(planned)
+    for nid, node in planned.items():
+        # beside them only the field adjoint's (1, H) row and its expand
+        assert nid in slopes | squares | products or node.op == "expand" or (
+            node.shape == (1, cfg.hidden_dim)), node
+    for g, e in zip(got, _dfs_evaluate(outputs, bindings)):
+        assert g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["flexible", "geodesic", "convex"])
+def test_no_product_or_transcendental_runs_twice(training_outputs, monkeypatch, variant):
+    ds = gd.synth_dataset("sbm", **SBM_300)
+    cfg = ModelConfig(hidden_dim=16, layers=2, variant=variant)
+    outputs, bindings = training_outputs(cfg, ds)
+    planned = _planned(outputs)
+    runs = _count_runs(monkeypatch)
+    eg.evaluate(outputs, bindings)
+    again = {nid for nid, k in runs.items() if k > 1}
+    assert again == set(planned) and again
+    assert {planned[nid].op for nid in again} <= eg._RECOMPUTABLE
+    assert not {planned[nid].op for nid in again} & {
+        "affine", "sparse-matmul", "solve", "tanh", "sin", "sigmoid", "relu",
+        "rehu", "kappa", "softmax", "log-softmax"}
+
+
+def test_forward_only_encode_recomputes_nothing(monkeypatch):
+    ds = gd.synth_dataset("sbm", **SBM_300)
+    cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible")
+    params = md.init_params(cfg, ds.num_features, ds.num_classes, seed=0)
+    z, bindings = md.encode_nodes(params, cfg, ds)
+    assert _planned([z]) == {}
+    runs = _count_runs(monkeypatch)
+    eg.evaluate(z, bindings)
+    assert set(runs.values()) == {1}
+
+
+def test_a_value_whose_operand_is_freed_is_kept_not_recomputed(rng, monkeypatch):
+    xv = rng.normal(size=(40, 40))
+    # the tanh is freed once c is made and cannot run again, so c is kept;
+    # over a leaf, or a sum that can run again for the moment, c is dropped
+    for make_operand, dropped in ((eg.tanh, False), (lambda x: x, True),
+                                  (lambda x: eg.add(x, x), True)):
+        c, out = _recomputing_graph(make_operand)
+        assert (c.nid in _planned([out])) == dropped
+        runs = _count_runs(monkeypatch)
+        got = eg.evaluate(out, {"x": xv})
+        assert runs[c.nid] == (2 if dropped else 1)
+        assert got.tobytes() == _dfs_evaluate([out], {"x": xv})[0].tobytes()
+        monkeypatch.undo()
+
+
+def test_a_droppable_non_finite_value_raises_where_it_is_first_made():
+    c, out = _recomputing_graph(lambda x: eg.mul(x, x))
+    assert c.nid in _planned([out])
+    xv = np.ones((40, 40))
+    xv[3, 5] = 1e200  # its square overflows, and so does c
+    with pytest.raises(FloatingPointError) as caught:
+        eg.evaluate(out, {"x": xv})
+    square = c.inputs[0]
+    assert str(caught.value) == f"non-finite intermediate at {square!r} (rows [3])"
+    xv[3, 5] = 1e154  # a finite square whose double is not
+    with pytest.raises(FloatingPointError) as caught:
+        eg.evaluate(out, {"x": xv})
+    assert str(caught.value) == f"non-finite intermediate at {c!r} (rows [3])"
+
+
+def test_non_finite_error_names_the_layer_and_the_solver_step():
+    x = eg.parameter("x", (2, 3))
+    state = eg.add(x, x)
+    state.attrs["label"] = "layer1.field q after step 2"
+    hidden = eg.affine(state, eg.constant(np.ones((3, 3))),
+                       label="layer1.field.energy layer 0")
+    big = eg.mul(eg.tanh(hidden), eg.constant(1e308))
+    bindings = {"x": np.array([[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])}
+    # the state itself overflows: its own label is in its name
+    with pytest.raises(FloatingPointError, match=r"^non-finite intermediate at "
+                       r"<Node \d+ elementwise-add 'layer1.field q after step 2' "
+                       r"shape=\(2, 3\)> \(rows \[0\]\)$"):
+        eg.evaluate(big, bindings)
+    with pytest.raises(FloatingPointError, match=r"elementwise-mul shape=\(2, 3\)> "
+                       r"\(rows \[0, 1\]\) in 'layer1.field.energy layer 0' "
+                       r"after 'layer1.field q after step 2'$"):
+        eg.evaluate(eg.mul(big, eg.constant(2.0)), {"x": np.ones((2, 3))})
+    with pytest.raises(FloatingPointError, match=r"affine 'layer1.field.energy layer 0' "
+                       r"shape=\(2, 3\)> \(rows \[0\]\) after 'layer1.field q after step 2'$"):
+        eg.evaluate(hidden, {"x": np.array([[5e307, 5e307, 0.0], [0.0, 0.0, 0.0]])})
+
+
+# ---------------------------------------------------------------------------
 # broadcast adjoints and folded negations
 
 
@@ -417,6 +557,37 @@ def test_negations_fold_into_scales_bit_for_bit():
     _assert_same_bits(eg.evaluate(neg, {"x": xv}), -xv)
     assert eg.scale(neg, -1.0) is x
     assert eg.scale(eg.scale(x, 0.7), 0.5).inputs[0].op == "scale"
+
+
+@pytest.mark.parametrize("column", [False, True])
+def test_negated_product_flips_the_operand_of_its_expanded_factor(column):
+    # both zeros, the subnormal extremes and magnitudes whose products stay
+    # finite; every pair of values meets
+    values = np.array(EXTREMES[2:] + [0.3, -1e-300, 1e150, -2.5])
+    av = np.add.outer(values, np.zeros_like(values))
+    rv = values.copy()
+    a, r = eg.parameter("a", av.shape), eg.parameter("r", rv.shape)
+    wide = eg.expand(r, av.shape, like=a, column=column)
+    rb = rv[:, None] if column else rv
+    for prod, expected in ((eg.mul(a, wide), -(av * rb)), (eg.mul(wide, a), -(rb * av)),
+                           (eg.mul(wide, wide), -(rb * rb))):
+        neg = eg.negate(prod)
+        assert neg.op == "elementwise-mul"
+        flipped = [p for p in neg.inputs if p.op == "expand" and p.inputs[-1] is not r]
+        assert len(flipped) == 1 and flipped[0].inputs[0] is a
+        assert flipped[0].inputs[-1].op == "scale" and flipped[0].inputs[-1].shape == rv.shape
+        _assert_same_bits(eg.evaluate(neg, {"a": av, "r": rv}), np.broadcast_to(expected, av.shape))
+    # a zero fill keeps the negation over the product
+    assert eg.negate(eg.mul(a, eg.zeros_like(a))).op == "scale"
+
+
+def test_tanh_slope_adjoints_negate_rows_not_arrays(sbm_dataset, training_outputs):
+    cfg = ModelConfig(hidden_dim=4, layers=2, net_hidden=6, variant="flexible")
+    outputs, bindings = training_outputs(cfg, sbm_dataset)
+    negations = [n.shape for n in eg._construction_order(outputs)
+                 if n.op == "scale" and n.attrs["factor"] == -1.0]
+    assert (sbm_dataset.n, 6) not in negations and (1, 6) in negations
+    _assert_same_bytes(outputs, bindings)
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [((6, 6), (6, 6)), ((), (6, 6)),

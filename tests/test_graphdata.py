@@ -1,5 +1,8 @@
 """Dataset format, preprocessing, mixing, hyperbolicity, and generators."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -254,6 +257,43 @@ def test_save_dataset_writes_each_cell_as_its_repr(tmp_path):
             expected.append(",".join(cells))
         got = (tmp_path / ds.name / "nodes.csv").read_bytes()
         assert got == ("\n".join(expected) + "\n").encode("utf-8")
+
+
+def _save_dataset_cell_by_cell(dataset, path):
+    """The writer that calls ``repr`` on every cell, kept as the reference."""
+    root = Path(path)
+    root.mkdir(parents=True)
+    header = ["id", "label"] + [f"f{i}" for i in range(dataset.num_features)]
+    lines = [",".join(header)]
+    for i, (label, row) in enumerate(zip(dataset.labels.tolist(), dataset.features)):
+        lines.append(",".join([f"{i},{label}", *map(repr, row.tolist())]))
+    (root / "nodes.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (root / "edges.tsv").write_text(
+        "".join(f"{u}\t{v}\n" for u, v in dataset.edges), encoding="utf-8")
+    (root / "splits.json").write_text(json.dumps({
+        "train": dataset.train_mask.tolist(),
+        "val": dataset.val_mask.tolist(),
+        "test": dataset.test_mask.tolist()}, indent=0) + "\n", encoding="utf-8")
+
+
+def test_save_dataset_writes_the_bytes_of_a_repr_per_cell(tmp_path, rng):
+    values = np.array([-0.0, 0.0, 5e-324, -5e-324, 1 / 3, -1 / 3, 0.1, 1e300, 2.0])
+    tables = {
+        "repeats": values[rng.integers(0, values.size, size=(30, 12))],
+        "dense": rng.normal(size=(7, 5)),
+        "only-negative-zero": np.full((3, 2), -0.0),
+        "no-features": np.zeros((3, 0)),
+    }
+    assert (np.signbit(tables["repeats"]) & (tables["repeats"] == 0)).any()
+    for name, features in tables.items():
+        n = features.shape[0]
+        ds = GraphDataset(name, features, np.arange(n) % 3, [(0, 1), (1, 2)],
+                          [0], [1], list(range(2, n)))
+        gd.save_dataset(ds, tmp_path / "new" / name)
+        _save_dataset_cell_by_cell(ds, tmp_path / "old" / name)
+        for file in ("nodes.csv", "edges.tsv", "splits.json"):
+            assert ((tmp_path / "new" / name / file).read_bytes()
+                    == (tmp_path / "old" / name / file).read_bytes()), (name, file)
 
 
 def test_dataset_validation():

@@ -556,16 +556,20 @@ def test_link_score_adjoint_is_an_expanded_column(sbm_dataset):
     assert (value == value[:, :1]).all()
 
 
-# Peak of one training evaluation in units of one (n, d) array: about 41x
-# with Euler and 136x with RK4.  Materialising the broadcast adjoints (the
-# ones column of each summed energy, its K = 1 product with the last energy
-# layer, the row-sum outers) needs about 47x and 163x, and a depth-first
-# schedule, which holds each weight gradient's operands until the sweep comes
-# back to it, about 64x and 215x.
-@pytest.mark.parametrize("method, bound", [("euler", 44), ("rk4", 148)])
-def test_training_evaluation_peak_memory_is_bounded(training_outputs, method, bound):
+# Peak of one training evaluation in units of one (n, d) array.  Measured:
+# flexible about 31x with Euler and 94x with RK4, geodesic 42x and 156x,
+# convex 62x and 219x.  Holding every tanh slope 1 - t*t and its product with
+# the field's adjoint from the forward pass to the backward sweep, instead of
+# running them again after the peak, needs 41x and 136x for flexible, 62x and
+# 281x for geodesic and 83x and 306x for convex; materialising the broadcast
+# adjoints and a depth-first schedule need more still.
+@pytest.mark.parametrize("variant, method, bound", [
+    ("flexible", "euler", 33), ("flexible", "rk4", 101),
+    ("geodesic", "euler", 45), ("geodesic", "rk4", 168),
+    ("convex", "euler", 67), ("convex", "rk4", 237)])
+def test_training_evaluation_peak_memory_is_bounded(training_outputs, variant, method, bound):
     ds = gd.synth_dataset("sbm", sizes=(150, 150), p_in=0.1, p_out=0.01, seed=0)
-    cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible",
+    cfg = ModelConfig(hidden_dim=16, layers=3, variant=variant,
                       integration=IntegrationConfig(method, 1.0, 0.5))
     outputs, bindings = training_outputs(cfg, ds)
     eg.evaluate(outputs, bindings)  # the sparse plans are built on first use
