@@ -20,6 +20,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "Tensor", "Node", "GradCheckReport", "MlpParams", "SparseMatrix",
@@ -271,17 +272,6 @@ def _index_array(values, what: str) -> np.ndarray:
     return _frozen(arr, np.intp)
 
 
-def _sum_entries(block: np.ndarray) -> np.ndarray:
-    """Sums over axis 1, adding the entries in order onto +0.0."""
-    if block.ndim == 3 and block.shape[2] > 1:
-        # a reduction over a non-trailing axis adds whole (m, d) slabs, one
-        # entry after the other
-        return np.add.reduce(block, axis=1, initial=0.0)
-    # numpy sums a trailing axis pairwise; accumulate keeps the entry order,
-    # and adding +0.0 at the end is the same as starting from it
-    return np.add.accumulate(block, axis=1)[:, -1] + 0.0
-
-
 class SparseMatrix:
     """A fixed sparse matrix of ``shape`` in coordinate form, immutable.
 
@@ -291,16 +281,17 @@ class SparseMatrix:
     order, starting from +0.0; an empty row is +0.0.  That is bit for bit the
     sum a flat ``np.bincount`` over the entries makes.
 
-    The product runs on a row-grouped plan built on first use and kept: rows
-    with equal entry counts ``k`` are gathered as one ``(m, k, d)`` block and
-    summed over ``k``.  Time is O(nnz * d), and the temporaries are one block
-    at a time, never an (nnz, d) array.  ``S.T`` is built once, and its
-    ``.T`` is ``S``, so a graph's forward products and all of its backward
-    sweeps share two plans.  Two threads evaluating at once may both build a
-    plan or a transpose; the copies are equal and either one is kept.
+    The product runs scipy's CSR kernel on a CSR copy of the entries built
+    on first use and kept: rows in order, each row's entries in entry order.
+    The kernel starts each output row at +0.0 and adds its terms in stored
+    order, so the sum is the one above.  Time is O(nnz * d), and nothing of
+    (nnz, d) is allocated.  ``S.T`` is built once, and its ``.T`` is ``S``,
+    so a graph's forward products and all of its backward sweeps share two
+    CSR copies.  Two threads evaluating at once may both build a copy or a
+    transpose; the copies are equal and either one is kept.
     """
 
-    __slots__ = ("rows", "cols", "weights", "shape", "_plan", "_transpose")
+    __slots__ = ("rows", "cols", "weights", "shape", "_csr", "_transpose")
 
     def __init__(self, rows, cols, weights, shape: tuple[int, int]):
         num_rows, num_cols = (int(s) for s in shape)
@@ -316,7 +307,7 @@ class SparseMatrix:
         if not all_finite(weights):
             raise ValueError("SparseMatrix weights must be finite")
         for name, value in (("rows", rows), ("cols", cols), ("weights", weights),
-                            ("shape", (num_rows, num_cols)), ("_plan", None),
+                            ("shape", (num_rows, num_cols)), ("_csr", None),
                             ("_transpose", None)):
             object.__setattr__(self, name, value)
 
@@ -332,31 +323,20 @@ class SparseMatrix:
             object.__setattr__(self, "_transpose", t)
         return self._transpose
 
-    def plan(self) -> tuple:
-        """``(row_ids, cols, weights)`` per entry count ``k``: the ``m`` rows
-        with ``k`` entries and their ``(m, k)`` entries in entry order."""
-        if self._plan is None:
+    def csr(self) -> scipy.sparse.csr_array:
+        """The entries as a CSR array: rows in order, each row's entries in
+        entry order (a stable sort by row)."""
+        if self._csr is None:
             by_row = np.argsort(self.rows, kind="stable")
-            counts = np.bincount(self.rows, minlength=self.shape[0])
-            first = np.cumsum(counts) - counts
-            by_count = np.argsort(counts, kind="stable")
-            bounds = np.flatnonzero(np.diff(counts[by_count])) + 1
-            groups = []
-            for ids in np.split(by_count, bounds):
-                k = counts[ids[0]] if ids.size else 0
-                if k:
-                    entries = by_row[first[ids][:, None] + np.arange(k)]
-                    groups.append((ids, self.cols[entries], self.weights[entries]))
-            object.__setattr__(self, "_plan", tuple(groups))
-        return self._plan
+            indptr = np.zeros(self.shape[0] + 1, dtype=np.intp)
+            np.cumsum(np.bincount(self.rows, minlength=self.shape[0]), out=indptr[1:])
+            csr = scipy.sparse.csr_array(
+                (self.weights[by_row], self.cols[by_row], indptr), shape=self.shape)
+            object.__setattr__(self, "_csr", csr)
+        return self._csr
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape[:1] + x.shape[1:])
-        for ids, cols, weights in self.plan():
-            block = x[cols]
-            block *= weights if x.ndim == 1 else weights[:, :, None]
-            out[ids] = _sum_entries(block)
-        return out
+        return self.csr() @ x
 
 
 def sparse_matmul(x: Node, matrix: SparseMatrix, label: str | None = None) -> Node:
@@ -716,8 +696,11 @@ def _construction_order(outputs: Sequence[Node]) -> list[Node]:
 
 _LEAVES = frozenset({"constant", "parameter"})
 _VIEWS = frozenset({"expand", "transpose", "slice"})
-# one elementwise pass or a view: cheap enough to run again
-_RECOMPUTABLE = _VIEWS | {"elementwise-add", "elementwise-sub", "elementwise-mul", "scale"}
+# one elementwise pass: cheap enough to drop and run again
+_ONE_PASS = frozenset({"elementwise-add", "elementwise-sub", "elementwise-mul", "scale"})
+# a view is never dropped, but it may run again for a moment as the operand
+# of a dropped value
+_RECOMPUTABLE = _VIEWS | _ONE_PASS
 
 
 def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
@@ -727,12 +710,14 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     freed after its last consumer; leaves are never freed and outputs are
     kept.  A sweep of live bytes, in which views and leaves own none and
     every other node ``prod(shape) * 8``, finds the peak.  A value of one
-    elementwise pass or a view that is made before the peak and read on both
-    sides of it is dropped after its last reader before the peak, if no view
-    of it outlives the peak, and runs again before its first reader after
-    it, or earlier where another such value needs it.  Each of its operands
-    must then be live, a leaf, or cheap and recomputable in the same way for
-    that moment only; otherwise the value is kept.
+    elementwise pass that is made before the peak and read on both sides of
+    it is dropped after its last reader before the peak, if no view of it
+    outlives the peak, and runs again before its first reader after it, or
+    earlier where another such value needs it.  Each of its operands must
+    then be live, a leaf, or cheap and recomputable in the same way for
+    that moment only; otherwise the value is kept.  A view frees nothing
+    its base does not, so it is never dropped and lives at least as
+    long as its base: a base with a view is kept across the peak.
 
     Returns ``(free, redo)``: ``free[i]`` lists the ids of the nodes freed
     after position ``i`` has run, and ``redo[i]`` is ``(again, transient)``,
@@ -749,6 +734,9 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     # the run (every other node has a reader, or it would not be here)
     last = [n if node.nid in pinned or node.op in _LEAVES else u[-1]
             for node, u in zip(order, uses)]
+    for i, node in enumerate(order):
+        if node.op in _VIEWS:  # it frees nothing its base does not
+            last[i] = max(last[i], last[at[_operands(node)[0].nid]])
 
     change = [0] * (n + 2)
     for i, node in enumerate(order):
@@ -783,7 +771,7 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     free: dict[int, list[int]] = {}
     for i in range(peak):
         u = uses[i]
-        if last[i] == n or not u[0] < peak < u[-1] or order[i].op not in _RECOMPUTABLE:
+        if last[i] == n or not u[0] < peak < u[-1] or order[i].op not in _ONE_PASS:
             continue
         k = bisect.bisect_right(u, peak)
         if (u[k - 1] < peak and all(ready(j, u[k], None) for j in operands(i))

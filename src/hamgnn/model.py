@@ -174,7 +174,7 @@ def aggregation_matrix(n: int, edges) -> eg.SparseMatrix:
     of ``S @ x`` adds its terms ``x[v] / |N(u)|`` onto +0.0 in that order:
     the edges where u is the first endpoint, then those where it is the
     second, each in edge order.  Every layer and every backward sweep of one
-    graph share the matrix and its row plans.
+    graph share the matrix and its CSR copies.
     """
     pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])

@@ -1,9 +1,13 @@
 """Tensor invariants, forward evaluation, and differentiation to depth two."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,10 +406,9 @@ def test_only_the_planned_tanh_slopes_and_products_run_twice(training_outputs, m
     products = {n.nid for n in order if n.op == "elementwise-mul"
                 and any(i.nid in slopes for i in n.inputs)}
     assert len(slopes) == 6 and slopes <= set(planned) and products & set(planned)
-    for nid, node in planned.items():
-        # beside them only the field adjoint's (1, H) row and its expand
-        assert nid in slopes | squares | products or node.op == "expand" or (
-            node.shape == (1, cfg.hidden_dim)), node
+    # nothing else: the field adjoint's expanded (1, H) rows stay live with
+    # their views
+    assert set(planned) <= slopes | squares | products and len(planned) == 17
     for g, e in zip(got, _dfs_evaluate(outputs, bindings)):
         assert g.tobytes() == e.tobytes()
 
@@ -779,9 +782,9 @@ def test_narrow_of_a_concat_part_is_that_part_and_slice_adjoints_meet_by_part(rn
 
 
 def _bincount_product(rows, cols, weights, num_rows, x):
-    """The flat-bincount product the row-grouped plan replaced, kept as the
-    reference: entry k adds weights[k] * x[cols[k], j] to flat cell
-    rows[k] * d + j, in entry order, onto +0.0."""
+    """The flat-bincount product, kept as the reference for the CSR kernel:
+    entry k adds weights[k] * x[cols[k], j] to flat cell rows[k] * d + j, in
+    entry order, onto +0.0."""
     x2 = x if x.ndim == 2 else x[:, None]
     d = x2.shape[1]
     terms = x2[cols]
@@ -825,25 +828,49 @@ def test_sparse_product_equals_the_bincount_reference_bit_for_bit(rng, width):
     assert not np.signbit(got).any()
 
 
-def test_sparse_plan_groups_rows_by_entry_count_in_entry_order(rng):
+def _awkward_operand(rng, kind):
+    """``(x node, bindings, value)`` for an operand whose layout the kernel
+    must not let reorder a sum; evaluate makes the same view of it."""
+    if kind == "transpose":     # a non-contiguous (F-ordered) view
+        v = rng.normal(size=(3, 6))
+        return eg.transpose(eg.parameter("x", (3, 6))), {"x": v}, v.T
+    if kind == "expand":        # one row repeated by a zero stride
+        v = rng.normal(size=(1, 3))
+        return (eg.expand(eg.parameter("x", (1, 3)), (6, 3)), {"x": v},
+                np.broadcast_to(v, (6, 3)))
+    v = rng.normal(size=6)
+    return eg.parameter("x", (6,)), {"x": v}, v
+
+
+@pytest.mark.parametrize("kind", ["transpose", "expand", "vector"])
+@pytest.mark.parametrize("entries", ["random", "none", "repeated"])
+def test_sparse_product_equals_the_bincount_reference_on_any_operand(rng, kind, entries):
+    rows = {"random": rng.integers(0, 5, size=30), "none": [],
+            "repeated": [2, 0, 2, 2, 0, 2, 4]}[entries]
+    cols = {"random": rng.integers(0, 6, size=30), "none": [],
+            "repeated": [1, 3, 1, 1, 3, 1, 5]}[entries]
+    weights = rng.normal(size=len(rows)) * 10.0 ** rng.integers(-6, 7, size=len(rows))
+    matrix = eg.SparseMatrix(rows, cols, weights, (5, 6))
+    x, binds, x_val = _awkward_operand(rng, kind)
+    assert kind != "transpose" or not x_val.flags.c_contiguous
+    assert kind != "expand" or x_val.strides[0] == 0
+    expected = _bincount_product(matrix.rows, matrix.cols, matrix.weights, 5, x_val)
+    _assert_same_bits(matrix @ x_val, expected)
+    _assert_same_bits(eg.evaluate(eg.sparse_matmul(x, matrix), binds), expected)
+
+
+def test_sparse_csr_holds_each_rows_entries_in_entry_order(rng):
     rows = rng.integers(0, 9, size=50)
     matrix = eg.SparseMatrix(rows, rng.integers(0, 4, size=50), rng.normal(size=50),
                              (10, 4))
-    plan = matrix.plan()
-    assert plan is matrix.plan()
-    counts = np.bincount(rows, minlength=10)
-    seen = []
-    for ids, cols, weights in plan:
-        k = cols.shape[1]
-        assert k > 0 and cols.shape == weights.shape == (ids.size, k)
-        for r, c, w in zip(ids, cols, weights):
-            entries = np.flatnonzero(rows == r)
-            assert counts[r] == k
-            assert c.tolist() == matrix.cols[entries].tolist()
-            assert w.tolist() == matrix.weights[entries].tolist()
-        seen.extend(ids.tolist())
-    assert sorted(seen) == np.flatnonzero(counts).tolist()
-    assert len({cols.shape[1] for _, cols, _ in plan}) == len(plan)
+    csr = matrix.csr()
+    assert csr is matrix.csr() and csr.shape == (10, 4)
+    assert csr.indptr.tolist() == [0] + np.cumsum(np.bincount(rows, minlength=10)).tolist()
+    for r in range(10):
+        entries = np.flatnonzero(rows == r)
+        span = slice(csr.indptr[r], csr.indptr[r + 1])
+        assert csr.indices[span].tolist() == matrix.cols[entries].tolist()
+        assert csr.data[span].tolist() == matrix.weights[entries].tolist()
 
 
 def test_sparse_transpose_is_built_once_and_shared_by_every_backward_sweep(rng):
@@ -861,9 +888,9 @@ def test_sparse_transpose_is_built_once_and_shared_by_every_backward_sweep(rng):
     assert len(backward) == 2
     binds = {"x": rng.normal(size=(7, 3))}
     eg.evaluate(eg.gradient(f, x), binds)
-    plan = matrix.T.plan()
+    csr = matrix.T.csr()
     eg.evaluate(eg.gradient(f, x), binds)
-    assert matrix.T.plan() is plan
+    assert matrix.T.csr() is csr
     with pytest.raises(AttributeError, match="immutable"):
         matrix.rows = rows
 
@@ -891,7 +918,7 @@ def test_neighbour_mean_product_allocates_about_its_output(rng):
     assert len(edges) == 2000
     node = eg.sparse_matmul(eg.parameter("x", (n, d)), md.aggregation_matrix(n, edges))
     binds = {"x": rng.normal(size=(n, d))}
-    eg.evaluate(node, binds)    # the plan is built on first use and kept
+    eg.evaluate(node, binds)    # the CSR copy is built on first use and kept
     tracemalloc.start()
     try:
         out = eg.evaluate(node, binds)
@@ -907,6 +934,33 @@ def test_neighbour_mean_product_allocates_about_its_output(rng):
         assert tracemalloc.get_traced_memory()[1] > 12 * out.nbytes
     finally:
         tracemalloc.stop()
+
+
+FIRST_PRODUCT = """
+import tracemalloc
+import numpy as np
+from hamgnn import engine, model
+n, d = 600, 64
+rng = np.random.default_rng(0)
+edges = sorted({(min(a, b), max(a, b)) for a, b in rng.integers(0, n, size=(2000, 2))
+                if a != b})
+x = rng.normal(size=(n, d))
+tracemalloc.start()
+out = model.aggregation_matrix(n, edges) @ x
+print(tracemalloc.get_traced_memory()[1] / out.nbytes)
+"""
+
+
+def test_first_product_in_a_fresh_interpreter_allocates_about_its_output():
+    # building the CSR copy inside the traced region must not load a module:
+    # importing scipy.sparse there would trace tens of times the output
+    src = str(Path(md.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    result = subprocess.run([sys.executable, "-c", FIRST_PRODUCT], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 4.0
 
 
 # ---------------------------------------------------------------------------
