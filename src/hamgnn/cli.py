@@ -51,7 +51,7 @@ _TOP_KEYS = {"dataset", "out_dir", "seed", "model", "integration", "train",
 
 def _apply_thread_cap(flag_value=None):
     cap = flag_value if flag_value is not None else os.environ.get("HAMGNN_THREADS")
-    if not cap:
+    if cap is None or cap == "":
         return
     try:
         limit = int(cap)
@@ -267,7 +267,7 @@ def run_gradcheck(variant: str, dim: int, seed: int) -> dict:
     worst = 0.0
     for leaf in (q0, eg.parameter(first_param[0], first_param[1].shape)):
         rep = eg.check_gradient(target, leaf, binds, 1e-5, 1e-4)
-        worst = max(worst, rep.max_relative_error)
+        worst = max(worst, rep["max_relative_error"])
     report["checks"]["solver_gradient_fd"] = {
         "max_relative_error": worst, "passed": worst <= 1e-4}
 

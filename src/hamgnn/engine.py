@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse
 
 __all__ = [
-    "Tensor", "Node", "GradCheckReport", "MlpParams", "SparseMatrix",
+    "Tensor", "Node", "MlpParams", "SparseMatrix",
     "constant", "parameter",
     "affine", "outer", "solve", "stack_rows", "transpose",
     "gather_rows", "scatter_rows", "sparse_matmul",
@@ -1166,20 +1166,6 @@ def grad(f: Node, x: Node, bindings=None) -> Tensor:
     return Tensor(evaluate(gradient(f, x), bindings))
 
 
-class GradCheckReport:
-    """Outcome of a finite-difference comparison."""
-
-    def __init__(self, max_relative_error: float, tolerance: float):
-        self.max_relative_error = float(max_relative_error)
-        self.tolerance = float(tolerance)
-        self.passed = self.max_relative_error <= self.tolerance
-
-    def __repr__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        return (f"GradCheckReport({verdict}, max_rel_err={self.max_relative_error:.3e},"
-                f" tol={self.tolerance:.1e})")
-
-
 def relative_error(a, b, floor: float = 1e-8) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -1208,15 +1194,17 @@ def finite_difference(f: Node, x: Node, bindings, fd_step: float) -> np.ndarray:
 
 
 def check_gradient(f: Node, x: Node, bindings, fd_step: float = 1e-5,
-                   tol: float = 1e-6) -> GradCheckReport:
-    """Compare the reverse-mode gradient against central differences."""
+                   tol: float = 1e-6) -> dict:
+    """Compare the reverse-mode gradient against central differences:
+    ``{"max_relative_error", "tolerance", "passed"}``."""
     if fd_step <= 0.0:
         raise ValueError("nonpositive step")
     if tol <= 0.0:
         raise ValueError("nonpositive tolerance")
     analytic = evaluate(gradient(f, x), bindings)
     numeric = finite_difference(f, x, bindings, fd_step)
-    return GradCheckReport(relative_error(analytic, numeric), tol)
+    worst = relative_error(analytic, numeric)
+    return {"max_relative_error": worst, "tolerance": tol, "passed": worst <= tol}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ state bias), a learnable symplectic form, the relaxed metric flow, a
 higher-dimensional-momentum flow, and a plain first-order ODE baseline.
 
 For every variant that defines a scalar energy, the vector field is obtained
-by differentiating that energy with the engine — the same graph evaluated by
-``eval_hamiltonian`` — so energy diagnostics and the flow share one code path.
+by differentiating that energy with the engine — the same graph that
+``hamiltonian_node`` builds for the energy diagnostics — so the diagnostics
+and the flow share one code path.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import engine as eg
-from .engine import MlpParams, Node, Tensor
+from .engine import MlpParams, Node
 
 __all__ = [
     "PhaseState", "Signature",
@@ -27,8 +28,7 @@ __all__ = [
     "HigherDimMomentum", "VanillaOde", "HamiltonianSpec",
     "VARIANTS", "make_spec",
     "has_hamiltonian", "hamiltonian_node", "phase_velocity_nodes",
-    "metric_inverse_diag", "eval_hamiltonian", "phase_velocity",
-    "assemble_W", "canonical_skew_matrix", "check_field_gradients",
+    "canonical_skew_matrix", "check_field_gradients",
 ]
 
 METRIC_FLOOR = 0.01  # keeps every inverse-metric entry away from zero
@@ -119,7 +119,7 @@ class _EnergySpec(HamiltonianSpec):
 
     def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
         """(dH/dp, -dH/dq), taken by the engine from ``energy_node``."""
-        total = self.energy_node(q, p, prefix, axis=None)
+        total = self.energy_node(q, p, prefix)
         # Partial derivatives at the current state: stop the sweep at q and p so
         # states produced by an unrolled solver are treated as independent inputs.
         # A frozen or degenerate energy may not reference q at all: zero gradient.
@@ -185,10 +185,10 @@ class GeodesicMetric(_EnergySpec):
         positive = eg.add(eg.sigmoid(raw), eg.constant(METRIC_FLOOR))
         return eg.mul(eg.constant(self.signature.sign_vector()), positive)
 
-    def energy_node(self, q: Node, p: Node, prefix: str, axis) -> Node:
-        """H = sum_i g^ii p_i^2 / 2, summed over ``axis``."""
+    def energy_node(self, q: Node, p: Node, prefix: str) -> Node:
+        """H = sum_i g^ii p_i^2 / 2, summed over every state."""
         diag = self.metric_diag_node(q, prefix)
-        return eg.scale(eg.reduce_sum(eg.mul(diag, eg.mul(p, p)), axis=axis), 0.5)
+        return eg.scale(eg.reduce_sum(eg.mul(diag, eg.mul(p, p))), 0.5)
 
 
 @dataclass
@@ -210,10 +210,10 @@ class FlexibleHamiltonian(_EnergySpec):
 
     p_dim = q_dim
 
-    def energy_node(self, q: Node, p: Node, prefix: str, axis) -> Node:
-        """The energy net on the concatenated state, summed over ``axis``."""
+    def energy_node(self, q: Node, p: Node, prefix: str) -> Node:
+        """The energy net on the concatenated state, summed over every state."""
         out = self.energy_net.graph(eg.concat([q, p], axis=-1), f"{prefix}.energy")
-        return eg.reduce_sum(out, axis=axis)
+        return eg.reduce_sum(out)
 
 
 @dataclass
@@ -414,7 +414,7 @@ def hamiltonian_node(spec, q: Node, p: Node, prefix: str = "field") -> Node:
     """
     if not has_hamiltonian(spec):
         raise ValueError("variant has no Hamiltonian")
-    return spec.energy_node(q, p, prefix, axis=None)
+    return spec.energy_node(q, p, prefix)
 
 
 def canonical_skew_matrix(d: int) -> np.ndarray:
@@ -432,55 +432,6 @@ def phase_velocity_nodes(spec: HamiltonianSpec, q: Node, p: Node,
     Accepts a single state (vectors) or a batch (row per state).
     """
     return spec.field_nodes(q, p, prefix)
-
-
-# ---------------------------------------------------------------------------
-# value-level operations
-
-
-def _state_leaves(state: PhaseState) -> tuple[Node, Node, dict]:
-    q = eg.parameter("q", state.q.shape)
-    p = eg.parameter("p", state.p.shape)
-    return q, p, {"q": state.q, "p": state.p}
-
-
-def metric_inverse_diag(spec, q) -> Tensor:
-    """Inverse-metric diagonal at a position; entries keep |g^ii| in
-    (floor, 1 + floor) with signs fixed by the signature."""
-    q = eg.as_array(q)
-    if q.shape != (spec.q_dim,):
-        raise ValueError(f"position must have dimension {spec.q_dim}")
-    leaf = eg.parameter("q", q.shape)
-    return eg.forward(spec.metric_diag_node(leaf, "field"),
-                      {"q": q, **spec.bindings("field")})
-
-
-def eval_hamiltonian(spec, state: PhaseState) -> float:
-    """Energy of one phase-space state."""
-    q, p, binds = _state_leaves(state)
-    node = hamiltonian_node(spec, q, p, "field")
-    binds.update(spec.bindings("field"))
-    return float(eg.evaluate(node, binds))
-
-
-def phase_velocity(spec, state: PhaseState) -> tuple[Tensor, Tensor]:
-    """Time derivative of one state under the variant's equations."""
-    if state.q.size != spec.q_dim or state.p.size != spec.p_dim:
-        raise ValueError(
-            f"state dimensions ({state.q.size}, {state.p.size}) do not match "
-            f"spec ({spec.q_dim}, {spec.p_dim})")
-    q, p, binds = _state_leaves(state)
-    dq, dp = phase_velocity_nodes(spec, q, p, "field")
-    binds.update(spec.bindings("field"))
-    dq_val, dp_val = eg.evaluate([dq, dp], binds)
-    return Tensor(dq_val), Tensor(dp_val)
-
-
-def assemble_W(spec: LearnedSymplecticForm, state: PhaseState) -> Tensor:
-    """Skew matrix of the learned two-form at one state: W_ab = d_a f_b - d_b f_a."""
-    z = eg.parameter("z", (2 * spec.q_dim,))
-    binds = {"z": np.concatenate([state.q, state.p]), **spec.bindings("field")}
-    return Tensor(eg.evaluate(spec.skew_node(z, "field"), binds))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The node-embedding model: feature compression, per-layer momentum
-initialization, orbit integration, neighborhood aggregation, and the task
-decoders, plus a topology-blind MLP baseline.
+initialization, orbit integration, neighborhood aggregation, the task
+decoders and checkpoints.
 
 Per layer, every node's compressed feature is paired with a learned momentum,
 the pair flows along the layer's phase-space orbit for the configured horizon,
@@ -26,10 +26,8 @@ from .odeint import IntegrationConfig, integrate_nodes
 from .schema import check_json_value, config_from_dict, load_json_object
 
 __all__ = [
-    "ModelConfig", "ModelParams", "init_params",
-    "compress", "init_momentum", "aggregate", "aggregation_matrix",
+    "ModelConfig", "ModelParams", "init_params", "aggregation_matrix",
     "encode_nodes", "encode", "decode_class", "decode_link",
-    "baseline_mlp_params", "baseline_mlp_nodes",
     "save_checkpoint", "load_checkpoint",
 ]
 
@@ -149,22 +147,6 @@ def init_params(cfg: ModelConfig, num_features: int, num_classes: int,
 # building blocks
 
 
-def compress(params: ModelParams, raw_features) -> Tensor:
-    """Affine compression of raw features, rowwise, no nonlinearity."""
-    x = eg.as_array(raw_features)
-    leaf = eg.parameter("x", x.shape)
-    node = params.compressor.graph(leaf, "compress")
-    return eg.forward(node, {"x": x, **params.compressor.bindings("compress")})
-
-
-def init_momentum(momentum_net: MlpParams, q) -> Tensor:
-    """Learned momentum for a position: p = W q + b."""
-    arr = eg.as_array(q)
-    leaf = eg.parameter("q", arr.shape)
-    node = momentum_net.graph(leaf, "momentum")
-    return eg.forward(node, {"q": arr, **momentum_net.bindings("momentum")})
-
-
 def aggregation_matrix(n: int, edges) -> eg.SparseMatrix:
     """Neighbor-mean operator as an (n, n) ``SparseMatrix``.
 
@@ -181,14 +163,6 @@ def aggregation_matrix(n: int, edges) -> eg.SparseMatrix:
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     degree = np.bincount(rows, minlength=n)
     return eg.SparseMatrix(rows, cols, 1.0 / degree[rows], (n, n))
-
-
-def aggregate(features, edges) -> Tensor:
-    """Each node keeps its vector and adds the mean of its neighbors'."""
-    x = eg.as_array(features)
-    leaf = eg.parameter("x", x.shape)
-    mean = eg.sparse_matmul(leaf, aggregation_matrix(x.shape[0], edges))
-    return eg.forward(eg.add(leaf, mean), {"x": x})
 
 
 def encode_nodes(params: ModelParams, cfg: ModelConfig,
@@ -245,21 +219,6 @@ def decode_link(embeddings, pairs) -> np.ndarray:
     s = (z[idx[:, 0], None, :] @ z[idx[:, 1], :, None]).reshape(-1)
     e = np.exp(-np.abs(s))  # overflow-free logistic
     return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def baseline_mlp_params(num_features: int, num_classes: int, hidden: int,
-                        seed: int = 0) -> MlpParams:
-    """Three affine layers with interleaved rectifications, topology-blind."""
-    rng = np.random.default_rng(seed)
-    return MlpParams.init((num_features, hidden, hidden, num_classes),
-                          ("relu", "relu", None), rng)
-
-
-def baseline_mlp_nodes(params: MlpParams, dataset: GraphDataset) -> tuple[Node, dict]:
-    """Logits graph of the baseline applied rowwise to raw features, and its
-    bindings; never reads edges."""
-    x = eg.constant(dataset.features, label="raw features")
-    return params.graph(x, "mlp"), params.bindings("mlp")
 
 
 # ---------------------------------------------------------------------------

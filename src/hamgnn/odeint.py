@@ -2,15 +2,14 @@
 
 The solver is unrolled into the expression graph, so everything downstream of
 the integrator is differentiable with respect to the initial state and all
-field parameters.  Energy-drift and geodesic-residual diagnostics live here
-as well.
+field parameters.  The energy-drift diagnostic lives here as well.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .hamiltonian import PhaseState
 
 __all__ = [
     "IntegrationConfig", "Trajectory", "integrate_nodes", "integrate",
-    "energy_drift", "AnalyticDiagMetric", "reference_geodesic_check",
+    "energy_drift",
 ]
 
 
@@ -41,8 +40,8 @@ class IntegrationConfig:
     def __post_init__(self):
         if self.method not in ("euler", "rk4"):
             raise ValueError(f"unknown method {self.method!r} (euler or rk4)")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not 0.0 < self.step <= self.horizon:
             raise ValueError("step must be positive and no larger than the horizon")
 
@@ -156,78 +155,3 @@ def energy_drift(spec, traj: Trajectory) -> dict:
         relative = max_abs / abs(h0)
     return {"initial": h0, "max_abs_drift": max_abs,
             "relative_drift": relative}
-
-
-# ---------------------------------------------------------------------------
-# analytic cogeodesic reference (test oracle)
-
-
-@dataclass(frozen=True)
-class AnalyticDiagMetric:
-    """Diagonal inverse metric with closed-form derivatives (test-only).
-
-    ``inverse_diag(q)`` returns the d entries g^ii(q); ``inverse_diag_grad(q)``
-    returns the (d, d) array whose [i, j] entry is the derivative of g^jj
-    with respect to q_i.
-    """
-
-    dim: int
-    inverse_diag: Callable[[np.ndarray], np.ndarray]
-    inverse_diag_grad: Callable[[np.ndarray], np.ndarray]
-
-
-def _cogeodesic_rate(metric: AnalyticDiagMetric, q: np.ndarray,
-                     p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ginv = metric.inverse_diag(q)
-    dginv = metric.inverse_diag_grad(q)
-    dq = ginv * p
-    dp = -0.5 * dginv @ (p * p)
-    return dq, dp
-
-
-def _numpy_orbit(metric: AnalyticDiagMetric, q0, p0, cfg: IntegrationConfig):
-    h = cfg.effective_step
-    q = np.array(q0, dtype=np.float64)
-    p = np.array(p0, dtype=np.float64)
-    qs, ps = [q.copy()], [p.copy()]
-    for _ in range(cfg.n_steps):
-        if cfg.method == "euler":
-            dq, dp = _cogeodesic_rate(metric, q, p)
-            q, p = q + h * dq, p + h * dp
-        else:
-            k1 = _cogeodesic_rate(metric, q, p)
-            k2 = _cogeodesic_rate(metric, q + h / 2 * k1[0], p + h / 2 * k1[1])
-            k3 = _cogeodesic_rate(metric, q + h / 2 * k2[0], p + h / 2 * k2[1])
-            k4 = _cogeodesic_rate(metric, q + h * k3[0], p + h * k3[1])
-            q = q + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            p = p + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        qs.append(q.copy())
-        ps.append(p.copy())
-    return np.array(qs), np.array(ps)
-
-
-def reference_geodesic_check(metric: AnalyticDiagMetric, q0, p0,
-                             cfg: IntegrationConfig) -> dict:
-    """Integrate the cogeodesic field, then score the geodesic-equation
-    residual along the trajectory with finite differences of q(t).
-
-    Returns the positions as well so callers can check invariants of known
-    geodesics (straight lines, semicircles).
-    """
-    qs, _ = _numpy_orbit(metric, q0, p0, cfg)
-    h = cfg.effective_step
-    max_residual = 0.0
-    for n in range(1, len(qs) - 1):
-        qdot = (qs[n + 1] - qs[n - 1]) / (2.0 * h)
-        qddot = (qs[n + 1] - 2.0 * qs[n] + qs[n - 1]) / (h * h)
-        q = qs[n]
-        ginv = metric.inverse_diag(q)
-        dginv = metric.inverse_diag_grad(q)  # [i, j] = d g^jj / d q_i
-        # diagonal metric: g_jj = 1 / g^jj so d_i g_jj = -d_i g^jj / (g^jj)^2
-        dmetric = -dginv / (ginv * ginv)[None, :]
-        # Gamma^i_{jk} qdot^j qdot^k for a diagonal metric
-        quad = (2.0 * (dmetric[:, :].T @ qdot) * qdot        # d_j g_ii terms
-                - dmetric @ (qdot * qdot))                   # d_i g_jj term
-        residual = qddot + 0.5 * ginv * quad
-        max_residual = max(max_residual, float(np.max(np.abs(residual))))
-    return {"max_residual": max_residual, "positions": qs}

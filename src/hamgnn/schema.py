@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from pathlib import Path
@@ -18,7 +19,7 @@ from .hamiltonian import Signature
 
 __all__ = ["check_json_value", "config_from_dict", "config_to_dict", "load_json_object"]
 
-_EXPECTED = {int: "an integer", float: "a number", str: "a string",
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string",
              bool: "true or false", dict: "a JSON object", list: "a list",
              Signature: "a list [r, s] of two integers"}
 
@@ -39,7 +40,8 @@ def load_json_object(path) -> dict:
 
 def check_json_value(value, hint, name: str):
     """``value`` converted to the annotated type ``hint``, or a ValueError
-    naming ``name``.  Integers are accepted where a number is expected;
+    naming ``name``.  Integers are accepted where a number is expected; NaN
+    and +-Infinity, which Python's ``json`` parses, are not.
     ``Signature`` is written as ``[r, s]``; an optional field also takes null.
     """
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
@@ -49,7 +51,7 @@ def check_json_value(value, hint, name: str):
         if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
             return Signature(*value)
     elif hint is float:
-        if _is_int(value) or isinstance(value, float):
+        if _is_int(value) or (isinstance(value, float) and math.isfinite(value)):
             return float(value)
     elif hint is int:
         if _is_int(value):

@@ -43,7 +43,7 @@ class TrainConfig:
     decay_biases: bool = True
 
     def __post_init__(self):
-        if self.lr < 0 or self.weight_decay < 0:
+        if not (self.lr >= 0 and self.weight_decay >= 0):
             raise ValueError("learning rate and weight decay must be non-negative")
         if self.max_epochs < 1:
             raise ValueError("need at least one epoch")

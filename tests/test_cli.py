@@ -160,6 +160,31 @@ def test_threads_flag_is_accepted(workdir):
     assert rc == 0
 
 
+def test_zero_threads_flag_is_rejected(capsys):
+    rc = main(["--threads", "0", "gradcheck", "--variant", "vanilla_ode", "--dim", "2"])
+    assert rc == 1
+    assert "error: thread cap must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, text", [
+    ("train", "lr", "NaN"), ("integration", "horizon", "Infinity"),
+    ("integration", "step", "-Infinity")])
+@pytest.mark.parametrize("via", ["file", "override"])
+def test_train_rejects_a_non_finite_number_by_name(workdir, capsys, section, key, text, via):
+    if via == "file":
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg[section][key] = float(text)
+        (workdir / "bad.json").write_text(json.dumps(cfg))  # json writes NaN / Infinity
+        argv = ["train", "--config", str(workdir / "bad.json")]
+    else:
+        argv = ["train", "--config", str(workdir / "config.json"),
+                "--set", f"{section}.{key}={text}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {section}.{key} must be a finite number, got {float(text)!r}" in err
+    assert not (workdir / "run").exists()
+
+
 def test_unapplied_thread_cap_is_reported(workdir, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     rc = main(["--threads", "2", "gradcheck", "--variant", "flexible",

@@ -29,24 +29,40 @@ def test_all_names_resolve(name):
 
 
 def _imported_packages(path: Path):
-    """The top-level package of every absolute import at module level in a
-    source file (an optional import inside a function is not counted)."""
-    for node in ast.parse(path.read_text()).body:
+    """(top-level package, whether the import is at module level) for every
+    absolute import in a source file."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            yield from (alias.name.split(".")[0] for alias in node.names)
+            names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module.split(".")[0]
+            names = [node.module]
+        else:
+            continue
+        yield from ((name.split(".")[0], node in tree.body) for name in names)
 
 
 def test_every_imported_package_is_a_declared_dependency():
+    """A module-level import needs a runtime dependency; an import inside a
+    function (an optional feature) needs at least an optional one."""
     tomllib = pytest.importorskip("tomllib")
     package = Path(hamgnn.__file__).resolve().parent
     pyproject = package.parents[1] / "pyproject.toml"
     if not pyproject.is_file():
         pytest.skip("not a source checkout")
-    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
-                for dep in tomllib.loads(pyproject.read_text())["project"]["dependencies"]}
-    imported = {name for path in package.glob("*.py") for name in _imported_packages(path)}
-    third_party = imported - set(sys.stdlib_module_names) - {"hamgnn"}
-    assert "numpy" in third_party  # the scan sees the imports
-    assert third_party <= declared, f"imported but not in pyproject.toml: {third_party - declared}"
+    project = tomllib.loads(pyproject.read_text())["project"]
+
+    def names(deps):
+        return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in deps}
+
+    required = names(project["dependencies"])
+    optional = names(dep for deps in project["optional-dependencies"].values()
+                     for dep in deps)
+    imported = {found for path in package.glob("*.py") for found in _imported_packages(path)}
+    outside = set(sys.stdlib_module_names) | {"hamgnn"}
+    module_level = {name for name, top in imported if top} - outside
+    in_function = {name for name, top in imported if not top} - outside
+    assert "numpy" in module_level and "threadpoolctl" in in_function  # the scan sees both
+    assert module_level <= required, f"imported but not in dependencies: {module_level - required}"
+    assert in_function <= required | optional, (
+        f"imported but not declared: {in_function - required - optional}")

@@ -18,6 +18,21 @@ from hamgnn import odeint as oi
 from hamgnn.hamiltonian import PhaseState
 from hamgnn.model import ModelConfig
 from hamgnn.odeint import IntegrationConfig
+from oracles import baseline_mlp_nodes, baseline_mlp_params
+
+
+def affine_rows(net, name, x):
+    """``net`` on the rows of ``x`` (or on one vector), through the graph that
+    ``encode_nodes`` builds for the compressor and the momentum maps."""
+    return eg.evaluate(net.graph(eg.constant(x), name), net.bindings(name))
+
+
+def neighbour_mean_step(x, edges):
+    """``x`` plus the neighbour mean of ``x``, as one layer of ``encode_nodes``
+    adds it."""
+    leaf = eg.constant(x)
+    mean = eg.sparse_matmul(leaf, md.aggregation_matrix(len(x), edges))
+    return eg.evaluate(eg.add(leaf, mean))
 
 
 def small_config(**kw):
@@ -202,8 +217,8 @@ def test_compress_zero_params_gives_zero(sbm_dataset):
     w, b, _ = params.compressor.layers[0]
     w[...] = 0.0
     b[...] = 0.0
-    out = md.compress(params, sbm_dataset.features)
-    assert np.all(out.array == 0.0)
+    out = affine_rows(params.compressor, "compress", sbm_dataset.features)
+    assert np.all(out == 0.0)
     assert out.shape == (sbm_dataset.n, cfg.hidden_dim)
 
 
@@ -214,30 +229,30 @@ def test_compress_identity():
     w[...] = np.eye(4)
     b[...] = 0.0
     x = np.arange(12.0).reshape(3, 4)
-    assert np.array_equal(md.compress(params, x).array, x)
+    assert np.array_equal(affine_rows(params.compressor, "compress", x), x)
 
 
 def test_compress_batch_matches_rowwise(rng):
     cfg = small_config()
     params = md.init_params(cfg, 5, 2, seed=1)
     x = rng.normal(size=(7, 5))
-    batch = md.compress(params, x).array
+    batch = affine_rows(params.compressor, "compress", x)
     for i in range(7):
-        row = md.compress(params, x[i]).array
+        row = affine_rows(params.compressor, "compress", x[i])
         # batched and single-row products may differ in the final ulp
         assert eg.relative_error(batch[i], row) <= 1e-14
 
 
 def test_init_momentum_examples(rng):
     zero = eg.MlpParams([(np.zeros((3, 3)), np.zeros(3), None)])
-    assert md.init_momentum(zero, [1.0, 2.0, 3.0]).tolist() == [0.0, 0.0, 0.0]
+    assert affine_rows(zero, "momentum", [1.0, 2.0, 3.0]).tolist() == [0.0, 0.0, 0.0]
     ident = eg.MlpParams([(np.eye(3), np.zeros(3), None)])
-    assert md.init_momentum(ident, [1.0, 2.0, 3.0]).tolist() == [1.0, 2.0, 3.0]
+    assert affine_rows(ident, "momentum", [1.0, 2.0, 3.0]).tolist() == [1.0, 2.0, 3.0]
     w = rng.normal(size=(3, 3))
     b = rng.normal(size=3)
     net = eg.MlpParams([(w, b, None)])
     q = rng.normal(size=3)
-    assert eg.relative_error(md.init_momentum(net, q).array, w @ q + b) <= 1e-12
+    assert eg.relative_error(affine_rows(net, "momentum", q), w @ q + b) <= 1e-12
 
 
 def test_zero_momentum_freezes_metric_orbit(rng, new_spec):
@@ -254,21 +269,21 @@ def test_zero_momentum_freezes_metric_orbit(rng, new_spec):
 
 
 def test_aggregate_path_example(path3_dataset):
-    out = md.aggregate(path3_dataset.features, path3_dataset.edges)
-    assert out.array.ravel().tolist() == [3.0, 4.0, 5.0]
+    out = neighbour_mean_step(path3_dataset.features, path3_dataset.edges)
+    assert out.ravel().tolist() == [3.0, 4.0, 5.0]
 
 
 def test_aggregate_equal_features_double():
     feats = np.full((4, 3), 2.5)
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
-    out = md.aggregate(feats, edges)
-    assert np.allclose(out.array, 5.0)
+    out = neighbour_mean_step(feats, edges)
+    assert np.allclose(out, 5.0)
 
 
 def test_aggregate_isolated_node_unchanged():
     feats = np.array([[7.0], [1.0], [1.0]])
-    out = md.aggregate(feats, [(1, 2)])
-    assert out.array.ravel().tolist() == [7.0, 2.0, 2.0]
+    out = neighbour_mean_step(feats, [(1, 2)])
+    assert out.ravel().tolist() == [7.0, 2.0, 2.0]
 
 
 @pytest.mark.parametrize("width", [None, 5])
@@ -297,7 +312,7 @@ def test_encode_zero_dynamics_is_iterated_aggregation(sbm_dataset):
                             sbm_dataset.num_classes, seed=2)
     zero_fields(params)
     z = md.encode(params, cfg, sbm_dataset)
-    expected = md.compress(params, sbm_dataset.features).array
+    expected = affine_rows(params.compressor, "compress", sbm_dataset.features)
     mat = dense_neighbor_mean(sbm_dataset.n, sbm_dataset.edges)
     for _ in range(3):
         expected = expected + mat @ expected
@@ -331,9 +346,9 @@ def test_encode_peak_memory_is_linear_in_graph_size():
 def test_encode_refers_to_the_dataset_feature_table(sbm_dataset):
     cfg = small_config()
     params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
-    mlp = md.baseline_mlp_params(sbm_dataset.num_features, sbm_dataset.num_classes, 4)
+    mlp = baseline_mlp_params(sbm_dataset.num_features, sbm_dataset.num_classes, 4)
     for out in (md.encode_nodes(params, cfg, sbm_dataset)[0],
-                md.baseline_mlp_nodes(mlp, sbm_dataset)[0]):
+                baseline_mlp_nodes(mlp, sbm_dataset)[0]):
         raw = [node for node in graph_nodes(out) if node.attrs.get("label") == "raw features"]
         assert len(raw) == 1
         assert np.shares_memory(raw[0].attrs["value"], sbm_dataset.features)
@@ -361,8 +376,8 @@ def test_encode_single_isolated_node_is_orbit_endpoint(rng):
     ds = gd.GraphDataset("one", rng.normal(size=(1, 3)), [0], [], [0], [], [])
     params = md.init_params(cfg, 3, 1, seed=4)
     z = md.encode(params, cfg, ds)
-    q0 = md.compress(params, ds.features).array[0]
-    p0 = md.init_momentum(params.momentum_nets[0], q0).array
+    q0 = affine_rows(params.compressor, "compress", ds.features)[0]
+    p0 = affine_rows(params.momentum_nets[0], "momentum", q0)
     traj = oi.integrate(params.field_specs[0], PhaseState(q0, p0),
                         cfg.integration)
     assert eg.relative_error(z[0], traj.last.q) <= 1e-12
@@ -443,12 +458,12 @@ def test_per_node_energy_conservation_along_layers(rng):
     cfg = small_config(layers=2,
                        integration=IntegrationConfig("rk4", 1.0, 0.01))
     params = md.init_params(cfg, ds.num_features, ds.num_classes, seed=3)
-    h = md.compress(params, ds.features).array
+    h = affine_rows(params.compressor, "compress", ds.features)
     mat = dense_neighbor_mean(ds.n, ds.edges)
     for qnet, spec in zip(params.momentum_nets, params.field_specs):
         ends = []
         for i in range(ds.n):
-            p0 = md.init_momentum(qnet, h[i]).array
+            p0 = affine_rows(qnet, "momentum", h[i])
             traj = oi.integrate(spec, PhaseState(h[i], p0), cfg.integration)
             drift = oi.energy_drift(spec, traj)
             assert drift["relative_drift"] <= 1e-3
@@ -540,29 +555,29 @@ def test_decode_link_names_the_first_bad_pair():
 
 
 def test_baseline_mlp_zero_params_uniform(sbm_dataset):
-    params = md.baseline_mlp_params(sbm_dataset.num_features, 2, 8, seed=0)
+    params = baseline_mlp_params(sbm_dataset.num_features, 2, 8, seed=0)
     for w, b, _ in params.layers:
         w[...] = 0.0
         b[...] = 0.0
-    logits = eg.forward(*md.baseline_mlp_nodes(params, sbm_dataset)).array
+    logits = eg.forward(*baseline_mlp_nodes(params, sbm_dataset)).array
     assert np.all(logits == 0.0)
 
 
 def test_baseline_mlp_ignores_topology(sbm_dataset):
-    params = md.baseline_mlp_params(sbm_dataset.num_features,
-                                    sbm_dataset.num_classes, 8, seed=1)
-    with_edges = eg.forward(*md.baseline_mlp_nodes(params, sbm_dataset)).array
+    params = baseline_mlp_params(sbm_dataset.num_features,
+                                 sbm_dataset.num_classes, 8, seed=1)
+    with_edges = eg.forward(*baseline_mlp_nodes(params, sbm_dataset)).array
     stripped = gd.GraphDataset("bare", sbm_dataset.features, sbm_dataset.labels,
                                [], sbm_dataset.train_mask, sbm_dataset.val_mask,
                                sbm_dataset.test_mask)
     assert np.array_equal(with_edges,
-                          eg.forward(*md.baseline_mlp_nodes(params, stripped)).array)
+                          eg.forward(*baseline_mlp_nodes(params, stripped)).array)
 
 
 def test_baseline_mlp_matches_rowwise(rng, sbm_dataset):
-    params = md.baseline_mlp_params(sbm_dataset.num_features,
-                                    sbm_dataset.num_classes, 8, seed=2)
-    batch = eg.forward(*md.baseline_mlp_nodes(params, sbm_dataset)).array
+    params = baseline_mlp_params(sbm_dataset.num_features,
+                                 sbm_dataset.num_classes, 8, seed=2)
+    batch = eg.forward(*baseline_mlp_nodes(params, sbm_dataset)).array
     leaf = eg.parameter("x", (sbm_dataset.num_features,))
     node = params.graph(leaf, "mlp")
     for i in range(0, sbm_dataset.n, 7):
@@ -651,6 +666,14 @@ def test_checkpoint_rejects_extra_integration_field(tmp_path, sbm_dataset):
     saved_checkpoint(tmp_path, sbm_dataset)
     edit_manifest_config(tmp_path, lambda cfg: cfg["integration"].update(order=4))
     with pytest.raises(ValueError, match=r"unknown key integration\.order"):
+        md.load_checkpoint(tmp_path)
+
+
+@pytest.mark.parametrize("section, key", [("model", "rho"), ("integration", "horizon")])
+def test_checkpoint_rejects_a_non_finite_echo_value(tmp_path, sbm_dataset, section, key):
+    saved_checkpoint(tmp_path, sbm_dataset)
+    edit_manifest_config(tmp_path, lambda cfg: cfg[section].update({key: float("nan")}))
+    with pytest.raises(ValueError, match=rf"^{section}\.{key} must be a finite number, got nan$"):
         md.load_checkpoint(tmp_path)
 
 

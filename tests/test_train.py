@@ -365,7 +365,7 @@ def test_end_to_end_gradients_through_metric_variant(rng):
         if "metric" in name or name.startswith("compress"):
             leaf = eg.parameter(name, arr.shape)
             rep = eg.check_gradient(loss, leaf, binds, fd_step=1e-5, tol=1e-4)
-            assert rep.passed, (name, rep)
+            assert rep["passed"], (name, rep)
 
 
 def test_loss_decreases_for_every_variant():
@@ -401,6 +401,9 @@ def test_fit_divergence_aborts_with_best_checkpoint(sbm_dataset):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=-0.1)
+    for key in ("lr", "weight_decay"):
+        with pytest.raises(ValueError, match="non-negative"):
+            TrainConfig(**{key: math.nan})
     with pytest.raises(ValueError):
         TrainConfig(patience=300, max_epochs=200)
     with pytest.raises(ValueError):
