@@ -25,7 +25,7 @@ import scipy.sparse
 __all__ = [
     "Tensor", "Node", "MlpParams", "SparseMatrix",
     "constant", "parameter",
-    "affine", "outer", "solve", "stack_rows", "transpose",
+    "affine", "outer", "solve", "transpose",
     "gather_rows", "scatter_rows", "sparse_matmul",
     "tanh", "sigmoid", "sin", "relu", "rehu", "kappa", "step", "zeros_like",
     "expand", "softmax", "log_softmax",
@@ -218,16 +218,6 @@ def solve(matrix: Node, rhs: Node, transpose_matrix: bool = False) -> Node:
     if rs != (ms[0],):
         raise ValueError(f"solve rhs shape {rs} does not match matrix {ms}")
     return Node("solve", (matrix, rhs), {"tm": transpose_matrix}, rs)
-
-
-def stack_rows(rows: Sequence[Node]) -> Node:
-    rows = tuple(rows)
-    if not rows:
-        raise ValueError("stack_rows needs at least one row")
-    width = rows[0].shape
-    if len(width) != 1 or any(r.shape != width for r in rows):
-        raise ValueError("stack_rows expects equal-length vectors")
-    return Node("stack-rows", rows, {}, (len(rows), width[0]))
 
 
 def transpose(x: Node) -> Node:
@@ -515,8 +505,7 @@ def concat(parts: Sequence[Node], axis: int = -1) -> Node:
 
 
 def narrow(x: Node, start: int, stop: int, axis: int = -1) -> Node:
-    """Contiguous slice [start, stop) along one axis.  The slice of a
-    ``concat`` that is exactly one of its parts is that part."""
+    """Contiguous slice [start, stop) along one axis."""
     nd = len(x.shape)
     if nd not in (1, 2):
         raise ValueError("narrow supports vectors and matrices")
@@ -524,12 +513,6 @@ def narrow(x: Node, start: int, stop: int, axis: int = -1) -> Node:
     extent = x.shape[ax]
     if not (0 <= start <= stop <= extent):
         raise ValueError(f"slice [{start}, {stop}) out of range for extent {extent}")
-    if x.op == "concat" and x.attrs["axis"] == ax:
-        offset = 0
-        for part in x.inputs:
-            if (offset, offset + part.shape[ax]) == (start, stop):
-                return part
-            offset += part.shape[ax]
     out = list(x.shape)
     out[ax] = stop - start
     return Node("slice", (x,), {"start": start, "stop": stop, "axis": ax}, tuple(out))
@@ -605,7 +588,6 @@ _FORWARD = {
     "outer": lambda node, vals: np.outer(vals[0], vals[1]),
     "solve": lambda node, vals: np.linalg.solve(
         vals[0].T if node.attrs["tm"] else vals[0], vals[1]),
-    "stack-rows": lambda node, vals: np.stack(vals),
     "transpose": lambda node, vals: vals[0].T,
     "gather-rows": lambda node, vals: vals[0][node.attrs["indices"]],
     "sparse-matmul": lambda node, vals: node.attrs["matrix"] @ vals[0],
@@ -637,7 +619,7 @@ _FORWARD = {
 # constant holds a Tensor's array, checked when the Tensor was built.
 _FINITE_IF_INPUTS_FINITE = frozenset({
     "constant", "transpose", "slice", "concat", "gather-rows",
-    "stack-rows", "step", "expand", "relu", "tanh", "sin", "sigmoid",
+    "step", "expand", "relu", "tanh", "sin", "sigmoid",
 })
 
 
@@ -1045,8 +1027,6 @@ _VJP = {
     "outer": lambda node, g: [affine(g, node.inputs[1]),
                               affine(node.inputs[0], g)],
     "solve": _vjp_solve,
-    "stack-rows": lambda node, g: [
-        reduce_sum(gather_rows(g, (i,)), axis=0) for i in range(len(node.inputs))],
     "transpose": lambda node, g: [transpose(g)],
     "gather-rows": lambda node, g: [
         scatter_rows(g, node.attrs["indices"], node.inputs[0].shape[0])],
@@ -1219,10 +1199,6 @@ ACTIVATIONS = {
     "kappa": kappa,
 }
 
-# activations that are convex and non-decreasing, hence admissible in
-# convexity-constrained networks
-CONVEX_ACTIVATIONS = ("rehu", "kappa")
-
 
 class MlpParams:
     """Weights of a fully connected network.
@@ -1233,7 +1209,7 @@ class MlpParams:
     the optimizer updates them in place between evaluations.
     """
 
-    def __init__(self, layers, convex_from_second: bool = False):
+    def __init__(self, layers):
         self.layers = []
         for weight, bias, act in layers:
             w = np.array(weight, dtype=np.float64)
@@ -1247,17 +1223,6 @@ class MlpParams:
             if w_next.shape[1] != w_prev.shape[0]:
                 raise ValueError(
                     f"layer dimensions do not chain: {w_prev.shape} then {w_next.shape}")
-        self.convex_from_second = convex_from_second
-        if convex_from_second:
-            self._check_convex()
-
-    def _check_convex(self):
-        for i, (w, _, act) in enumerate(self.layers):
-            if i >= 1 and np.any(w < 0.0):
-                raise ValueError(f"layer {i + 1} has negative weights in a "
-                                 "convexity-constrained network")
-            if act is not None and act not in CONVEX_ACTIVATIONS:
-                raise ValueError(f"activation {act!r} is not convex and non-decreasing")
 
     @property
     def input_dim(self) -> int:
@@ -1269,18 +1234,15 @@ class MlpParams:
 
     @classmethod
     def init(cls, dims: Sequence[int], activations: Sequence[str | None],
-             rng: np.random.Generator, convex_from_second: bool = False) -> "MlpParams":
+             rng: np.random.Generator) -> "MlpParams":
         """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
         if len(activations) != len(dims) - 1:
             raise ValueError("need one activation slot per layer")
         layers = []
-        for i, (din, dout) in enumerate(zip(dims, dims[1:])):
+        for din, dout, act in zip(dims, dims[1:], activations):
             bound = 1.0 / math.sqrt(din)
-            w = rng.uniform(-bound, bound, size=(dout, din))
-            if convex_from_second and i >= 1:
-                w = np.abs(w)  # start inside the feasible set
-            layers.append((w, np.zeros(dout), activations[i]))
-        return cls(layers, convex_from_second=convex_from_second)
+            layers.append((rng.uniform(-bound, bound, size=(dout, din)), np.zeros(dout), act))
+        return cls(layers)
 
     def param_items(self, name: str):
         """Ordered (binding-name, array) pairs; arrays are the live storage."""
@@ -1304,12 +1266,3 @@ class MlpParams:
             if act is not None:
                 out = ACTIVATIONS[act](out)
         return out
-
-    def clamp_nonnegative_from_second(self):
-        """Project weights of layers 2..end onto w >= 0, in place."""
-        for w, _, _ in self.layers[1:]:
-            np.maximum(w, 0.0, out=w)
-
-    def copy(self) -> "MlpParams":
-        return MlpParams([(w.copy(), b.copy(), act) for w, b, act in self.layers],
-                         convex_from_second=self.convex_from_second)

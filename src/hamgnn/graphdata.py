@@ -20,11 +20,12 @@ import itertools
 import json
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse import csgraph
 
 from . import engine as eg
 from .schema import load_json_object
@@ -116,13 +117,6 @@ class GraphDataset:
     @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1 if self.n else 0
-
-    def neighbors(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -342,47 +336,35 @@ def mix_datasets(a: GraphDataset, b: GraphDataset, split=(0.6, 0.2, 0.2),
 # delta-hyperbolicity
 
 
-def _components(adj: list) -> list:
-    n = len(adj)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(comp)
-    return comps
-
-
-def _bfs_distances(adj: list, sources: list) -> dict:
-    dist = {}
-    for s in sources:
-        d = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in d:
-                    d[v] = d[u] + 1
-                    queue.append(v)
-        dist[s] = d
-    return dist
-
-
-def _quad_delta(dist: dict, w: int, x: int, y: int, z: int) -> float:
+def _quad_delta(dist: list, w: int, x: int, y: int, z: int) -> float:
     sums = sorted((dist[w][x] + dist[y][z],
                    dist[w][y] + dist[x][z],
                    dist[w][z] + dist[x][y]), reverse=True)
     return (sums[0] - sums[1]) / 2.0
+
+
+def _component_hops(dataset: GraphDataset) -> tuple[list, list]:
+    """The components of at least 4 nodes, each listed in breadth-first order
+    from its lowest id with neighbours visited in ascending id, and each
+    one's hop distances between its list positions."""
+    pairs = np.asarray(dataset.edges, dtype=np.intp).reshape(-1, 2)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    adj = scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)),
+                                 shape=(dataset.n, dataset.n))
+    adj.sort_indices()  # so a row lists its neighbours in ascending id
+    seen = np.zeros(dataset.n, dtype=bool)
+    comps, dists = [], []
+    for start in range(dataset.n):
+        if seen[start]:
+            continue
+        comp = csgraph.breadth_first_order(adj, start, return_predecessors=False)
+        seen[comp] = True
+        if comp.size >= 4:
+            comps.append(comp)
+            hops = csgraph.shortest_path(adj[comp][:, comp], unweighted=True)
+            dists.append(hops.astype(np.int64).tolist())  # exact Python ints
+    return comps, dists
 
 
 def delta_hyperbolicity(dataset: GraphDataset, mode: str = "exact",
@@ -403,8 +385,7 @@ def delta_hyperbolicity(dataset: GraphDataset, mode: str = "exact",
     if mode == "sampled" and (samples is None or samples <= 0):
         raise ValueError("sampled mode needs a positive sample count")
 
-    adj = dataset.neighbors()
-    comps = [c for c in _components(adj) if len(c) >= 4]
+    comps, dists = _component_hops(dataset)
     if not comps:
         raise ValueError("no connected component has 4 nodes")
     totals = [math.comb(len(c), 4) for c in comps]
@@ -419,14 +400,12 @@ def delta_hyperbolicity(dataset: GraphDataset, mode: str = "exact",
         max_delta = max(max_delta, delta)
 
     if mode == "exact" or samples >= total_quads:
-        for comp in comps:
-            dist = _bfs_distances(adj, comp)
-            for quad in itertools.combinations(comp, 4):
+        for comp, dist in zip(comps, dists):
+            for quad in itertools.combinations(range(comp.size), 4):
                 record(_quad_delta(dist, *quad))
         count = total_quads
     else:
         rng = np.random.default_rng(seed)
-        dist_by_comp = [_bfs_distances(adj, c) for c in comps]
         weights = np.array(totals, dtype=np.float64) / total_quads
         chosen: set = set()
         while len(chosen) < samples:
@@ -436,8 +415,7 @@ def delta_hyperbolicity(dataset: GraphDataset, mode: str = "exact",
             if key in chosen:
                 continue
             chosen.add(key)
-            nodes = [comps[ci][j] for j in quad]
-            record(_quad_delta(dist_by_comp[ci], *nodes))
+            record(_quad_delta(dists[ci], *quad))
         count = samples
 
     return {"max_delta": max_delta,

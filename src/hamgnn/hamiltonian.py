@@ -26,12 +26,16 @@ __all__ = [
     "GeodesicMetric", "FlexibleHamiltonian", "ConvexHamiltonian",
     "RelaxedHamiltonian", "LearnedSymplecticForm", "GeodesicRelaxed",
     "HigherDimMomentum", "VanillaOde", "HamiltonianSpec",
-    "VARIANTS", "make_spec",
+    "VARIANTS", "CONVEX_ACTIVATIONS", "make_spec",
     "has_hamiltonian", "hamiltonian_node", "phase_velocity_nodes",
     "canonical_skew_matrix", "check_field_gradients",
 ]
 
 METRIC_FLOOR = 0.01  # keeps every inverse-metric entry away from zero
+
+# activations that are convex and non-decreasing, hence admissible in the
+# convex energy
+CONVEX_ACTIVATIONS = ("rehu", "kappa")
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,12 @@ def _mlp(cfg, d_in: int, d_out: int, rng, act: str = "tanh") -> MlpParams:
 
 def _row(x: Node, i: int) -> Node:
     return eg.reduce_sum(eg.gather_rows(x, (i,)), axis=0)
+
+
+def _stack_rows(rows) -> Node:
+    """The vectors ``rows``, one per row of a matrix."""
+    width = rows[0].shape[0]
+    return eg.concat([eg.expand(r, (1, width)) for r in rows], axis=0)
 
 
 class HamiltonianSpec:
@@ -225,20 +235,27 @@ class ConvexHamiltonian(FlexibleHamiltonian):
     """
 
     def __post_init__(self):
-        if not self.energy_net.convex_from_second:
-            raise ValueError("energy net must be convexity-constrained")
+        for i, (w, _, act) in enumerate(self.energy_net.layers):
+            if i >= 1 and np.any(w < 0.0):
+                raise ValueError(f"layer {i + 1} has negative weights in a "
+                                 "convexity-constrained network")
+            if act is not None and act not in CONVEX_ACTIVATIONS:
+                raise ValueError(f"activation {act!r} is not convex and non-decreasing")
         super().__post_init__()
 
     @classmethod
     def init_fields(cls, cfg, rng: np.random.Generator) -> dict:
         d, h, act = cfg.hidden_dim, cfg.field_hidden, cfg.convex_activation
-        return {"energy_net": MlpParams.init((2 * d, h, h, 1), (act, act, None), rng,
-                                             convex_from_second=True)}
+        net = MlpParams.init((2 * d, h, h, 1), (act, act, None), rng)
+        for w, _, _ in net.layers[1:]:
+            np.abs(w, out=w)  # start inside the feasible set
+        return {"energy_net": net}
 
     def project(self) -> None:
         """Clamp layer-2+ weights to be non-negative, in place; layer 1 and
         all biases stay untouched."""
-        self.energy_net.clamp_nonnegative_from_second()
+        for w, _, _ in self.energy_net.layers[1:]:
+            np.maximum(w, 0.0, out=w)
 
 
 @dataclass
@@ -293,7 +310,7 @@ class LearnedSymplecticForm(FlexibleHamiltonian):
         rows = [eg.gradient_all(eg.reduce_sum(eg.narrow(f_out, a, a + 1)), [z],
                                 allow_unused=True, stop_at=(z,))[0]
                 for a in range(2 * self.q_dim)]
-        jac = eg.stack_rows(rows)
+        jac = _stack_rows(rows)
         return eg.sub(eg.transpose(jac), jac)
 
     def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
@@ -301,7 +318,7 @@ class LearnedSymplecticForm(FlexibleHamiltonian):
         if len(q.shape) == 2:
             dqs, dps = zip(*[self.field_nodes(_row(q, i), _row(p, i), prefix)
                              for i in range(q.shape[0])])
-            return eg.stack_rows(dqs), eg.stack_rows(dps)
+            return _stack_rows(dqs), _stack_rows(dps)
         d = self.q_dim
         z = eg.concat([q, p], axis=-1)
         regular = eg.add(self.skew_node(z, prefix),

@@ -12,7 +12,7 @@ graph, so training differentiates through the whole stack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +68,9 @@ class ModelConfig:
                              f"got {self.phi!r}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps!r}")
-        if self.convex_activation not in eg.CONVEX_ACTIVATIONS:
+        if self.convex_activation not in ham.CONVEX_ACTIVATIONS:
             raise ValueError(f"convex_activation must be one of "
-                             f"{eg.CONVEX_ACTIVATIONS}, got {self.convex_activation!r}")
+                             f"{ham.CONVEX_ACTIVATIONS}, got {self.convex_activation!r}")
         if self.signature is not None and self.signature.dim != self.hidden_dim:
             raise ValueError(
                 f"signature ({self.signature.r}, {self.signature.s}) does not "
@@ -287,4 +287,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         offset += 8 * target.size
     if arrays:
         raise ValueError(f"checkpoint manifest is missing tensors {sorted(arrays)}")
+    for i, spec in enumerate(params.field_specs):
+        try:
+            replace(spec)  # the spec's own checks, on the loaded weights
+        except ValueError as exc:
+            raise ValueError(f"checkpoint layer{i}.field: {exc}") from None
     return params, manifest

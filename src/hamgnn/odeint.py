@@ -44,6 +44,8 @@ class IntegrationConfig:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not 0.0 < self.step <= self.horizon:
             raise ValueError("step must be positive and no larger than the horizon")
+        if not math.isfinite(self.horizon / self.step):
+            raise ValueError(f"step {self.step!r} is too small: horizon / step overflows")
 
     @property
     def n_steps(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import types
 import typing
 from pathlib import Path
@@ -41,7 +42,8 @@ def load_json_object(path) -> dict:
 def check_json_value(value, hint, name: str):
     """``value`` converted to the annotated type ``hint``, or a ValueError
     naming ``name``.  Integers are accepted where a number is expected; NaN
-    and +-Infinity, which Python's ``json`` parses, are not.
+    and +-Infinity, which Python's ``json`` parses, are not, and neither is an
+    integer too large for a float.
     ``Signature`` is written as ``[r, s]``; an optional field also takes null.
     """
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
@@ -51,8 +53,10 @@ def check_json_value(value, hint, name: str):
         if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
             return Signature(*value)
     elif hint is float:
-        if _is_int(value) or (isinstance(value, float) and math.isfinite(value)):
+        if _is_int(value) and abs(value) <= sys.float_info.max:
             return float(value)
+        if isinstance(value, float) and math.isfinite(value):
+            return value
     elif hint is int:
         if _is_int(value):
             return value

@@ -168,12 +168,14 @@ def test_zero_threads_flag_is_rejected(capsys):
 
 @pytest.mark.parametrize("section, key, text", [
     ("train", "lr", "NaN"), ("integration", "horizon", "Infinity"),
-    ("integration", "step", "-Infinity")])
+    ("integration", "step", "-Infinity"),
+    pytest.param("integration", "horizon", "1" + "0" * 400, id="integration-horizon-1e400")])
 @pytest.mark.parametrize("via", ["file", "override"])
 def test_train_rejects_a_non_finite_number_by_name(workdir, capsys, section, key, text, via):
+    value = json.loads(text)
     if via == "file":
         cfg = json.loads((workdir / "config.json").read_text())
-        cfg[section][key] = float(text)
+        cfg[section][key] = value
         (workdir / "bad.json").write_text(json.dumps(cfg))  # json writes NaN / Infinity
         argv = ["train", "--config", str(workdir / "bad.json")]
     else:
@@ -181,7 +183,7 @@ def test_train_rejects_a_non_finite_number_by_name(workdir, capsys, section, key
                 "--set", f"{section}.{key}={text}"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"error: {section}.{key} must be a finite number, got {float(text)!r}" in err
+    assert f"error: {section}.{key} must be a finite number, got {value!r}" in err
     assert not (workdir / "run").exists()
 
 

@@ -186,8 +186,8 @@ def test_check_gradient_quadratic():
 
 
 def test_check_gradient_convex_constrained_mlp(rng):
-    net = eg.MlpParams.init((4, 6, 6, 1), ("rehu", "rehu", None), rng,
-                            convex_from_second=True)
+    cfg = ModelConfig(hidden_dim=2, net_hidden=6, variant="convex")
+    net = ham.ConvexHamiltonian.init_fields(cfg, rng)["energy_net"]
     x = eg.parameter("x", (4,))
     f = eg.reduce_sum(net.graph(x, "net"))
     binds = {"x": rng.normal(size=4), **net.bindings("net")}
@@ -762,12 +762,7 @@ def test_gather_rows_keeps_a_frozen_index_array_and_names_a_bad_index():
             eg.gather_rows(x, bad)
 
 
-def test_narrow_of_a_concat_part_is_that_part_and_slice_adjoints_meet_by_part(rng):
-    a, b = eg.parameter("a", (3, 2)), eg.parameter("b", (3, 4))
-    joined = eg.concat([a, b], axis=1)
-    assert eg.narrow(joined, 0, 2) is a and eg.narrow(joined, 2, 6) is b
-    assert eg.narrow(joined, 1, 4).op == "slice"
-    assert eg.narrow(joined, 0, 2, axis=0).op == "slice"
+def test_slice_adjoints_meet_by_part(rng):
     # the adjoints of two slices of x, each padded with zeros, add part by
     # part into one concat of the two slice adjoints
     x = eg.parameter("x", (3, 6))
@@ -1045,7 +1040,6 @@ def test_skipped_ops_map_finite_inputs_to_finite_outputs(rng):
         "transpose": eg.transpose(x),
         "slice": eg.narrow(x, 1, 4, axis=0), "concat": eg.concat([x, x], axis=1),
         "gather-rows": eg.gather_rows(x, [9, 0, 3, 3]),
-        "stack-rows": eg.stack_rows([row, row]),
         "step": eg.step(x), "relu": eg.relu(x), "tanh": eg.tanh(x),
         "sin": eg.sin(x), "sigmoid": eg.sigmoid(x),
         "expand": eg.expand(row, xv.shape, like=x),
@@ -1095,17 +1089,6 @@ def test_mlp_params_dimension_chaining():
     with pytest.raises(ValueError, match="chain"):
         eg.MlpParams([(np.zeros((3, 2)), np.zeros(3), "tanh"),
                       (np.zeros((1, 4)), np.zeros(1), None)])
-
-
-def test_mlp_params_convex_validation():
-    layers = [(np.array([[-1.0, 2.0]]), np.zeros(1), "rehu"),
-              (np.array([[-0.5]]), np.zeros(1), None)]
-    with pytest.raises(ValueError, match="negative weights"):
-        eg.MlpParams(layers, convex_from_second=True)
-    with pytest.raises(ValueError, match="convex"):
-        eg.MlpParams([(np.ones((2, 2)), np.zeros(2), "tanh"),
-                      (np.ones((1, 2)), np.zeros(1), None)],
-                     convex_from_second=True)
 
 
 def test_mlp_params_init_is_seeded_and_bounded():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hamgnn
+from hamgnn import engine as eg
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hamgnn.__path__))
 
@@ -66,3 +67,11 @@ def test_every_imported_package_is_a_declared_dependency():
     assert module_level <= required, f"imported but not in dependencies: {module_level - required}"
     assert in_function <= required | optional, (
         f"imported but not declared: {in_function - required - optional}")
+
+
+def test_readme_states_the_engine_op_count():
+    readme = Path(hamgnn.__file__).resolve().parents[2] / "README.md"
+    if not readme.is_file():
+        pytest.skip("not a source checkout")
+    stated = re.findall(r"The engine has (\d+) op\s+kinds", readme.read_text())
+    assert stated == [str(len(eg._FORWARD))]

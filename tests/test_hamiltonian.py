@@ -348,6 +348,16 @@ def test_project_convex_clamps_later_layers(rng, new_spec):
     assert all(np.all(w >= 0.0) for w, _, _ in spec.energy_net.layers[1:])
 
 
+def test_convex_energy_validation():
+    layers = [(np.array([[-1.0, 2.0]]), np.zeros(1), "rehu"),
+              (np.array([[-0.5]]), np.zeros(1), None)]
+    with pytest.raises(ValueError, match="layer 2 has negative weights"):
+        ham.ConvexHamiltonian(eg.MlpParams(layers))
+    with pytest.raises(ValueError, match="'tanh' is not convex"):
+        ham.ConvexHamiltonian(eg.MlpParams([(np.ones((2, 2)), np.zeros(2), "tanh"),
+                                            (np.ones((1, 2)), np.zeros(1), None)]))
+
+
 def test_convex_variant_admits_kappa_activations(rng, new_spec):
     spec = new_spec("convex", 3, 8, rng, convex_activation="kappa")
     st = PhaseState(rng.normal(size=3), rng.normal(size=3))
@@ -355,7 +365,7 @@ def test_convex_variant_admits_kappa_activations(rng, new_spec):
     assert ham.check_field_gradients(spec, 5, rng)["passed"]
 
 
-@pytest.mark.parametrize("activation", eg.CONVEX_ACTIVATIONS)
+@pytest.mark.parametrize("activation", ham.CONVEX_ACTIVATIONS)
 def test_convexity_witness(rng, new_spec, activation):
     spec = new_spec("convex", 4, 8, rng, convex_activation=activation)
     spec.project()

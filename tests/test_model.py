@@ -177,9 +177,9 @@ INIT_DIGESTS = [
 
 @pytest.mark.parametrize("variant, settings, digest", INIT_DIGESTS)
 def test_init_params_digest_is_pinned(variant, settings, digest):
-    def describe(value):
+    def describe(value, convex):
         if isinstance(value, eg.MlpParams):
-            return [act for _, _, act in value.layers], value.convex_from_second
+            return [act for _, _, act in value.layers], convex
         return value
 
     cfg = ModelConfig(hidden_dim=4, layers=2, variant=variant, **settings)
@@ -189,7 +189,10 @@ def test_init_params_digest_is_pinned(variant, settings, digest):
         h.update(f"{name}{arr.shape}".encode())
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     for spec in params.field_specs:
-        h.update(repr([(f.name, describe(getattr(spec, f.name)))
+        # each field net is hashed with a convexity flag, true for the
+        # convex energy only
+        convex = isinstance(spec, ham.ConvexHamiltonian)
+        h.update(repr([(f.name, describe(getattr(spec, f.name), convex))
                        for f in fields(spec)]).encode())
     assert h.hexdigest() == digest
 
@@ -590,11 +593,11 @@ def test_baseline_mlp_matches_rowwise(rng, sbm_dataset):
 # checkpoints
 
 
-def saved_checkpoint(root, dataset):
-    params = md.init_params(small_config(), dataset.num_features,
+def saved_checkpoint(root, dataset, variant="flexible"):
+    params = md.init_params(small_config(variant=variant), dataset.num_features,
                             dataset.num_classes, seed=5)
     # the complete echo, as `hamgnn train` writes it
-    echo = {"model": {"hidden_dim": 4, "layers": 2, "variant": "flexible",
+    echo = {"model": {"hidden_dim": 4, "layers": 2, "variant": variant,
                       "signature": None, "decoder": "classification",
                       "net_hidden": 6, "rho": 0.1, "phi": "tanh", "eps": 0.001,
                       "momentum_dim": None, "convex_activation": "rehu"},
@@ -624,6 +627,20 @@ def test_checkpoint_roundtrip(tmp_path, sbm_dataset):
     z2 = md.encode(loaded, cfg, sbm_dataset)
     assert np.array_equal(z1, z2)
     assert manifest["config"]["seed"] == 5
+
+
+def test_checkpoint_rejects_a_convex_energy_with_negative_weights(tmp_path, sbm_dataset):
+    saved_checkpoint(tmp_path, sbm_dataset, variant="convex")
+    md.load_checkpoint(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    (offset,) = [t["offset"] for t in manifest["tensors"]
+                 if t["name"] == "layer0.field.energy.w1"]
+    with open(tmp_path / "params.bin", "r+b") as fh:
+        fh.seek(offset)
+        fh.write(np.array([-1.38], dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match=r"^checkpoint layer0\.field: layer 2 has "
+                                         "negative weights"):
+        md.load_checkpoint(tmp_path)
 
 
 def test_checkpoint_manifest_must_list_every_tensor_once(tmp_path, sbm_dataset):

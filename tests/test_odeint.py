@@ -45,6 +45,8 @@ def test_config_validation():
             IntegrationConfig("euler", horizon, 0.1)
     with pytest.raises(ValueError, match="step"):
         IntegrationConfig("euler", 1.0, 2.0)
+    with pytest.raises(ValueError, match=r"^step 5e-324 is too small"):
+        IntegrationConfig("euler", 1.0, 5e-324)
 
 
 def test_config_reports_step_adjustment():
