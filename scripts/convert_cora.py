@@ -10,11 +10,12 @@ Expects the classic two-file layout:
   * ``cora.content``: <paper id> <w0> ... <w1432> <class label> per line
   * ``cora.cites``:   <cited id> <citing id> per line
 
-Self-citations and duplicate citation pairs are dropped (the portable format
-treats edges as an undirected set).  Splits are a seeded random draw of the
-requested sizes, which mirrors the usual 140/500/1000 protocol in size but
-not in the exact node choice.  This script is a convenience and is not part
-of the tested surface.
+Self-citations, duplicate citation pairs and citations of unknown ids are
+dropped (the portable format treats edges as an undirected set).  A paper id
+listed twice, or split sizes that do not fit the node count, stop the
+conversion.  Splits are a seeded random draw of the requested sizes, which
+mirrors the usual 140/500/1000 protocol in size but not in the exact node
+choice.
 """
 
 import argparse
@@ -35,15 +36,20 @@ def convert(src: Path, dst: Path, train: int, val: int, test: int, seed: int,
     if not content.exists() or not cites.exists():
         raise SystemExit(f"expected {content} and {cites}")
 
-    ids, rows, label_names = [], [], []
+    index, rows, label_names = {}, [], []
     for line in content.read_text().splitlines():
         parts = line.split()
         if not parts:
             continue
-        ids.append(parts[0])
+        if parts[0] in index:
+            raise SystemExit(f"{content}: paper id {parts[0]!r} is listed twice")
+        index[parts[0]] = len(rows)
         rows.append([float(x) for x in parts[1:-1]])
         label_names.append(parts[-1])
-    index = {pid: i for i, pid in enumerate(ids)}
+    n = len(rows)
+    if min(train, val, test) < 0 or train + val + test > n:
+        raise SystemExit(f"split sizes --train {train} --val {val} --test {test} "
+                         f"do not fit the {n} nodes of {content}")
     classes = {name: c for c, name in enumerate(sorted(set(label_names)))}
     labels = np.array([classes[name] for name in label_names])
 
@@ -60,7 +66,6 @@ def convert(src: Path, dst: Path, train: int, val: int, test: int, seed: int,
         u, v = index[a], index[b]
         edges.add((min(u, v), max(u, v)))
 
-    n = len(ids)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     masks = (order[:train], order[train:train + val],

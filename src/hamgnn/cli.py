@@ -77,7 +77,7 @@ def _parse_override(text: str):
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past Python's digit limit
         value = raw
     return key.strip(), value
 
@@ -177,6 +177,10 @@ def cmd_eval(args) -> int:
             f"was trained with {echo['num_features']}")
     model_cfg, train_cfg, _ = build_configs(echo)
     train_cfg = dataclasses.replace(train_cfg, task=args.task or train_cfg.task)
+    if train_cfg.task == "classification" and dataset.num_classes > echo["num_classes"]:
+        raise ConfigError(
+            f"dataset has {dataset.num_classes} classes but the checkpoint "
+            f"was trained with {echo['num_classes']}")
     out_dir = Path(args.out or args.checkpoint)
     out_dir.mkdir(parents=True, exist_ok=True)
 

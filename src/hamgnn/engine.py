@@ -30,7 +30,7 @@ __all__ = [
     "tanh", "sigmoid", "sin", "relu", "rehu", "kappa", "step", "zeros_like",
     "expand", "softmax", "log_softmax",
     "add", "sub", "mul", "scale", "negate", "reduce_sum", "concat", "narrow",
-    "forward", "evaluate", "gradient", "gradient_all", "grad",
+    "forward", "evaluate", "gradient", "gradient_all",
     "check_gradient", "ACTIVATIONS", "all_finite", "frozen_float64",
 ]
 
@@ -95,17 +95,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.array.shape
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self.array.reshape(-1)
-
-    def item(self) -> float:
-        return float(self.array)
-
-    def tolist(self):
-        return self.array.tolist()
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, data={self.array!r})"
 
@@ -169,39 +158,27 @@ def _check_vec_or_mat(shape, what):
 
 
 def affine(x: Node, weight: Node, bias: Node | None = None,
-           transpose_x: bool = False, transpose_weight: bool = False,
            label: str | None = None) -> Node:
-    """Matrix product ``op(x) @ op(weight) [+ bias]``.
+    """Matrix product ``x @ weight [+ bias]``.
 
     ``x`` may be a vector (one sample) or a matrix (rows are samples);
     ``weight`` may be a matrix or a vector (matrix-vector product).  A vector
-    bias broadcasts over rows.
+    bias broadcasts over rows.  A transposed operand is a ``transpose`` view.
     """
     xs, ws = x.shape, weight.shape
     _check_vec_or_mat(xs, "affine input")
     _check_vec_or_mat(ws, "affine weight")
-    if transpose_x and len(xs) != 2:
-        raise ValueError("transpose_x requires a matrix input")
-    if transpose_weight and len(ws) != 2:
-        raise ValueError("transpose_weight requires a matrix weight")
-    exs = (xs[1], xs[0]) if transpose_x else xs
-    ews = (ws[1], ws[0]) if transpose_weight else ws
-    if len(exs) == 1 and len(ews) == 1:
+    if len(xs) == 1 and len(ws) == 1:
         raise ValueError("vector-vector product: use reduce_sum(mul(a, b))")
-    inner_x = exs[-1]
-    inner_w = ews[0]
-    if inner_x != inner_w:
-        raise ValueError(f"affine inner dimensions differ: {exs} @ {ews}")
-    out = exs[:-1] + ews[1:]
+    if xs[-1] != ws[0]:
+        raise ValueError(f"affine inner dimensions differ: {xs} @ {ws}")
+    out = xs[:-1] + ws[1:]
     inputs = [x, weight]
     if bias is not None:
         if bias.shape != out and not (len(out) == 2 and bias.shape == (out[1],)):
             raise ValueError(f"bias shape {bias.shape} does not fit output {out}")
         inputs.append(bias)
-    attrs = {"tx": transpose_x, "tw": transpose_weight}
-    if label:
-        attrs["label"] = label
-    return Node("affine", inputs, attrs, out)
+    return Node("affine", inputs, {"label": label} if label else {}, out)
 
 
 def outer(u: Node, v: Node) -> Node:
@@ -210,19 +187,22 @@ def outer(u: Node, v: Node) -> Node:
     return Node("outer", (u, v), {}, (u.shape[0], v.shape[0]))
 
 
-def solve(matrix: Node, rhs: Node, transpose_matrix: bool = False) -> Node:
-    """Solution of ``op(matrix) @ y = rhs`` for a square matrix."""
+def solve(matrix: Node, rhs: Node) -> Node:
+    """Solution of ``matrix @ y = rhs`` for a square matrix."""
     ms, rs = matrix.shape, rhs.shape
     if len(ms) != 2 or ms[0] != ms[1]:
         raise ValueError(f"solve needs a square matrix, got {ms}")
     if rs != (ms[0],):
         raise ValueError(f"solve rhs shape {rs} does not match matrix {ms}")
-    return Node("solve", (matrix, rhs), {"tm": transpose_matrix}, rs)
+    return Node("solve", (matrix, rhs), {}, rs)
 
 
 def transpose(x: Node) -> Node:
+    """The transposed view of a matrix; ``transpose(transpose(x))`` is ``x``."""
     if len(x.shape) != 2:
         raise ValueError("transpose expects a matrix")
+    if x.op == "transpose":
+        return x.inputs[0]
     return Node("transpose", (x,), {}, (x.shape[1], x.shape[0]))
 
 
@@ -378,9 +358,9 @@ def kappa(x: Node) -> Node:
     return _unary("kappa", x)
 
 
-def step(x: Node, include_zero: bool = False) -> Node:
-    """Indicator of x > 0 (or x >= 0); derivative is zero everywhere."""
-    return _unary("step", x, {"include_zero": include_zero})
+def step(x: Node) -> Node:
+    """Indicator of x > 0; derivative is zero everywhere."""
+    return _unary("step", x)
 
 
 def zeros_like(x: Node) -> Node:
@@ -523,12 +503,7 @@ def narrow(x: Node, start: int, stop: int, axis: int = -1) -> Node:
 
 
 def _fw_affine(node, vals):
-    x, w = vals[0], vals[1]
-    if node.attrs["tx"]:
-        x = x.T
-    if node.attrs["tw"]:
-        w = w.T
-    y = x @ w
+    y = vals[0] @ vals[1]
     if len(node.inputs) == 3:
         y = y + vals[2]
     return y
@@ -586,8 +561,7 @@ _FORWARD = {
     "constant": lambda node, vals: node.attrs["value"],
     "affine": _fw_affine,
     "outer": lambda node, vals: np.outer(vals[0], vals[1]),
-    "solve": lambda node, vals: np.linalg.solve(
-        vals[0].T if node.attrs["tm"] else vals[0], vals[1]),
+    "solve": lambda node, vals: np.linalg.solve(vals[0], vals[1]),
     "transpose": lambda node, vals: vals[0].T,
     "gather-rows": lambda node, vals: vals[0][node.attrs["indices"]],
     "sparse-matmul": lambda node, vals: node.attrs["matrix"] @ vals[0],
@@ -597,9 +571,7 @@ _FORWARD = {
     "relu": lambda node, vals: np.maximum(vals[0], 0.0),
     "rehu": _fw_rehu,
     "kappa": _fw_kappa,
-    "step": lambda node, vals: (
-        (vals[0] >= 0.0) if node.attrs["include_zero"] else (vals[0] > 0.0)
-    ).astype(np.float64),
+    "step": lambda node, vals: (vals[0] > 0.0).astype(np.float64),
     "expand": _fw_expand,
     "softmax": _fw_softmax,
     "log-softmax": _fw_log_softmax,
@@ -699,7 +671,8 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     then be live, a leaf, or cheap and recomputable in the same way for
     that moment only; otherwise the value is kept.  A view frees nothing
     its base does not, so it is never dropped and lives at least as
-    long as its base: a base with a view is kept across the peak.
+    long as its base, and a base lives until the last reader of any of its
+    views: a base with a view is kept across the peak.
 
     Returns ``(free, redo)``: ``free[i]`` lists the ids of the nodes freed
     after position ``i`` has run, and ``redo[i]`` is ``(again, transient)``,
@@ -719,6 +692,10 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     for i, node in enumerate(order):
         if node.op in _VIEWS:  # it frees nothing its base does not
             last[i] = max(last[i], last[at[_operands(node)[0].nid]])
+    for i in reversed(range(n)):  # and its base's bytes live while it is read
+        if order[i].op in _VIEWS:
+            base = at[_operands(order[i])[0].nid]
+            last[base] = max(last[base], last[i])
 
     change = [0] * (n + 2)
     for i, node in enumerate(order):
@@ -825,8 +802,8 @@ def evaluate(outputs, bindings=None):
 
     Before anything runs, ``_plan`` finds from the node shapes the position
     where the most bytes are live.  A value of one elementwise pass
-    (``add``, ``sub``, ``mul``, ``scale``) or a view that is read on both
-    sides of that peak is freed before it and computed again after it, by
+    (``add``, ``sub``, ``mul``, ``scale``) that is read on both sides of
+    that peak is freed before it and computed again after it, by
     the same numpy call on the same input bits, so the outputs do not
     change; in a training step these are the tanh slopes ``1 - t*t`` and
     their products with the field's adjoint.  Outputs are never dropped.
@@ -899,35 +876,21 @@ def _reduce_to_shape(g: Node, shape: tuple) -> Node:
 
 
 def _vjp_affine(node, g):
-    # y = X @ W with X = op_tx(x), W = op_tw(w); dX = g W^T and dW = X^T g,
-    # mapped back through the transposes.
+    # y = x @ w: x_bar = g w^T and w_bar = x^T g, or outer products where an
+    # operand is a vector
     x, w = node.inputs[0], node.inputs[1]
-    tx, tw = node.attrs["tx"], node.attrs["tw"]
-
     if len(w.shape) == 1:
-        # matrix-vector product: x is necessarily a matrix here
         gx = outer(g, w)
-        if tx:
-            gx = transpose(gx)
-        gw = affine(x, g, transpose_x=not tx)
-    elif len(x.shape) == 1:
-        # vector-matrix product
-        gx = affine(g, w, transpose_weight=not tw)
-        gw = outer(g, x) if tw else outer(x, g)
+    elif (len(x.shape) == 2 and g.op == "expand" and g.inputs[-1].shape == ()
+          and g.shape[1] == 1):
+        # an expanded scalar column times a (1, k) row: with one term per
+        # entry, every row of the product is the scalar times that row
+        row = transpose(w)
+        gx = expand(mul(g.inputs[-1], row), (g.shape[0], row.shape[1]),
+                    like=g.inputs[0] if len(g.inputs) == 2 else None)
     else:
-        if g.op == "expand" and g.inputs[-1].shape == () and g.shape[1] == 1:
-            # an expanded scalar column times a (1, k) row: with one term per
-            # entry, every row of the product is the scalar times that row
-            row = w if tw else transpose(w)
-            gx = expand(mul(g.inputs[-1], row), (g.shape[0], row.shape[1]),
-                        like=g.inputs[0] if len(g.inputs) == 2 else None)
-        else:
-            gx = affine(g, w, transpose_weight=not tw)
-        if tx:
-            gx = transpose(gx)
-        gw = affine(x, g, transpose_x=not tx)
-        if tw:
-            gw = transpose(gw)
+        gx = affine(g, transpose(w))
+    gw = outer(x, g) if len(x.shape) == 1 else affine(transpose(x), g)
     grads = [gx, gw]
     if len(node.inputs) == 3:
         grads.append(_reduce_to_shape(g, node.inputs[2].shape))
@@ -936,12 +899,8 @@ def _vjp_affine(node, g):
 
 def _vjp_solve(node, g):
     # y = M^{-1} v  =>  v_bar = M^{-T} g,  M_bar = -v_bar y^T
-    tm = node.attrs["tm"]
-    vbar = solve(node.inputs[0], g, transpose_matrix=not tm)
-    mbar = negate(outer(vbar, node))
-    if tm:
-        mbar = transpose(mbar)
-    return [mbar, vbar]
+    vbar = solve(transpose(node.inputs[0]), g)
+    return [negate(outer(vbar, node)), vbar]
 
 
 def _vjp_softmax(node, g):
@@ -978,7 +937,7 @@ def _vjp_expand(node, g):
     if node.attrs["column"]:
         gx = affine(g, constant(np.ones(node.shape[1])))
     elif len(x.shape) == 2:
-        gx = affine(constant(np.ones((node.shape[0], 1))), g, transpose_x=True)
+        gx = affine(constant(np.ones((1, node.shape[0]))), g)
     else:
         gx = _reduce_to_shape(g, x.shape)
     return [None, gx] if len(node.inputs) == 2 else [gx]
@@ -1016,7 +975,7 @@ def _tanh_slope(node: Node) -> Node:
 
 def _vjp_kappa(node, g):
     x = node.inputs[0]
-    on_plus = step(x, include_zero=True)
+    on_plus = step(x)
     plus = mul(on_plus, add(x, constant(1.0)))
     minus = mul(sub(constant(1.0), on_plus), add(node, constant(1.0)))
     return [mul(g, add(plus, minus))]
@@ -1141,11 +1100,6 @@ def gradient(f: Node, wrt: Node) -> Node:
     return gradient_all(f, [wrt])[0]
 
 
-def grad(f: Node, x: Node, bindings=None) -> Tensor:
-    """Value of df/dx; same shape as x."""
-    return Tensor(evaluate(gradient(f, x), bindings))
-
-
 def relative_error(a, b, floor: float = 1e-8) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -1261,8 +1215,7 @@ class MlpParams:
         for i, (w, b, act) in enumerate(self.layers):
             wl = parameter(f"{name}.w{i}", w.shape)
             bl = parameter(f"{name}.b{i}", b.shape)
-            out = affine(out, wl, bl, transpose_weight=True,
-                         label=f"{name} layer {i}")
+            out = affine(out, transpose(wl), bl, label=f"{name} layer {i}")
             if act is not None:
                 out = ACTIVATIONS[act](out)
         return out

@@ -75,13 +75,6 @@ class Trajectory:
         if len(self.times) != len(self.states):
             raise ValueError("one state per time point required")
 
-    @property
-    def last(self) -> PhaseState:
-        return self.states[-1]
-
-    def __len__(self):
-        return len(self.states)
-
 
 def _axpy(state: Node, rate: Node, h: float) -> Node:
     return eg.add(state, eg.scale(rate, h))

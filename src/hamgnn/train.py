@@ -337,9 +337,6 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
             history.diverged_at = epoch
             break
         loss = float(values[0])
-        if not np.isfinite(loss):
-            history.diverged_at = epoch
-            break
         z_val = values[1]
         grads = {name: g for (name, _), g in
                  zip(params.param_items(), values[2:2 + len(leaves)])}

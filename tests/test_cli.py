@@ -187,6 +187,16 @@ def test_train_rejects_a_non_finite_number_by_name(workdir, capsys, section, key
     assert not (workdir / "run").exists()
 
 
+def test_an_integer_override_past_the_digit_limit_fails_by_key(workdir, capsys):
+    text = "1" + "0" * 5000  # json.loads refuses integers over 4300 digits
+    argv = ["train", "--config", str(workdir / "config.json"),
+            "--set", f"integration.horizon={text}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: integration.horizon must be a finite number, got " in err
+    assert not (workdir / "run").exists()
+
+
 def test_unapplied_thread_cap_is_reported(workdir, monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     rc = main(["--threads", "2", "gradcheck", "--variant", "flexible",
@@ -219,6 +229,21 @@ def test_eval_rejects_wrong_dimension(workdir, capsys):
                "--dataset", str(workdir / "threeblocks")])
     assert rc == 1
     assert "features" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_dataset_with_more_classes(workdir, capsys):
+    assert main(["train", "--config", str(workdir / "config.json"),
+                 "--set", "train.max_epochs=2", "--set", "train.patience=2"]) == 0
+    ds = gd.load_dataset(workdir / "sbm")
+    four = gd.GraphDataset("sbm4", ds.features, ds.labels + 2 * (np.arange(ds.n) % 2),
+                           ds.edges, ds.train_mask, ds.val_mask, ds.test_mask)
+    gd.save_dataset(four, workdir / "four")
+    rc = main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint"),
+               "--dataset", str(workdir / "four")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: dataset has 4 classes but the checkpoint was trained with 2" in err
+    assert "Traceback" not in err
 
 
 def test_eval_rejects_task_without_head(workdir, capsys):

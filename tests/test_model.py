@@ -264,7 +264,7 @@ def test_zero_momentum_freezes_metric_orbit(rng, new_spec):
     q0 = rng.normal(size=3)
     traj = oi.integrate(spec, PhaseState(q0, np.zeros(3)),
                         IntegrationConfig("rk4", 1.0, 0.25))
-    assert np.max(np.abs(traj.last.q - q0)) <= 1e-12
+    assert np.max(np.abs(traj.states[-1].q - q0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def test_encode_single_isolated_node_is_orbit_endpoint(rng):
     p0 = affine_rows(params.momentum_nets[0], "momentum", q0)
     traj = oi.integrate(params.field_specs[0], PhaseState(q0, p0),
                         cfg.integration)
-    assert eg.relative_error(z[0], traj.last.q) <= 1e-12
+    assert eg.relative_error(z[0], traj.states[-1].q) <= 1e-12
 
 
 def test_encode_matches_straight_line_reimplementation(rng):
@@ -470,7 +470,7 @@ def test_per_node_energy_conservation_along_layers(rng):
             traj = oi.integrate(spec, PhaseState(h[i], p0), cfg.integration)
             drift = oi.energy_drift(spec, traj)
             assert drift["relative_drift"] <= 1e-3
-            ends.append(traj.last.q)
+            ends.append(traj.states[-1].q)
         q_end = np.array(ends)
         h = q_end + mat @ q_end
 

@@ -73,9 +73,9 @@ def test_free_particle_euler_is_exact(rng, frozen_metric, new_spec):
     spec = frozen_metric(new_spec("geodesic", 1, 4, rng), np.ones(1))
     traj = oi.integrate(spec, PhaseState([0.0], [2.0]),
                         IntegrationConfig("euler", 1.0, 0.5))
-    assert len(traj) == 3
-    assert traj.last.q.tolist() == [2.0]
-    assert traj.last.p.tolist() == [2.0]
+    assert len(traj.states) == 3
+    assert traj.states[-1].q.tolist() == [2.0]
+    assert traj.states[-1].p.tolist() == [2.0]
 
 
 def test_harmonic_oscillator_rk4_full_turn(rng, oscillator, new_spec):
@@ -84,7 +84,7 @@ def test_harmonic_oscillator_rk4_full_turn(rng, oscillator, new_spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         traj = oi.integrate(spec, PhaseState([1.0], [0.0]), cfg)
-    err = math.hypot(traj.last.q[0] - 1.0, traj.last.p[0])
+    err = math.hypot(traj.states[-1].q[0] - 1.0, traj.states[-1].p[0])
     assert err <= 1e-6
 
 
@@ -165,8 +165,8 @@ def test_energy_drift_requires_hamiltonian(rng, new_spec):
 def _endpoint_error(spec, method, h):
     traj = oi.integrate(spec, PhaseState([1.0], [0.0]),
                         IntegrationConfig(method, 1.0, h))
-    return math.hypot(traj.last.q[0] - math.cos(1.0),
-                      traj.last.p[0] + math.sin(1.0))
+    return math.hypot(traj.states[-1].q[0] - math.cos(1.0),
+                      traj.states[-1].p[0] + math.sin(1.0))
 
 
 def test_global_order_euler_and_rk4(rng, oscillator, new_spec):
@@ -195,9 +195,9 @@ def test_time_reversal_quadratic_hamiltonian(rng, oscillator, new_spec):
     cfg = IntegrationConfig("rk4", 1.5, 0.01)
     start = PhaseState(rng.normal(size=3), rng.normal(size=3))
     fwd = oi.integrate(spec, start, cfg)
-    back = oi.integrate(spec, PhaseState(fwd.last.q, -fwd.last.p), cfg)
-    assert np.max(np.abs(back.last.q - start.q)) <= 1e-6
-    assert np.max(np.abs(back.last.p + start.p)) <= 1e-6
+    back = oi.integrate(spec, PhaseState(fwd.states[-1].q, -fwd.states[-1].p), cfg)
+    assert np.max(np.abs(back.states[-1].q - start.q)) <= 1e-6
+    assert np.max(np.abs(back.states[-1].p + start.p)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -487,8 +487,7 @@ def test_flexible_training_graph_builds_no_half_zero_adjoint_sums(
 
 
 def _inner_dim(node):
-    x = node.inputs[0]
-    return x.shape[0] if node.attrs["tx"] else x.shape[-1]
+    return node.inputs[0].shape[-1]
 
 
 def _is_ones(node):
