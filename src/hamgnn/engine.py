@@ -286,10 +286,14 @@ class SparseMatrix:
 
     @property
     def T(self) -> "SparseMatrix":
-        """The transpose, built on first use; its ``.T`` is this matrix."""
+        """The transpose, built on first use; its ``.T`` is this matrix.  It
+        shares this matrix's checked, read-only entry arrays."""
         if self._transpose is None:
-            t = SparseMatrix(self.cols, self.rows, self.weights, self.shape[::-1])
-            object.__setattr__(t, "_transpose", self)
+            t = object.__new__(SparseMatrix)
+            for name, value in (("rows", self.cols), ("cols", self.rows),
+                                ("weights", self.weights), ("shape", self.shape[::-1]),
+                                ("_csr", None), ("_transpose", self)):
+                object.__setattr__(t, name, value)
             object.__setattr__(self, "_transpose", t)
         return self._transpose
 
@@ -1074,7 +1078,7 @@ def gradient_all(f: Node, wrts: Sequence[Node], allow_unused: bool = False,
         got = adjoint.get(node.nid)
         if got is not None:
             prev = by_name.get(name)
-            by_name[name] = got if prev is None else add(prev, got)
+            by_name[name] = got if prev is None else _add_adjoints(prev, got)
 
     results = []
     for wrt in wrts:
@@ -1209,13 +1213,34 @@ class MlpParams:
     def bindings(self, name: str) -> dict:
         return dict(self.param_items(name))
 
-    def graph(self, x: Node, name: str) -> Node:
-        """Forward graph with parameter leaves named ``{name}.w{i}`` / ``.b{i}``."""
-        out = x
+    def graph(self, x: Node | Sequence[Node], name: str) -> Node:
+        """Forward graph with parameter leaves named ``{name}.w{i}`` / ``.b{i}``.
+
+        ``x`` is the input, or a sequence of parts whose last axes join into
+        the input.  The first layer then multiplies each part by its own
+        column block of ``w0`` and adds the products and the bias, so the
+        joined input is never built, and a part's adjoint holds only its
+        own columns.
+        """
+        parts = [x] if isinstance(x, Node) else list(x)
+        if sum(part.shape[-1] for part in parts) != self.input_dim:
+            raise ValueError(f"inputs of shapes {[part.shape for part in parts]} "
+                             f"do not fit {self.input_dim} input columns")
+        out = parts[0]
         for i, (w, b, act) in enumerate(self.layers):
             wl = parameter(f"{name}.w{i}", w.shape)
             bl = parameter(f"{name}.b{i}", b.shape)
-            out = affine(out, transpose(wl), bl, label=f"{name} layer {i}")
+            label = f"{name} layer {i}"
+            if i == 0 and len(parts) > 1:
+                start = 0
+                for k, part in enumerate(parts):
+                    stop = start + part.shape[-1]
+                    term = affine(part, transpose(narrow(wl, start, stop)), label=label)
+                    out = term if k == 0 else add(out, term)
+                    start = stop
+                out = add(out, bl)
+            else:
+                out = affine(out, transpose(wl), bl, label=label)
             if act is not None:
                 out = ACTIVATIONS[act](out)
         return out

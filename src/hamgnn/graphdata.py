@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +57,12 @@ class GraphDataset:
 
     ``features`` is read-only once the dataset is built; copy it before
     editing.  A writable array passed in is copied (``engine.frozen_float64``),
-    so a later write to it cannot reach the validated table, and model graphs
-    refer to the table without a copy.
+    so a later write to it cannot reach the validated table.
+
+    ``feature_matrix`` holds the table's non-zero cells as an
+    ``engine.SparseMatrix`` of the table's shape, in row-major order, with
+    its CSR copy built: model graphs multiply it, never the dense table.  It
+    takes about 40 bytes per non-zero cell.
     """
 
     name: str
@@ -68,6 +72,7 @@ class GraphDataset:
     train_mask: np.ndarray
     val_mask: np.ndarray
     test_mask: np.ndarray
+    feature_matrix: eg.SparseMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = eg.frozen_float64(self.features)
@@ -79,6 +84,12 @@ class GraphDataset:
             finite = np.isfinite(self.features).all(axis=1)
             raise ValueError(
                 f"non-finite feature in row {int(np.flatnonzero(~finite)[0])}")
+        # the coordinates np.nonzero gives, in a fifth of its time
+        cells = np.flatnonzero(self.features != 0.0)
+        rows, cols = np.divmod(cells, max(self.features.shape[1], 1))
+        self.feature_matrix = eg.SparseMatrix(rows, cols, self.features.reshape(-1)[cells],
+                                              self.features.shape)
+        self.feature_matrix.csr()
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative class ids")
         canon = set()

@@ -221,8 +221,8 @@ class FlexibleHamiltonian(_EnergySpec):
     p_dim = q_dim
 
     def energy_node(self, q: Node, p: Node, prefix: str) -> Node:
-        """The energy net on the concatenated state, summed over every state."""
-        out = self.energy_net.graph(eg.concat([q, p], axis=-1), f"{prefix}.energy")
+        """The energy net on the state (q, p), summed over every state."""
+        out = self.energy_net.graph([q, p], f"{prefix}.energy")
         return eg.reduce_sum(out)
 
 

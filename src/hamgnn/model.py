@@ -85,10 +85,10 @@ class ModelConfig:
 class ModelParams:
     """All trainable tensors, grouped by role.
 
-    ``compressor`` maps raw features to the hidden dimension with no
-    nonlinearity; ``momentum_nets`` are one affine map per layer; each layer
-    owns its own field spec; the classification head is absent for the link
-    decoder.
+    ``compressor`` is one affine map from raw features to the hidden
+    dimension, applied to the dataset's sparse ``feature_matrix``;
+    ``momentum_nets`` are one affine map per layer; each layer owns its own
+    field spec; the classification head is absent for the link decoder.
     """
 
     compressor: MlpParams
@@ -172,9 +172,13 @@ def encode_nodes(params: ModelParams, cfg: ModelConfig,
         raise ValueError(
             f"compressor expects {params.compressor.input_dim} features, "
             f"dataset has {dataset.num_features}")
-    x = eg.constant(dataset.features, label="raw features")
+    # the compressor multiplies only the table's non-zero cells
+    [(w, b, _)] = params.compressor.layers
+    weight = eg.parameter("compress.w0", w.shape)
+    h = eg.add(eg.sparse_matmul(eg.transpose(weight), dataset.feature_matrix),
+               eg.parameter("compress.b0", b.shape))
+    h.attrs["label"] = "compress layer 0"
     mean = aggregation_matrix(dataset.n, dataset.edges)
-    h = params.compressor.graph(x, "compress")
     for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
         p = qnet.graph(h, f"layer{i}.momentum")
         states = integrate_nodes(spec, h, p, cfg.integration,

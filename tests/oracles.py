@@ -3,20 +3,25 @@
 The analytic cogeodesic orbit integrates a diagonal metric given in closed
 form with plain numpy and scores the geodesic-equation residual along it
 (criterion 4); the topology-blind MLP baseline is the comparison model of
-criterion 10.
+criterion 10; the dense encoder multiplies the whole feature table and feeds
+each energy net the concatenated state q‖p, as the model did before it
+multiplied only the table's non-zeros and split the energy net's first
+layer into its q and p column blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from hamgnn import engine as eg
+from hamgnn import hamiltonian as ham
+from hamgnn import model as md
 from hamgnn.engine import MlpParams, Node
 from hamgnn.graphdata import GraphDataset
-from hamgnn.odeint import IntegrationConfig
+from hamgnn.odeint import IntegrationConfig, integrate_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -111,3 +116,53 @@ def baseline_mlp_nodes(params: MlpParams, dataset: GraphDataset) -> tuple[Node, 
     bindings; never reads edges."""
     x = eg.constant(dataset.features, label="raw features")
     return params.graph(x, "mlp"), params.bindings("mlp")
+
+
+# ---------------------------------------------------------------------------
+# dense compressor and concatenated energy input
+
+
+class _ConcatEnergy:
+    """The energy net on the concatenated state: one (n, 2d) first-layer
+    input, whose adjoint the energy's field slices back into q and p."""
+
+    def energy_node(self, q: Node, p: Node, prefix: str) -> Node:
+        out = self.energy_net.graph(eg.concat([q, p], axis=-1), f"{prefix}.energy")
+        return eg.reduce_sum(out)
+
+
+class ConcatFlexible(_ConcatEnergy, ham.FlexibleHamiltonian):
+    pass
+
+
+class ConcatConvex(_ConcatEnergy, ham.ConvexHamiltonian):
+    pass
+
+
+class ConcatRelaxed(_ConcatEnergy, ham.RelaxedHamiltonian):
+    pass
+
+
+_CONCAT = {ham.FlexibleHamiltonian: ConcatFlexible, ham.ConvexHamiltonian: ConcatConvex,
+           ham.RelaxedHamiltonian: ConcatRelaxed}
+
+
+def concat_energy_spec(spec: ham.HamiltonianSpec) -> ham.HamiltonianSpec:
+    """The flexible, convex or relaxed ``spec`` with a concatenated energy
+    input; it shares the spec's networks."""
+    return _CONCAT[type(spec)](**{f.name: getattr(spec, f.name) for f in fields(spec)})
+
+
+def dense_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, dict]:
+    """``model.encode_nodes`` with the dense compressor ``X @ w0.T + b0`` over
+    the whole table and every field from ``concat_energy_spec``."""
+    x = eg.constant(dataset.features, label="raw features")
+    mean = md.aggregation_matrix(dataset.n, dataset.edges)
+    h = params.compressor.graph(x, "compress")
+    for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
+        p = qnet.graph(h, f"layer{i}.momentum")
+        states = integrate_nodes(concat_energy_spec(spec), h, p, cfg.integration,
+                                 prefix=f"layer{i}.field")
+        q_end = states[-1][0]
+        h = eg.add(q_end, eg.sparse_matmul(q_end, mean))
+    return h, params.bindings()

@@ -422,10 +422,14 @@ def test_only_the_planned_tanh_slopes_and_products_run_twice(training_outputs, m
     squares = {n.inputs[1].nid for n in order if n.nid in slopes}
     products = {n.nid for n in order if n.op == "elementwise-mul"
                 and any(i.nid in slopes for i in n.inputs)}
-    assert len(slopes) == 6 and slopes <= set(planned) and products & set(planned)
+    # every slope but the last one, with its square and its product with
+    # the field adjoint; the last slope is kept, because its tanh is freed
+    # at the peak, before the slope's next reader could run it again
+    assert len(slopes) == 6 and len(slopes & set(planned)) == 5
+    assert len(squares & set(planned)) == len(products & set(planned)) == 5
     # nothing else: the field adjoint's expanded (1, H) rows stay live with
     # their views
-    assert set(planned) <= slopes | squares | products and len(planned) == 17
+    assert set(planned) <= slopes | squares | products and len(planned) == 15
     for g, e in zip(got, _dfs_evaluate(outputs, bindings)):
         assert g.tobytes() == e.tobytes()
 

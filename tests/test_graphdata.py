@@ -229,6 +229,27 @@ def test_dataset_features_are_read_only_and_not_the_callers_array():
         ds.features[1, 1] = 5.0
 
 
+def test_feature_matrix_holds_the_nonzero_cells_in_row_major_order(rng):
+    features = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.4)
+    features[3] = 0.0
+    features[0, 0] = -0.0  # a zero cell, whatever its sign
+    ds = GraphDataset("x", features, np.zeros(7, dtype=int), [], [], [], [])
+    table = ds.feature_matrix
+    rows, cols = np.nonzero(features)
+    assert table.shape == features.shape
+    assert table.rows.tolist() == rows.tolist() and table.cols.tolist() == cols.tolist()
+    assert table.weights.tobytes() == features[rows, cols].tobytes()
+    assert table._csr is not None  # built with the dataset, not on first use
+    assert np.array_equal(table.csr().toarray(), features)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (3, 4)])
+def test_feature_matrix_of_a_table_without_nonzeros_is_empty(shape):
+    n = shape[0]
+    ds = GraphDataset("x", np.zeros(shape), np.zeros(n, dtype=int), [], [], [], [])
+    assert ds.feature_matrix.shape == shape and ds.feature_matrix.weights.size == 0
+
+
 def test_roundtrip_identity(tmp_path):
     ds = gd.synth_dataset("sbm", sizes=(10, 10), p_in=0.6, p_out=0.05, seed=3)
     gd.save_dataset(ds, tmp_path / "a")

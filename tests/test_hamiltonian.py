@@ -11,6 +11,7 @@ from hamgnn import hamiltonian as ham
 from hamgnn import odeint as oi
 from hamgnn.hamiltonian import PhaseState, Signature
 from hamgnn.odeint import IntegrationConfig
+from oracles import concat_energy_spec
 
 
 def zero_energy_net(d):
@@ -390,3 +391,31 @@ def test_field_matches_energy_finite_differences(tag, rng, new_spec):
         spec = new_spec(tag, d, 8, rng)
         rep = ham.check_field_gradients(spec, 10, rng)
         assert rep["passed"], (tag, d, rep)
+
+
+@pytest.mark.parametrize("tag", ["flexible", "convex", "relaxed"])
+def test_split_energy_input_matches_the_concat_reference(tag, rng, new_spec):
+    d = 3
+    spec = new_spec(tag, d, 8, rng)
+    reference = concat_energy_spec(spec)
+    q, p = eg.parameter("q", (d,)), eg.parameter("p", (d,))
+    leaves = [q, p] + [eg.parameter(name, arr.shape)
+                       for name, arr in spec.param_items("field")]
+    weights = [eg.constant(rng.normal(size=d)) for _ in range(2)]
+
+    def outputs(s):
+        """Energy, field and the gradients of a fixed weighting of both."""
+        energy = ham.hamiltonian_node(s, q, p)
+        dq, dp = s.field_nodes(q, p, "field")
+        probe = eg.add(energy, eg.add(eg.reduce_sum(eg.mul(dq, weights[0])),
+                                      eg.reduce_sum(eg.mul(dp, weights[1]))))
+        return [energy, dq, dp, *eg.gradient_all(probe, leaves)]
+
+    got, want = outputs(spec), outputs(reference)
+    for _ in range(5):
+        binds = {**spec.bindings("field"), "q": rng.uniform(-1, 1, d),
+                 "p": rng.uniform(-1, 1, d)}
+        for g, w in zip(eg.evaluate(got, binds), eg.evaluate(want, binds)):
+            assert eg.relative_error(g, w) <= 1e-12
+    for s in (spec, reference):
+        assert ham.check_field_gradients(s, 10, rng)["passed"]

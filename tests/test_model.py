@@ -18,7 +18,7 @@ from hamgnn import odeint as oi
 from hamgnn.hamiltonian import PhaseState
 from hamgnn.model import ModelConfig
 from hamgnn.odeint import IntegrationConfig
-from oracles import baseline_mlp_nodes, baseline_mlp_params
+from oracles import baseline_mlp_nodes, baseline_mlp_params, dense_encode_nodes
 
 
 def affine_rows(net, name, x):
@@ -327,9 +327,15 @@ def test_encode_graph_holds_no_quadratic_constant():
     cfg = small_config()
     params = md.init_params(cfg, ds.num_features, ds.num_classes, seed=0)
     z, _ = md.encode_nodes(params, cfg, ds)
-    sizes = [node.attrs["value"].size for node in graph_nodes(z)
-             if node.op == "constant"]
-    assert max(sizes) == ds.features.size < ds.n * ds.n
+    nodes = graph_nodes(z)
+    # no constant of the table's or the node set's size: the table and the
+    # neighbour mean are sparse matrices of their non-zero entries
+    sizes = [node.attrs["value"].size for node in nodes if node.op == "constant"]
+    assert max(sizes) < ds.n
+    matrices = {id(node.attrs["matrix"]): node.attrs["matrix"] for node in nodes
+                if node.op == "sparse-matmul"}
+    assert sorted(m.weights.size for m in matrices.values()) == sorted(
+        [2 * len(ds.edges), np.count_nonzero(ds.features)])
 
 
 def test_encode_peak_memory_is_linear_in_graph_size():
@@ -349,12 +355,53 @@ def test_encode_peak_memory_is_linear_in_graph_size():
 def test_encode_refers_to_the_dataset_feature_table(sbm_dataset):
     cfg = small_config()
     params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
+    nodes = graph_nodes(md.encode_nodes(params, cfg, sbm_dataset)[0])
+    # the compressor multiplies the dataset's own sparse table, held by
+    # identity, with the transposed first weight
+    [product] = [node for node in nodes if node.op == "sparse-matmul"
+                 and node.attrs["matrix"] is sbm_dataset.feature_matrix]
+    [weight] = product.inputs[0].inputs
+    assert product.inputs[0].op == "transpose" and weight.attrs["name"] == "compress.w0"
+    assert not [node for node in nodes if node.op == "constant"
+                and np.shares_memory(node.attrs["value"], sbm_dataset.features)]
+    # the topology-blind baseline reads the dense table without a copy
     mlp = baseline_mlp_params(sbm_dataset.num_features, sbm_dataset.num_classes, 4)
-    for out in (md.encode_nodes(params, cfg, sbm_dataset)[0],
-                baseline_mlp_nodes(mlp, sbm_dataset)[0]):
-        raw = [node for node in graph_nodes(out) if node.attrs.get("label") == "raw features"]
-        assert len(raw) == 1
-        assert np.shares_memory(raw[0].attrs["value"], sbm_dataset.features)
+    raw = [node for node in graph_nodes(baseline_mlp_nodes(mlp, sbm_dataset)[0])
+           if node.attrs.get("label") == "raw features"]
+    assert len(raw) == 1
+    assert np.shares_memory(raw[0].attrs["value"], sbm_dataset.features)
+
+
+def binary_table_dataset():
+    """12 nodes on a ring with a sparse 0/1 feature table; node 4 has no
+    feature at all."""
+    rng = np.random.default_rng(3)
+    features = (rng.random((12, 9)) < 0.3).astype(np.float64)
+    features[4] = 0.0
+    return gd.GraphDataset("binary", features, np.arange(12) % 3,
+                           [(i, (i + 1) % 12) for i in range(12)], [0, 1, 2], [3, 4], [5, 6])
+
+
+def encode_and_gradients(encode_nodes, params, cfg, ds):
+    """Embeddings and every parameter gradient of a fixed weighting of them."""
+    z, bindings = encode_nodes(params, cfg, ds)
+    weights = np.random.default_rng(5).normal(size=z.shape)
+    loss = eg.reduce_sum(eg.mul(z, eg.constant(weights)))
+    leaves = [eg.parameter(name, arr.shape) for name, arr in params.param_items()]
+    return eg.evaluate([z, *eg.gradient_all(loss, leaves, allow_unused=True)], bindings)
+
+
+@pytest.mark.parametrize("table", ["sbm", "binary"])
+@pytest.mark.parametrize("variant", ["flexible", "convex", "relaxed"])
+def test_encode_matches_the_dense_concat_reference(sbm_dataset, variant, table):
+    ds = sbm_dataset if table == "sbm" else binary_table_dataset()
+    cfg = small_config(variant=variant)
+    params = md.init_params(cfg, ds.num_features, ds.num_classes, seed=2)
+    got = encode_and_gradients(md.encode_nodes, params, cfg, ds)
+    want = encode_and_gradients(dense_encode_nodes, params, cfg, ds)
+    assert len(got) == len(want) == 1 + len(params.param_items())
+    for name, g, w in zip(["z", *params.bindings()], got, want):
+        assert eg.relative_error(g, w) <= 1e-12, name
 
 
 def test_encode_peak_memory_stays_below_the_feature_table(rng):
