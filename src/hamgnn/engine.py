@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse
+import scipy.special
 
 __all__ = [
     "Tensor", "Node", "MlpParams", "SparseMatrix",
@@ -513,14 +514,6 @@ def _fw_affine(node, vals):
     return y
 
 
-def _fw_sigmoid(node, vals):
-    # exponentials of non-positive arguments only, so saturation cannot
-    # overflow under the raise-on-overflow evaluation regime
-    x = vals[0]
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _fw_rehu(node, vals):
     # equals 0 / x^2/2 / x-1/2 on the three pieces without evaluating the
     # quadratic outside its piece
@@ -570,7 +563,7 @@ _FORWARD = {
     "gather-rows": lambda node, vals: vals[0][node.attrs["indices"]],
     "sparse-matmul": lambda node, vals: node.attrs["matrix"] @ vals[0],
     "tanh": lambda node, vals: np.tanh(vals[0]),
-    "sigmoid": _fw_sigmoid,
+    "sigmoid": lambda node, vals: scipy.special.expit(vals[0]),
     "sin": lambda node, vals: np.sin(vals[0]),
     "relu": lambda node, vals: np.maximum(vals[0], 0.0),
     "rehu": _fw_rehu,
@@ -599,28 +592,6 @@ _FINITE_IF_INPUTS_FINITE = frozenset({
 })
 
 
-def _toposort(outputs: Sequence[Node], stop: frozenset | None = None) -> list[Node]:
-    """Post-order over the reachable graph; ``stop`` nodes are not expanded."""
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(o, False) for o in reversed(outputs)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node.nid in seen:
-            continue
-        seen.add(node.nid)
-        stack.append((node, True))
-        if stop and node.nid in stop:
-            continue
-        for inp in reversed(node.inputs):
-            if inp.nid not in seen:
-                stack.append((inp, False))
-    return order
-
-
 def _bad_rows(val: np.ndarray) -> str:
     """Offending row indices of a non-finite array (rows are graph vertices
     in batched evaluation)."""
@@ -639,8 +610,10 @@ def _operands(node: Node) -> tuple:
     return node.inputs[-1:] if node.op == "expand" else node.inputs
 
 
-def _construction_order(outputs: Sequence[Node]) -> list[Node]:
-    """The nodes the outputs' values need, by ascending ``nid``.  Each input
+def _reachable(outputs: Sequence[Node], inputs=_operands,
+               stop: frozenset = frozenset()) -> list[Node]:
+    """The nodes reachable from the outputs through ``inputs(node)``, by
+    ascending ``nid``; ``stop`` nodes are kept but not expanded.  Each input
     is built before its consumer, so this is always a topological order."""
     reached: dict[int, Node] = {}
     stack = list(outputs)
@@ -648,7 +621,8 @@ def _construction_order(outputs: Sequence[Node]) -> list[Node]:
         node = stack.pop()
         if node.nid not in reached:
             reached[node.nid] = node
-            stack.extend(_operands(node))
+            if node.nid not in stop:
+                stack.extend(inputs(node))
     return [reached[nid] for nid in sorted(reached)]
 
 
@@ -687,7 +661,7 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     at = {node.nid: i for i, node in enumerate(order)}
     uses: list[list[int]] = [[] for _ in order]
     for i, node in enumerate(order):
-        for inp in node.inputs[-1:] if node.op == "expand" else node.inputs:
+        for inp in _operands(node):
             uses[at[inp.nid]].append(i)
     # the last position that reads each value; leaves and outputs outlive
     # the run (every other node has a reader, or it would not be here)
@@ -824,7 +798,7 @@ def evaluate(outputs, bindings=None):
     single = isinstance(outputs, Node)
     outs = [outputs] if single else list(outputs)
     bindings = bindings or {}
-    order = _construction_order(outs)
+    order = _reachable(outs)
     free, redo = _plan(order, {o.nid for o in outs})
 
     values: dict[int, np.ndarray] = {}
@@ -1052,8 +1026,10 @@ def gradient_all(f: Node, wrts: Sequence[Node], allow_unused: bool = False,
     if f.shape != ():
         raise ValueError(f"gradient target must be scalar, got shape {f.shape}")
     stop = frozenset(n.nid for n in stop_at)
-    # this depth-first order fixes the order in which adjoints are summed
-    order = _toposort([f], stop)
+    # every input counts, so a leaf behind a ``like`` input is present; the
+    # sweep runs in descending id, the reverse of evaluation, and so adds a
+    # node's adjoint contributions in descending id of their consumers
+    order = _reachable([f], lambda node: node.inputs, stop)
     in_graph = {n.nid for n in order}
     adjoint: dict[int, Node] = {f.nid: constant(1.0)}
     for node in reversed(order):

@@ -347,17 +347,20 @@ def mix_datasets(a: GraphDataset, b: GraphDataset, split=(0.6, 0.2, 0.2),
 # delta-hyperbolicity
 
 
-def _quad_delta(dist: list, w: int, x: int, y: int, z: int) -> float:
-    sums = sorted((dist[w][x] + dist[y][z],
-                   dist[w][y] + dist[x][z],
-                   dist[w][z] + dist[x][y]), reverse=True)
-    return (sums[0] - sums[1]) / 2.0
+def _quad_deltas(dist: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """The delta of each quadruple row (w, x, y, z): half the gap between the
+    largest two of its three pair sums."""
+    w, x, y, z = quads.T
+    sums = np.sort([dist[w, x] + dist[y, z], dist[w, y] + dist[x, z],
+                    dist[w, z] + dist[x, y]], axis=0)
+    return (sums[2] - sums[1]) / 2.0
 
 
 def _component_hops(dataset: GraphDataset) -> tuple[list, list]:
     """The components of at least 4 nodes, each listed in breadth-first order
     from its lowest id with neighbours visited in ascending id, and each
-    one's hop distances between its list positions."""
+    one's hop distances between its list positions, which float64 holds
+    exactly."""
     pairs = np.asarray(dataset.edges, dtype=np.intp).reshape(-1, 2)
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
@@ -373,8 +376,7 @@ def _component_hops(dataset: GraphDataset) -> tuple[list, list]:
         seen[comp] = True
         if comp.size >= 4:
             comps.append(comp)
-            hops = csgraph.shortest_path(adj[comp][:, comp], unweighted=True)
-            dists.append(hops.astype(np.int64).tolist())  # exact Python ints
+            dists.append(csgraph.shortest_path(adj[comp][:, comp], unweighted=True))
     return comps, dists
 
 
@@ -402,35 +404,28 @@ def delta_hyperbolicity(dataset: GraphDataset, mode: str = "exact",
     totals = [math.comb(len(c), 4) for c in comps]
     total_quads = sum(totals)
 
-    histogram: dict[float, int] = {}
-    max_delta = 0.0
-
-    def record(delta: float):
-        nonlocal max_delta
-        histogram[delta] = histogram.get(delta, 0) + 1
-        max_delta = max(max_delta, delta)
-
     if mode == "exact" or samples >= total_quads:
-        for comp, dist in zip(comps, dists):
-            for quad in itertools.combinations(range(comp.size), 4):
-                record(_quad_delta(dist, *quad))
+        quads = [np.fromiter(itertools.combinations(range(comp.size), 4),
+                             np.dtype((np.intp, 4)), count=total)
+                 for comp, total in zip(comps, totals)]
         count = total_quads
     else:
         rng = np.random.default_rng(seed)
         weights = np.array(totals, dtype=np.float64) / total_quads
         chosen: set = set()
+        quads = [[] for _ in comps]
         while len(chosen) < samples:
             ci = int(rng.choice(len(comps), p=weights))
             quad = tuple(sorted(rng.choice(len(comps[ci]), size=4, replace=False)))
-            key = (ci, quad)
-            if key in chosen:
-                continue
-            chosen.add(key)
-            record(_quad_delta(dists[ci], *quad))
+            if (ci, quad) not in chosen:
+                chosen.add((ci, quad))
+                quads[ci].append(quad)
         count = samples
-
-    return {"max_delta": max_delta,
-            "histogram": dict(sorted(histogram.items())),
+    deltas = np.concatenate([_quad_deltas(dist, np.asarray(q, dtype=np.intp).reshape(-1, 4))
+                             for dist, q in zip(dists, quads)])
+    values, counts = np.unique(deltas, return_counts=True)
+    return {"max_delta": values[-1].item(),
+            "histogram": dict(zip(values.tolist(), counts.tolist())),
             "num_quadruples": count}
 
 

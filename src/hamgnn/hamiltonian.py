@@ -314,18 +314,18 @@ class LearnedSymplecticForm(FlexibleHamiltonian):
         return eg.sub(eg.transpose(jac), jac)
 
     def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
-        """One solve per state; a batch is solved row by row."""
+        """One solve per state; a batch is solved row by row.  grad H is the
+        canonical field's (dH/dp, -dH/dq) of the same energy graph, turned
+        back into (dH/dq, dH/dp)."""
         if len(q.shape) == 2:
             dqs, dps = zip(*[self.field_nodes(_row(q, i), _row(p, i), prefix)
                              for i in range(q.shape[0])])
             return _stack_rows(dqs), _stack_rows(dps)
         d = self.q_dim
-        z = eg.concat([q, p], axis=-1)
-        regular = eg.add(self.skew_node(z, prefix),
+        regular = eg.add(self.skew_node(eg.concat([q, p], axis=-1), prefix),
                          eg.constant(self.eps * canonical_skew_matrix(d)))
-        energy = self.energy_net.graph(z, f"{prefix}.energy")
-        grad_z = eg.gradient_all(eg.reduce_sum(energy), [z], stop_at=(z,))[0]
-        flow = eg.solve(regular, grad_z)
+        dh_dp, minus_dh_dq = super().field_nodes(q, p, prefix)
+        flow = eg.solve(regular, eg.concat([eg.negate(minus_dh_dq), dh_dp]))
         return eg.narrow(flow, 0, d), eg.narrow(flow, d, 2 * d)
 
 

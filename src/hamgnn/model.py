@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.special
 
 from . import engine as eg
 from . import hamiltonian as ham
@@ -99,10 +100,6 @@ class ModelParams:
     def __post_init__(self):
         if len(self.momentum_nets) != len(self.field_specs):
             raise ValueError("one momentum net per layer required")
-
-    @property
-    def layers(self) -> int:
-        return len(self.field_specs)
 
     def param_items(self) -> list:
         items = list(self.compressor.param_items("compress"))
@@ -221,8 +218,7 @@ def decode_link(embeddings, pairs) -> np.ndarray:
         raise ValueError(f"pair ({u}, {v}) references an unknown node")
     # one (1, d) @ (d, 1) product per pair, the same dot as z[u] @ z[v]
     s = (z[idx[:, 0], None, :] @ z[idx[:, 1], :, None]).reshape(-1)
-    e = np.exp(-np.abs(s))  # overflow-free logistic
-    return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return scipy.special.expit(s)  # cannot overflow
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,24 @@ form with plain numpy and scores the geodesic-equation residual along it
 criterion 10; the dense encoder multiplies the whole feature table and feeds
 each energy net the concatenated state q‖p, as the model did before it
 multiplied only the table's non-zeros and split the energy net's first
-layer into its q and p column blocks.
+layer into its q and p column blocks; the symplectic field differentiates
+its own copy of the energy net on the joined state, as it did before it took
+grad H from the canonical field; the three-pass logistic is the one the
+engine's sigmoid and ``decode_link`` computed before ``scipy.special.expit``;
+and the exact hyperbolicity loop scores one quadruple at a time, as
+``delta_hyperbolicity`` did before it scored them all in one array pass.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from hamgnn import engine as eg
+from hamgnn import graphdata as gd
 from hamgnn import hamiltonian as ham
 from hamgnn import model as md
 from hamgnn.engine import MlpParams, Node
@@ -143,13 +150,28 @@ class ConcatRelaxed(_ConcatEnergy, ham.RelaxedHamiltonian):
     pass
 
 
+class ConcatSymplectic(_ConcatEnergy, ham.LearnedSymplecticForm):
+    """The symplectic field of one state with grad H taken by differentiating
+    the energy net on the joined state z = q‖p with respect to z."""
+
+    def field_nodes(self, q: Node, p: Node, prefix: str) -> tuple[Node, Node]:
+        d = self.q_dim
+        z = eg.concat([q, p], axis=-1)
+        regular = eg.add(self.skew_node(z, prefix),
+                         eg.constant(self.eps * ham.canonical_skew_matrix(d)))
+        energy = self.energy_net.graph(z, f"{prefix}.energy")
+        grad_z = eg.gradient_all(eg.reduce_sum(energy), [z], stop_at=(z,))[0]
+        flow = eg.solve(regular, grad_z)
+        return eg.narrow(flow, 0, d), eg.narrow(flow, d, 2 * d)
+
+
 _CONCAT = {ham.FlexibleHamiltonian: ConcatFlexible, ham.ConvexHamiltonian: ConcatConvex,
-           ham.RelaxedHamiltonian: ConcatRelaxed}
+           ham.RelaxedHamiltonian: ConcatRelaxed, ham.LearnedSymplecticForm: ConcatSymplectic}
 
 
 def concat_energy_spec(spec: ham.HamiltonianSpec) -> ham.HamiltonianSpec:
-    """The flexible, convex or relaxed ``spec`` with a concatenated energy
-    input; it shares the spec's networks."""
+    """The flexible, convex, relaxed or (one-state) symplectic ``spec`` with a
+    concatenated energy input; it shares the spec's networks."""
     return _CONCAT[type(spec)](**{f.name: getattr(spec, f.name) for f in fields(spec)})
 
 
@@ -166,3 +188,41 @@ def dense_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, dict]:
         q_end = states[-1][0]
         h = eg.add(q_end, eg.sparse_matmul(q_end, mean))
     return h, params.bindings()
+
+
+# ---------------------------------------------------------------------------
+# three-pass logistic
+
+
+# zeros, the tiniest and largest magnitudes, where 1 + e^-|x| rounds to 1
+# (36), where e^-|x| underflows (745) and past it, and a fine grid between
+LOGISTIC_GRID = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0,
+     800.0, -800.0, 1.7976931348623157e308, -1.7976931348623157e308],
+    np.linspace(-40.0, 40.0, 1601)])
+
+
+def three_pass_logistic(x) -> np.ndarray:
+    """1 / (1 + e^-x) from exponentials of non-positive arguments only."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# ---------------------------------------------------------------------------
+# one-quadruple-at-a-time hyperbolicity
+
+
+def loop_delta_hyperbolicity(dataset: GraphDataset) -> dict:
+    """``graphdata.delta_hyperbolicity`` in exact mode, scoring each
+    quadruple on the hop tables as Python integers."""
+    histogram: dict[float, int] = {}
+    for comp, hops in zip(*gd._component_hops(dataset)):
+        dist = hops.astype(np.int64).tolist()
+        for w, x, y, z in itertools.combinations(range(comp.size), 4):
+            sums = sorted((dist[w][x] + dist[y][z], dist[w][y] + dist[x][z],
+                           dist[w][z] + dist[x][y]))
+            delta = (sums[2] - sums[1]) / 2.0
+            histogram[delta] = histogram.get(delta, 0) + 1
+    return {"max_delta": max(histogram), "histogram": dict(sorted(histogram.items())),
+            "num_quadruples": sum(histogram.values())}

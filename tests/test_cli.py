@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hamgnn
 from hamgnn import graphdata as gd
 from hamgnn.cli import build_configs, load_run_config, main
 from hamgnn.model import ModelConfig
@@ -221,6 +223,30 @@ def test_eval_reproduces_training_metric(workdir):
     assert len(rows[0].split(",")) == 16
 
 
+def test_link_eval_reproduces_training_metric(workdir):
+    assert main(["train", "--config", str(workdir / "config.json"),
+                 "--set", "model.decoder=link", "--set", "train.task=link",
+                 "--set", "train.max_epochs=4", "--set", "train.patience=4"]) == 0
+    trained = json.loads((workdir / "run" / "metrics.json").read_text())
+    assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint"),
+                 "--dataset", str(workdir / "sbm"), "--task", "link",
+                 "--out", str(workdir / "eval")]) == 0
+    evaluated = json.loads((workdir / "eval" / "metrics.json").read_text())
+    assert evaluated["task"] == "link" and "test_accuracy" not in evaluated
+    assert evaluated["test_roc_auc"] == trained["test_roc_auc"]
+
+
+def test_diverged_training_exits_2_and_records_the_epoch(workdir, capsys):
+    rc = main(["train", "--config", str(workdir / "config.json"),
+               "--set", "train.lr=1e300", "--set", "train.max_epochs=5",
+               "--set", "train.patience=5"])
+    assert rc == 2
+    metrics = json.loads((workdir / "run" / "metrics.json").read_text())
+    epoch = metrics["diverged_at_epoch"]
+    assert 1 <= epoch <= 5 and metrics["epochs_run"] == epoch - 1
+    assert f"training diverged at epoch {epoch}" in capsys.readouterr().err.splitlines()
+
+
 def test_eval_rejects_wrong_dimension(workdir, capsys):
     assert main(["train", "--config", str(workdir / "config.json")]) == 0
     other = gd.synth_dataset("sbm", sizes=(5, 5, 5), p_in=0.6, p_out=0.05, seed=1)
@@ -341,14 +367,17 @@ def test_gradcheck_passes_for_known_variants(capsys):
 # Every figure in it comes from derivative rules, so equal digests show that a
 # change to the engine's rules kept every bit of the first- and second-order
 # gradients these checks evaluate.  The energy variants were re-pinned once,
-# when the energy net's first layer came to take q and p apart.
+# when the energy net's first layer came to take q and p apart; symplectic
+# and geodesic_relaxed again when the backward sweep came to add adjoints in
+# descending node id, the sigmoid became ``scipy.special.expit`` and the
+# symplectic field came to take grad H from the canonical field.
 GRADCHECK_DIGESTS = {
     "geodesic": "29fbae62153a7f4848d7a9c2b5641cec3bec9f64518601d8502a9c78dbbaa2f1",
     "flexible": "5ccf828c33a7a1c49c61e8ca0c1076edefa3a29e590009dbf95e0855e2f02376",
     "convex": "73c5ab3dfb09c492f8b906fe4de1630996aea5b3359dc6af84e8f33641dd6171",
     "relaxed": "87c69e45240164c6a25c8097c564a96e99523b7f36dfe7355f858eb4f70ad283",
-    "symplectic": "b0364864fdbcdc4a839a3c89c8c5a040bc828e8418fe8b9c0508f240252f6846",
-    "geodesic_relaxed": "c5eb5f27c0c4be4ed54896e0ad4e6d8dc1e91ead8ab8ca6c12ac6fb7b986ab41",
+    "symplectic": "e4ab8a66da3b778f962f1504a9888ad7a9801d7179399fa808dad95ba355b393",
+    "geodesic_relaxed": "28370aaff868d6665247d6e39e2d34e805afc9bb5351fd0ffb0dc62771a8a62d",
     "higher_dim": "09670fb473e82082f9627fd09a30fd5ef68bb4d9e5f31c26d588843fc06f129e",
     "vanilla_ode": "daef09e7adf18ed1ff9c86b7cd590fe4365133a97764d0e91fbea73d9f8b5d4d",
 }
@@ -378,10 +407,14 @@ def test_sweep_layers_writes_table(workdir, capsys):
 
 
 def test_console_entry_point_runs(workdir):
-    # the installed script path: one subprocess smoke test
+    # the installed script path: one subprocess smoke test, of the package
+    # these tests import
+    source = str(Path(hamgnn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, "-m", "hamgnn.cli", "gradcheck", "--variant",
          "flexible", "--dim", "2", "--seed", "1"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["passed"]

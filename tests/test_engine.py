@@ -17,6 +17,7 @@ from hamgnn import graphdata as gd
 from hamgnn import hamiltonian as ham
 from hamgnn import model as md
 from hamgnn.model import ModelConfig
+from oracles import LOGISTIC_GRID, three_pass_logistic
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +203,43 @@ def test_check_gradient_rejects_nonpositive_step():
         eg.check_gradient(f, x, {"x": [0.0, 0.0]}, fd_step=0.0)
 
 
+@pytest.mark.parametrize("shape", [(5,), (3, 4)])
+def test_check_gradient_softmax(rng, shape):
+    x = eg.parameter("x", shape)
+    f = eg.reduce_sum(eg.mul(eg.softmax(x), eg.constant(rng.normal(size=shape))))
+    binds = {"x": rng.normal(size=shape)}
+    assert eg.check_gradient(f, x, binds)["passed"]
+    g = eg.gradient(f, x)
+    assert eg.check_gradient(eg.reduce_sum(eg.mul(g, g)), x, binds, tol=1e-5)["passed"]
+
+
+def test_gradient_adds_a_shared_inputs_contributions_in_descending_consumer_id():
+    # three consumers of x that the total reads in another order than they
+    # were built; the sweep runs in descending id, so x's adjoint is
+    # (w3 + w2) + w1, whose rounding differs from the other orders here
+    x = eg.parameter("x", (2,))
+    ws = [np.array([1.0, 0.5]), np.array([1e-16, 1e-17]), np.array([-1.0, -0.5])]
+    c1, c2, c3 = (eg.mul(x, eg.constant(w)) for w in ws)
+    (g,) = eg.gradient_all(eg.reduce_sum(eg.add(eg.add(c2, c1), c3)), [x])
+    first, last = g.inputs
+    assert g.op == first.op == "elementwise-add"
+    assert [part.inputs[1] for part in (*first.inputs, last)] == [
+        c.inputs[1] for c in (c3, c2, c1)]
+    got = eg.evaluate(g, {"x": np.zeros(2)})
+    assert got.tobytes() == ((ws[2] + ws[1]) + ws[0]).tobytes()
+    assert got.tobytes() != ((ws[0] + ws[1]) + ws[2]).tobytes()
+
+
+def test_sigmoid_is_the_three_pass_logistic_within_an_ulp_and_never_overflows():
+    expected = three_pass_logistic(LOGISTIC_GRID)
+    node = eg.sigmoid(eg.parameter("x", LOGISTIC_GRID.shape))
+    with np.errstate(all="raise"):
+        got = eg._FORWARD["sigmoid"](node, [LOGISTIC_GRID])
+        assert got.tobytes() == eg.evaluate(node, {"x": LOGISTIC_GRID}).tobytes()
+    assert np.abs(got - expected).max() <= 2.3e-16
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -327,11 +365,28 @@ def test_concurrent_evaluations_share_a_graph(rng):
 # evaluation order and zero fills
 
 
+def _dfs_order(outputs):
+    """Every node reachable through all inputs, in depth-first post-order:
+    a different topological order from ``evaluate``'s ascending ids."""
+    order, seen = [], set()
+    stack = [(o, False) for o in reversed(outputs)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node.nid not in seen:
+            seen.add(node.nid)
+            stack.append((node, True))
+            stack.extend((inp, False) for inp in reversed(node.inputs)
+                         if inp.nid not in seen)
+    return order
+
+
 def _dfs_evaluate(outputs, bindings):
-    """Reference evaluator: every node in ``_toposort``'s depth-first
-    post-order, zero fills' inputs included, each value kept to the end."""
+    """Reference evaluator: every node in ``_dfs_order``, zero fills' inputs
+    included, each value kept to the end."""
     values = {}
-    for node in eg._toposort(outputs):
+    for node in _dfs_order(outputs):
         if node.op == "parameter":
             val = bindings[node.attrs["name"]]
         else:
@@ -389,7 +444,7 @@ def _count_runs(monkeypatch) -> Counter:
 
 def _planned(outputs) -> dict:
     """The nodes that one evaluation of ``outputs`` runs again, by id."""
-    _, redo = eg._plan(eg._construction_order(outputs), {o.nid for o in outputs})
+    _, redo = eg._plan(eg._reachable(outputs), {o.nid for o in outputs})
     return {n.nid: n for again, _ in redo.values() for n in again}
 
 
@@ -412,7 +467,7 @@ def test_only_the_planned_tanh_slopes_and_products_run_twice(training_outputs, m
     ds = gd.synth_dataset("sbm", **SBM_300)
     cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible")
     outputs, bindings = training_outputs(cfg, ds)
-    order = eg._construction_order(outputs)
+    order = eg._reachable(outputs)
     planned = _planned(outputs)
     runs = _count_runs(monkeypatch)
     got = eg.evaluate(outputs, bindings)
@@ -468,7 +523,7 @@ def test_a_base_stays_live_until_the_last_read_of_its_view(rng):
     early = eg.sin(base)                  # the base's last direct reader
     late = eg.mul(view, eg.sin(early))    # reads the view after it
     out = eg.reduce_sum(late)
-    order = eg._construction_order([out])
+    order = eg._reachable([out])
     free, _ = eg._plan(order, {out.nid})
     freed_after = {nid: i for i, nids in free.items() for nid in nids}
     at = {node.nid: i for i, node in enumerate(order)}
@@ -573,7 +628,7 @@ def test_summed_energy_reaches_its_last_layer_as_an_expanded_row(rng, transposed
     hidden = eg.tanh(eg.affine(x, eg.transpose(eg.constant(rng.normal(size=(6, 4))))))
     energy = eg.reduce_sum(eg.affine(hidden, eg.transpose(w1) if transposed else w1))
     (field,) = eg.gradient_all(energy, [x])
-    evaluated = eg._construction_order([field])
+    evaluated = eg._reachable([field])
     assert [n.shape for n in evaluated if n.op == "expand"] == [(5, 6)]
     assert all(1 not in n.inputs[0].shape for n in evaluated if n.op == "affine")
     binds = {"x": rng.normal(size=(5, 4)), "w1": rng.normal(size=w1.shape)}
@@ -623,7 +678,7 @@ def test_negated_product_flips_the_operand_of_its_expanded_factor(column):
 def test_tanh_slope_adjoints_negate_rows_not_arrays(sbm_dataset, training_outputs):
     cfg = ModelConfig(hidden_dim=4, layers=2, net_hidden=6, variant="flexible")
     outputs, bindings = training_outputs(cfg, sbm_dataset)
-    negations = [n.shape for n in eg._construction_order(outputs)
+    negations = [n.shape for n in eg._reachable(outputs)
                  if n.op == "scale" and n.attrs["factor"] == -1.0]
     assert (sbm_dataset.n, 6) not in negations and (1, 6) in negations
     _assert_same_bytes(outputs, bindings)
@@ -693,7 +748,7 @@ def test_flexible_training_never_computes_the_energy_total(
     # never computes
     cfg = ModelConfig(hidden_dim=4, layers=2, net_hidden=4, variant="flexible")
     outputs, bindings = training_outputs(cfg, sbm_dataset)
-    totals = [n for n in eg._toposort(outputs)
+    totals = [n for n in _dfs_order(outputs)
               if n.op == "affine" and n.shape == (sbm_dataset.n, 1)]
     assert len(totals) >= 2 * cfg.layers
     shapes = []
@@ -914,7 +969,7 @@ def test_sparse_transpose_is_built_once_and_shared_by_every_backward_sweep(rng):
     x = eg.parameter("x", (7, 3))
     f = eg.reduce_sum(eg.tanh(eg.sparse_matmul(eg.tanh(eg.sparse_matmul(x, matrix)),
                                                matrix)))
-    backward = [n for n in eg._toposort([eg.gradient(f, x)])
+    backward = [n for n in _dfs_order([eg.gradient(f, x)])
                 if n.op == "sparse-matmul" and n.attrs["matrix"] is matrix.T]
     assert len(backward) == 2
     binds = {"x": rng.normal(size=(7, 3))}

@@ -8,6 +8,7 @@ import pytest
 
 from hamgnn import graphdata as gd
 from hamgnn.graphdata import GraphDataset
+from oracles import loop_delta_hyperbolicity
 
 
 def write_dataset(path, nodes_text, edges_text, splits_text):
@@ -443,6 +444,10 @@ def test_sampled_all_equals_exact_on_random_graphs():
         exact = gd.delta_hyperbolicity(ds, "exact")
         sampled = gd.delta_hyperbolicity(ds, "sampled", samples=10 ** 9, seed=trial)
         assert sampled == exact, f"trial {trial}"
+        # Python floats and ints, as the one-quadruple-at-a-time loop gives,
+        # also over two components
+        for graph in (ds, gd.mix_datasets(ds, ds)):
+            assert repr(gd.delta_hyperbolicity(graph)) == repr(loop_delta_hyperbolicity(graph))
 
 
 def test_sampled_mode_is_deterministic(sbm_dataset):

@@ -393,7 +393,7 @@ def test_field_matches_energy_finite_differences(tag, rng, new_spec):
         assert rep["passed"], (tag, d, rep)
 
 
-@pytest.mark.parametrize("tag", ["flexible", "convex", "relaxed"])
+@pytest.mark.parametrize("tag", ["flexible", "convex", "relaxed", "symplectic"])
 def test_split_energy_input_matches_the_concat_reference(tag, rng, new_spec):
     d = 3
     spec = new_spec(tag, d, 8, rng)
@@ -417,5 +417,26 @@ def test_split_energy_input_matches_the_concat_reference(tag, rng, new_spec):
                  "p": rng.uniform(-1, 1, d)}
         for g, w in zip(eg.evaluate(got, binds), eg.evaluate(want, binds)):
             assert eg.relative_error(g, w) <= 1e-12
+    if tag == "symplectic":
+        return  # its field follows its two-form, not the canonical equations
     for s in (spec, reference):
         assert ham.check_field_gradients(s, 10, rng)["passed"]
+
+
+def test_symplectic_field_differentiates_the_energy_graph_of_the_diagnostics(rng, new_spec):
+    spec = new_spec("symplectic", 3, 4, rng)
+    q, p = eg.parameter("q", (3,)), eg.parameter("p", (3,))
+    dq, dp = spec.field_nodes(q, p, "field")
+    nodes = eg._reachable([dq, dp], lambda n: n.inputs)
+    energy = [n for n in nodes if n.op == "affine"
+              and n.attrs.get("label", "").startswith("field.energy")]
+    # hamiltonian_node's first energy layer takes q and p apart: no energy
+    # affine reads the joined state, which only the two-form's net reads
+    assert {n.inputs[0] for n in energy if n.attrs["label"].endswith("layer 0")} == {q, p}
+    assert not [n for n in energy if n.inputs[0].op == "concat"]
+    assert [n for n in nodes if n.op == "affine" and n.inputs[0].op == "concat"
+            and n.attrs.get("label") == "field.form layer 0"]
+    # grad H = (dH/dq, dH/dp) with the canonical field's negation folded away
+    (grad_h,) = [n.inputs[1] for n in nodes if n.op == "solve"]
+    assert grad_h.op == "concat"
+    assert not [part for part in grad_h.inputs if part.op == "scale"]

@@ -8,6 +8,7 @@ import tracemalloc
 from dataclasses import fields
 
 import numpy as np
+import scipy.special
 import pytest
 
 from hamgnn import engine as eg
@@ -18,7 +19,8 @@ from hamgnn import odeint as oi
 from hamgnn.hamiltonian import PhaseState
 from hamgnn.model import ModelConfig
 from hamgnn.odeint import IntegrationConfig
-from oracles import baseline_mlp_nodes, baseline_mlp_params, dense_encode_nodes
+from oracles import (LOGISTIC_GRID, baseline_mlp_nodes, baseline_mlp_params,
+                     dense_encode_nodes, three_pass_logistic)
 
 
 def affine_rows(net, name, x):
@@ -588,11 +590,19 @@ def test_decode_link_equals_per_pair_dot(rng):
         z = rng.normal(size=(30, d)) * 3.0
         pairs = rng.integers(0, 30, size=(200, 2))
         s = np.array([float(z[u] @ z[v]) for u, v in pairs.tolist()])
-        e = np.exp(-np.abs(s))
-        expected = np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        expected = scipy.special.expit(s)
         for form in (pairs, [tuple(p) for p in pairs.tolist()]):
             assert md.decode_link(z, form).tobytes() == expected.tobytes()
     assert md.decode_link(z, []).shape == (0,)
+
+
+def test_decode_link_is_the_three_pass_logistic_within_an_ulp_and_never_overflows():
+    # node 0 holds 1, so the pair (0, i) scores exactly node i's value
+    z = np.concatenate([[1.0], LOGISTIC_GRID])[:, None]
+    pairs = [(0, i) for i in range(1, z.shape[0])]
+    with np.errstate(all="raise"):
+        got = md.decode_link(z, pairs)
+    assert np.abs(got - three_pass_logistic(LOGISTIC_GRID)).max() <= 2.3e-16
 
 
 def test_decode_link_names_the_first_bad_pair():
