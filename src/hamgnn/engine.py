@@ -590,6 +590,14 @@ _FINITE_IF_INPUTS_FINITE = frozenset({
     "constant", "transpose", "slice", "concat", "gather-rows",
     "step", "expand", "relu", "tanh", "sin", "sigmoid",
 })
+# Ops that numpy ufuncs compute in the calling thread.  From finite inputs a
+# non-finite output needs an overflow, invalid or divide-by-zero flag, which
+# raises under ``evaluate``'s error state, so these need no scan either.
+_FLAGGED = frozenset({
+    "elementwise-add", "elementwise-sub", "elementwise-mul", "scale", "sum",
+    "softmax", "log-softmax", "rehu", "kappa",
+})
+_UNSCANNED = _FINITE_IF_INPUTS_FINITE | _FLAGGED
 
 
 def _bad_rows(val: np.ndarray) -> str:
@@ -742,10 +750,19 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
 
 def _run(node: Node, values: dict) -> np.ndarray:
     vals = [values[i.nid] for i in _operands(node)]
-    # overflow is allowed to surface as inf so the finiteness check can
-    # report the producing node and its offending rows
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return np.asarray(_FORWARD[node.op](node, vals), dtype=np.float64)
+    try:
+        val = np.asarray(_FORWARD[node.op](node, vals), dtype=np.float64)
+        if node.op in _UNSCANNED:
+            return val
+    except FloatingPointError:
+        # the flag may come from a value that ends finite (the softmax of a
+        # row spanning +-1e308) or from a BLAS thread: run again and scan
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            val = np.asarray(_FORWARD[node.op](node, vals), dtype=np.float64)
+    if not all_finite(val):
+        raise FloatingPointError(f"non-finite intermediate at {node!r}"
+                                 f"{_bad_rows(val)}{_whereabouts(node)}")
+    return val
 
 
 def _whereabouts(node: Node) -> str:
@@ -792,8 +809,10 @@ def evaluate(outputs, bindings=None):
     view, so an output that is one comes back as an array of its own.  A
     non-finite binding or intermediate value raises ``FloatingPointError``
     naming the leaf, or the node that produced it and its nearest labelled
-    ancestors, at its first computation; a recomputed value is not checked
-    again.
+    ancestors.  The walk runs under one ``np.errstate`` that raises on the
+    flags guarding the ufunc ops of ``_FLAGGED``; other ops are scanned.  A
+    node that raises runs again with the flags ignored, and is reported only
+    if that value is not finite.
     """
     single = isinstance(outputs, Node)
     outs = [outputs] if single else list(outputs)
@@ -802,31 +821,29 @@ def evaluate(outputs, bindings=None):
     free, redo = _plan(order, {o.nid for o in outs})
 
     values: dict[int, np.ndarray] = {}
-    for i, node in enumerate(order):
-        if i in redo:
-            again, transient = redo[i]
-            for other in again:
-                values[other.nid] = _run(other, values)
-            for nid in transient:
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for i, node in enumerate(order):
+            if i in redo:
+                again, transient = redo[i]
+                for other in again:
+                    values[other.nid] = _run(other, values)
+                for nid in transient:
+                    del values[nid]
+            if node.op == "parameter":
+                name = node.attrs["name"]
+                if name not in bindings:
+                    raise ValueError(f"unbound leaf {name!r}")
+                val = as_array(bindings[name])
+                if val.shape != node.shape:
+                    raise ValueError(
+                        f"binding for {name!r} has shape {val.shape}, expected {node.shape}")
+                if not all_finite(val):
+                    raise FloatingPointError(f"non-finite value bound to {name!r}")
+            else:
+                val = _run(node, values)
+            values[node.nid] = val
+            for nid in free.get(i, ()):
                 del values[nid]
-        if node.op == "parameter":
-            name = node.attrs["name"]
-            if name not in bindings:
-                raise ValueError(f"unbound leaf {name!r}")
-            val = as_array(bindings[name])
-            if val.shape != node.shape:
-                raise ValueError(
-                    f"binding for {name!r} has shape {val.shape}, expected {node.shape}")
-            if not all_finite(val):
-                raise FloatingPointError(f"non-finite value bound to {name!r}")
-        else:
-            val = _run(node, values)
-            if node.op not in _FINITE_IF_INPUTS_FINITE and not all_finite(val):
-                raise FloatingPointError(f"non-finite intermediate at {node!r}"
-                                         f"{_bad_rows(val)}{_whereabouts(node)}")
-        values[node.nid] = val
-        for nid in free.get(i, ()):
-            del values[nid]
 
     result = [np.array(values[o.nid]) if o.op == "expand" else values[o.nid]
               for o in outs]

@@ -4,7 +4,8 @@ generators and Gromov delta-hyperbolicity analysis.
 Directory format (all text UTF-8, LF endings, '.' decimal separator):
 
 * ``nodes.csv``   — header ``id,label,f0,f1,...``; one row per node with
-  ``id`` running 0..n-1 in order and an integer class label.  Feature cells
+  ``id`` running 0..n-1 in order and an integer class label (ids, labels
+  and edge endpoints are an optional sign and ASCII digits).  Feature cells
   are finite ASCII decimals (no ``_`` separators), parsed by numpy's C
   reader; a bad cell is reported with its line.
 * ``edges.tsv``   — two tab-separated node ids per line, undirected;
@@ -31,7 +32,7 @@ from . import engine as eg
 from .schema import load_json_object
 
 __all__ = [
-    "GraphDataset", "LinkSplit", "load_dataset", "save_dataset",
+    "GraphDataset", "LinkSplit", "aggregation_matrix", "load_dataset", "save_dataset",
     "mix_datasets", "delta_hyperbolicity", "synth_dataset",
 ]
 
@@ -51,6 +52,24 @@ def _mask_ids(name: str, ids) -> np.ndarray:
     return mask
 
 
+def aggregation_matrix(n: int, edges) -> eg.SparseMatrix:
+    """Neighbor-mean operator as an (n, n) ``SparseMatrix``.
+
+    Each undirected edge {u, v} gives the entries (u, v) and (v, u), weighted
+    1/|N(row)|.  Isolated nodes have no entries, so their mean term vanishes.
+    The entries run first over the edges as (u, v), then as (v, u), so row u
+    of ``S @ x`` adds its terms ``x[v] / |N(u)|`` onto +0.0 in that order:
+    the edges where u is the first endpoint, then those where it is the
+    second, each in edge order.  ``GraphDataset.mean_matrix`` holds it for
+    the dataset's edges, shared by every layer, graph and backward sweep.
+    """
+    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    degree = np.bincount(rows, minlength=n)
+    return eg.SparseMatrix(rows, cols, 1.0 / degree[rows], (n, n))
+
+
 @dataclass
 class GraphDataset:
     """Undirected graph with node features, labels and split masks.
@@ -62,7 +81,8 @@ class GraphDataset:
     ``feature_matrix`` holds the table's non-zero cells as an
     ``engine.SparseMatrix`` of the table's shape, in row-major order, with
     its CSR copy built: model graphs multiply it, never the dense table.  It
-    takes about 40 bytes per non-zero cell.
+    takes about 40 bytes per non-zero cell.  ``mean_matrix`` is the
+    neighbour-mean operator ``aggregation_matrix(n, edges)``, CSR copy built.
     """
 
     name: str
@@ -73,6 +93,7 @@ class GraphDataset:
     val_mask: np.ndarray
     test_mask: np.ndarray
     feature_matrix: eg.SparseMatrix = field(init=False, repr=False, compare=False)
+    mean_matrix: eg.SparseMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = eg.frozen_float64(self.features)
@@ -104,6 +125,8 @@ class GraphDataset:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             canon.add(key)
         self.edges = sorted(canon)
+        self.mean_matrix = aggregation_matrix(n, self.edges)
+        self.mean_matrix.csr()
         masks = []
         seen = set()
         for name, mask in (("train", self.train_mask), ("val", self.val_mask),
@@ -204,10 +227,12 @@ def _parse_features(cells: list, linenos: list, header: list) -> np.ndarray:
 
 def _int_cell(cell: str, what: str, lineno: int, fname: str = "nodes.csv") -> int:
     try:
-        return int(cell)
+        # int() alone also reads "1_0" and non-ASCII digits such as "\u0663"
+        if "_" not in cell and cell.strip().isascii():
+            return int(cell)
     except ValueError:
-        raise ValueError(f"{what} must be an integer; got {cell!r}"
-                         f" at {fname} line {lineno}") from None
+        pass
+    raise ValueError(f"{what} must be an integer; got {cell!r} at {fname} line {lineno}")
 
 
 def load_dataset(path) -> GraphDataset:

@@ -21,7 +21,7 @@ import scipy.special
 from . import engine as eg
 from . import hamiltonian as ham
 from .engine import MlpParams, Node, Tensor
-from .graphdata import GraphDataset
+from .graphdata import GraphDataset, aggregation_matrix
 from .hamiltonian import Signature
 from .odeint import IntegrationConfig, integrate_nodes
 from .schema import check_json_value, config_from_dict, load_json_object
@@ -144,24 +144,6 @@ def init_params(cfg: ModelConfig, num_features: int, num_classes: int,
 # building blocks
 
 
-def aggregation_matrix(n: int, edges) -> eg.SparseMatrix:
-    """Neighbor-mean operator as an (n, n) ``SparseMatrix``.
-
-    Each undirected edge {u, v} gives the entries (u, v) and (v, u), weighted
-    1/|N(row)|.  Isolated nodes have no entries, so their mean term vanishes.
-    The entries run first over the edges as (u, v), then as (v, u), so row u
-    of ``S @ x`` adds its terms ``x[v] / |N(u)|`` onto +0.0 in that order:
-    the edges where u is the first endpoint, then those where it is the
-    second, each in edge order.  Every layer and every backward sweep of one
-    graph share the matrix and its CSR copies.
-    """
-    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    degree = np.bincount(rows, minlength=n)
-    return eg.SparseMatrix(rows, cols, 1.0 / degree[rows], (n, n))
-
-
 def encode_nodes(params: ModelParams, cfg: ModelConfig,
                  dataset: GraphDataset) -> tuple[Node, dict]:
     """Embedding graph over the whole node set; returns (Z node, bindings)."""
@@ -175,7 +157,7 @@ def encode_nodes(params: ModelParams, cfg: ModelConfig,
     h = eg.add(eg.sparse_matmul(eg.transpose(weight), dataset.feature_matrix),
                eg.parameter("compress.b0", b.shape))
     h.attrs["label"] = "compress layer 0"
-    mean = aggregation_matrix(dataset.n, dataset.edges)
+    mean = dataset.mean_matrix
     for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
         p = qnet.graph(h, f"layer{i}.momentum")
         states = integrate_nodes(spec, h, p, cfg.integration,

@@ -1157,6 +1157,121 @@ def test_first_non_finite_value_is_reported_where_it_is_produced():
         eg.evaluate(eg.tanh(x), {"x": np.array([0.0, np.nan])})
 
 
+# the ops whose outputs evaluate scans: bindings aside, the BLAS and scipy
+# products, whose floating-point flags are raised in other threads
+SCANNED = {"affine", "outer", "solve", "sparse-matmul"}
+
+
+def test_flagged_skipped_and_scanned_ops_partition_the_forward_table():
+    flagged, skipped = eg._FLAGGED, eg._FINITE_IF_INPUTS_FINITE
+    assert not (flagged & skipped or flagged & SCANNED or skipped & SCANNED)
+    assert flagged | skipped | SCANNED == set(eg._FORWARD)
+
+
+def _overflowing(op, big):
+    """A node of ``op`` over the leaf ``x``, and a finite binding of x whose
+    row 1 overflows in it."""
+    x = eg.parameter("x", (3, 2))
+    node = {"elementwise-add": lambda: eg.add(x, x),
+            "elementwise-sub": lambda: eg.sub(x, eg.negate(x)),
+            "elementwise-mul": lambda: eg.mul(x, x),
+            "scale": lambda: eg.scale(x, 1e10),
+            "sum": lambda: eg.reduce_sum(x, axis=1),
+            "kappa": lambda: eg.kappa(x),
+            "log-softmax": lambda: eg.log_softmax(x)}[op]()
+    assert node.op == op
+    xv = np.ones((3, 2))
+    xv[1] = big
+    return node, xv
+
+
+# each flagged op that can overflow from finite inputs, and a row that does
+OVERFLOWS = [
+    ("elementwise-add", 1e308), ("elementwise-sub", 1e308), ("elementwise-mul", 1e200),
+    ("scale", 1e300), ("sum", 1e308), ("kappa", 1e200), ("log-softmax", [-1e308, 1e308]),
+]
+
+
+@pytest.mark.parametrize("op, big", OVERFLOWS, ids=[op for op, _ in OVERFLOWS])
+def test_a_flagged_op_that_overflows_raises_at_its_node_naming_the_rows(
+        monkeypatch, op, big):
+    node, xv = _overflowing(op, big)
+    assert op in eg._FLAGGED
+    runs = _count_runs(monkeypatch)
+    with pytest.raises(FloatingPointError) as caught:
+        eg.evaluate(node, {"x": xv})
+    assert str(caught.value) == f"non-finite intermediate at {node!r} (rows [1])"
+    # the flag raised, then the node ran again with the flags ignored
+    assert runs[node.nid] == 2
+
+
+@pytest.mark.parametrize("op, xv", [
+    ("softmax", np.array([[-1e308, 1e308], [1.0, 2.0]])),
+    ("rehu", np.array([[-1.7e308, 1.7e308], [0.5, 2.0]])),
+], ids=["softmax", "rehu"])
+def test_a_flagged_op_whose_value_ends_finite_returns_it(op, xv):
+    x = eg.parameter("x", xv.shape)
+    node = eg.softmax(x) if op == "softmax" else eg.rehu(x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        expected = eg._FORWARD[op](node, [xv])
+    assert np.isfinite(expected).all()
+    assert eg.evaluate(node, {"x": xv}).tobytes() == expected.tobytes()
+
+
+def test_evaluate_gives_the_callers_error_state_back(monkeypatch):
+    seen = []
+
+    def record_state(node, vals):
+        seen.append(np.geterr())
+        return vals[0]
+    monkeypatch.setitem(eg._FORWARD, "test-state", record_state)
+    x = eg.parameter("x", (2,))
+    node = eg.Node("test-state", (x,), {}, (2,))
+    for outer in ({}, {"all": "raise"}, {"all": "warn", "under": "ignore"}):
+        with np.errstate(**outer):
+            before = np.geterr()
+            assert eg.evaluate(node, {"x": np.ones(2)}).tolist() == [1.0, 1.0]
+            assert np.geterr() == before
+            # the node runs under the evaluation's one state
+            assert seen[-1] == dict(before, over="raise", invalid="raise", divide="raise")
+            with pytest.raises(FloatingPointError):
+                eg.evaluate(eg.mul(node, node), {"x": np.full(2, 1e200)})
+            assert np.geterr() == before
+            with pytest.raises(ValueError, match="unbound leaf 'x'"):
+                eg.evaluate(node)
+            assert np.geterr() == before
+
+
+@pytest.mark.parametrize("variant", ["flexible", "convex", "symplectic"])
+def test_a_training_evaluate_scans_only_bindings_and_blas_outputs(
+        sbm_dataset, training_outputs, monkeypatch, variant):
+    small = variant == "symplectic"
+    cfg = ModelConfig(hidden_dim=4, layers=1 if small else 2, net_hidden=4,
+                      variant=variant)
+    outputs, bindings = training_outputs(cfg, sbm_dataset)
+    leaves = [n for n in eg._reachable(outputs) if n.op == "parameter"]
+    bound = [eg.as_array(bindings[n.attrs["name"]]) for n in leaves]
+    last_scanned, scanned_runs, scans = [None], Counter(), []
+    for op in SCANNED:
+        def spy(node, vals, rule=eg._FORWARD[op]):
+            scanned_runs[node.op] += 1
+            last_scanned[0] = rule(node, vals)
+            return last_scanned[0]
+        monkeypatch.setitem(eg._FORWARD, op, spy)
+    real = eg.all_finite
+
+    def counted(arr):
+        assert arr is last_scanned[0] or any(arr is b for b in bound)
+        scans.append(arr)
+        return real(arr)
+    monkeypatch.setattr(eg, "all_finite", counted)
+    eg.evaluate(outputs, bindings)
+    assert scanned_runs["affine"] and scanned_runs["sparse-matmul"]
+    if small:
+        assert scanned_runs["solve"]
+    assert len(scans) == len(leaves) + sum(scanned_runs.values())
+
+
 def test_tensor_copies_writable_arrays_and_adopts_frozen_ones():
     values = np.arange(6.0).reshape(2, 3)
     t = eg.Tensor(values)

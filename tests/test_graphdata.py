@@ -1,6 +1,8 @@
 """Dataset format, preprocessing, mixing, hyperbolicity, and generators."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +194,32 @@ def test_load_rejects_non_integer_id(tmp_path, node_id):
         gd.load_dataset(p)
 
 
+@pytest.mark.parametrize("cell", ["1_0", "٣"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("where", ["id", "label", "edge"])
+def test_load_rejects_integer_cells_other_than_ascii_digits(tmp_path, where, cell):
+    # int() alone reads these as 10 and 3
+    nodes, edges = PATH3_NODES, "0\t1\n"
+    if where == "id":
+        nodes = nodes.replace("\n1,1,", f"\n{cell},1,")
+        message = f"node id must be an integer; got {cell!r} at nodes.csv line 3"
+    elif where == "label":
+        nodes = nodes.replace("\n1,1,", f"\n1,{cell},")
+        message = f"label must be an integer; got {cell!r} at nodes.csv line 3"
+    else:
+        edges += f"1\t{cell}\n"
+        message = f"node id must be an integer; got {cell!r} at edges.tsv line 2"
+    p = write_dataset(tmp_path / "x", nodes, edges, PATH3_SPLITS)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gd.load_dataset(p)
+
+
+def test_load_reads_signed_and_space_padded_integer_cells(tmp_path):
+    nodes = "id,label,f0\n 0 ,+1,1.0\n+1, 0,2.0\n"
+    ds = gd.load_dataset(write_dataset(tmp_path / "x", nodes, " 0\t+1 \n",
+                                       '{"train": [0], "val": [1]}'))
+    assert ds.labels.tolist() == [1, 0] and ds.edges == [(0, 1)]
+
+
 def test_load_rejects_non_integer_label(tmp_path):
     nodes = "id,label,f0,f1\n0,0,1.0,0.0\n1,1.5,0.5,0.5\n"
     p = write_dataset(tmp_path / "x", nodes, "", PATH3_SPLITS)
@@ -249,6 +277,34 @@ def test_feature_matrix_of_a_table_without_nonzeros_is_empty(shape):
     n = shape[0]
     ds = GraphDataset("x", np.zeros(shape), np.zeros(n, dtype=int), [], [], [], [])
     assert ds.feature_matrix.shape == shape and ds.feature_matrix.weights.size == 0
+
+
+def _same_entries(a, b):
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("rows", "cols", "weights")) and a.shape == b.shape
+
+
+def test_mean_matrix_is_the_aggregation_matrix_of_the_sorted_edges(sbm_dataset):
+    # edges in any order and orientation are validated and sorted first
+    shuffled = GraphDataset("x", np.eye(4), np.zeros(4, dtype=int),
+                            [(3, 2), (0, 3), (1, 0)], [], [], [])
+    assert shuffled.edges == [(0, 1), (0, 3), (2, 3)]
+    for ds in (shuffled, sbm_dataset):
+        assert _same_entries(ds.mean_matrix, gd.aggregation_matrix(ds.n, ds.edges))
+        assert ds.mean_matrix._csr is not None  # built with the dataset
+
+
+def test_a_dataset_over_a_subset_of_the_edges_gets_its_own_mean_matrix(sbm_dataset):
+    ds, subset = sbm_dataset, sbm_dataset.edges[::3]
+    full = ds.mean_matrix
+    # as perfbench's leak-free link metric builds one, and by replace
+    rebuilt = GraphDataset(ds.name, ds.features, ds.labels, list(subset),
+                           ds.train_mask, ds.val_mask, ds.test_mask)
+    for sub in (rebuilt, dataclasses.replace(ds, edges=list(subset))):
+        assert sub.mean_matrix is not full
+        assert _same_entries(sub.mean_matrix, gd.aggregation_matrix(ds.n, subset))
+    assert ds.mean_matrix is full
+    assert _same_entries(full, gd.aggregation_matrix(ds.n, ds.edges))
 
 
 def test_roundtrip_identity(tmp_path):

@@ -374,6 +374,31 @@ def test_encode_refers_to_the_dataset_feature_table(sbm_dataset):
     assert np.shares_memory(raw[0].attrs["value"], sbm_dataset.features)
 
 
+def test_encode_multiplies_the_dataset_mean_matrix_and_builds_no_operator(
+        sbm_dataset, monkeypatch):
+    assert md.aggregation_matrix is gd.aggregation_matrix
+    cfg = small_config(layers=3)
+    params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
+    nodes = graph_nodes(md.encode_nodes(params, cfg, sbm_dataset)[0])
+    means = [node for node in nodes if node.attrs.get("label") == "neighbor mean"]
+    assert len(means) == cfg.layers
+    assert all(node.op == "sparse-matmul" and node.attrs["matrix"] is sbm_dataset.mean_matrix
+               for node in means)
+    first = md.encode(params, cfg, sbm_dataset)
+    built = []
+    init = eg.SparseMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(eg.SparseMatrix, "__init__", counted)
+    second = md.encode(params, cfg, sbm_dataset)
+    assert built == [] and second.tobytes() == first.tobytes()
+    # the counter sees a construction
+    gd.aggregation_matrix(sbm_dataset.n, sbm_dataset.edges)
+    assert len(built) == 1
+
+
 def binary_table_dataset():
     """12 nodes on a ring with a sparse 0/1 feature table; node 4 has no
     feature at all."""
