@@ -184,12 +184,11 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out or args.checkpoint)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    metrics = tr.evaluate_params(params, model_cfg, train_cfg, dataset)
+    metrics, z = tr.evaluate_params(params, model_cfg, train_cfg, dataset)
     metrics = {"config": echo, "task": train_cfg.task, **metrics}
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n",
                                           encoding="utf-8")
     if args.export_embeddings:
-        z = md.encode(params, model_cfg, dataset)
         with open(out_dir / "embeddings.csv", "w", encoding="utf-8") as fh:
             for row in z:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")

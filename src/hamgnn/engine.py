@@ -158,13 +158,12 @@ def _check_vec_or_mat(shape, what):
         raise ValueError(f"{what} must be a scalar, vector or matrix, got shape {shape}")
 
 
-def affine(x: Node, weight: Node, bias: Node | None = None,
-           label: str | None = None) -> Node:
-    """Matrix product ``x @ weight [+ bias]``.
+def affine(x: Node, weight: Node, *, label: str | None = None) -> Node:
+    """Matrix product ``x @ weight``; a bias is an ``add`` of its own.
 
     ``x`` may be a vector (one sample) or a matrix (rows are samples);
-    ``weight`` may be a matrix or a vector (matrix-vector product).  A vector
-    bias broadcasts over rows.  A transposed operand is a ``transpose`` view.
+    ``weight`` may be a matrix or a vector (matrix-vector product).  A
+    transposed operand is a ``transpose`` view.
     """
     xs, ws = x.shape, weight.shape
     _check_vec_or_mat(xs, "affine input")
@@ -173,13 +172,7 @@ def affine(x: Node, weight: Node, bias: Node | None = None,
         raise ValueError("vector-vector product: use reduce_sum(mul(a, b))")
     if xs[-1] != ws[0]:
         raise ValueError(f"affine inner dimensions differ: {xs} @ {ws}")
-    out = xs[:-1] + ws[1:]
-    inputs = [x, weight]
-    if bias is not None:
-        if bias.shape != out and not (len(out) == 2 and bias.shape == (out[1],)):
-            raise ValueError(f"bias shape {bias.shape} does not fit output {out}")
-        inputs.append(bias)
-    return Node("affine", inputs, {"label": label} if label else {}, out)
+    return Node("affine", (x, weight), {"label": label} if label else {}, xs[:-1] + ws[1:])
 
 
 def outer(u: Node, v: Node) -> Node:
@@ -490,7 +483,7 @@ def concat(parts: Sequence[Node], axis: int = -1) -> Node:
 
 
 def narrow(x: Node, start: int, stop: int, axis: int = -1) -> Node:
-    """Contiguous slice [start, stop) along one axis."""
+    """Contiguous slice [start, stop) along one axis; the whole extent is ``x``."""
     nd = len(x.shape)
     if nd not in (1, 2):
         raise ValueError("narrow supports vectors and matrices")
@@ -498,6 +491,8 @@ def narrow(x: Node, start: int, stop: int, axis: int = -1) -> Node:
     extent = x.shape[ax]
     if not (0 <= start <= stop <= extent):
         raise ValueError(f"slice [{start}, {stop}) out of range for extent {extent}")
+    if stop - start == extent:
+        return x
     out = list(x.shape)
     out[ax] = stop - start
     return Node("slice", (x,), {"start": start, "stop": stop, "axis": ax}, tuple(out))
@@ -505,13 +500,6 @@ def narrow(x: Node, start: int, stop: int, axis: int = -1) -> Node:
 
 # ---------------------------------------------------------------------------
 # forward evaluation
-
-
-def _fw_affine(node, vals):
-    y = vals[0] @ vals[1]
-    if len(node.inputs) == 3:
-        y = y + vals[2]
-    return y
 
 
 def _fw_rehu(node, vals):
@@ -556,7 +544,7 @@ def _fw_slice(node, vals):
 
 _FORWARD = {
     "constant": lambda node, vals: node.attrs["value"],
-    "affine": _fw_affine,
+    "affine": lambda node, vals: vals[0] @ vals[1],
     "outer": lambda node, vals: np.outer(vals[0], vals[1]),
     "solve": lambda node, vals: np.linalg.solve(vals[0], vals[1]),
     "transpose": lambda node, vals: vals[0].T,
@@ -873,7 +861,7 @@ def _reduce_to_shape(g: Node, shape: tuple) -> Node:
 def _vjp_affine(node, g):
     # y = x @ w: x_bar = g w^T and w_bar = x^T g, or outer products where an
     # operand is a vector
-    x, w = node.inputs[0], node.inputs[1]
+    x, w = node.inputs
     if len(w.shape) == 1:
         gx = outer(g, w)
     elif (len(x.shape) == 2 and g.op == "expand" and g.inputs[-1].shape == ()
@@ -885,11 +873,7 @@ def _vjp_affine(node, g):
                     like=g.inputs[0] if len(g.inputs) == 2 else None)
     else:
         gx = affine(g, transpose(w))
-    gw = outer(x, g) if len(x.shape) == 1 else affine(transpose(x), g)
-    grads = [gx, gw]
-    if len(node.inputs) == 3:
-        grads.append(_reduce_to_shape(g, node.inputs[2].shape))
-    return grads
+    return [gx, outer(x, g) if len(x.shape) == 1 else affine(transpose(x), g)]
 
 
 def _vjp_solve(node, g):
@@ -1210,30 +1194,26 @@ class MlpParams:
         """Forward graph with parameter leaves named ``{name}.w{i}`` / ``.b{i}``.
 
         ``x`` is the input, or a sequence of parts whose last axes join into
-        the input.  The first layer then multiplies each part by its own
-        column block of ``w0`` and adds the products and the bias, so the
-        joined input is never built, and a part's adjoint holds only its
-        own columns.
+        the input.  Each layer multiplies each of its parts by that part's
+        column block of the weight, adds the products and then the bias, so
+        a joined input is never built, and a part's adjoint holds only its
+        own columns.  After the first layer the one part is the previous
+        layer's output.
         """
         parts = [x] if isinstance(x, Node) else list(x)
         if sum(part.shape[-1] for part in parts) != self.input_dim:
             raise ValueError(f"inputs of shapes {[part.shape for part in parts]} "
                              f"do not fit {self.input_dim} input columns")
-        out = parts[0]
         for i, (w, b, act) in enumerate(self.layers):
             wl = parameter(f"{name}.w{i}", w.shape)
             bl = parameter(f"{name}.b{i}", b.shape)
             label = f"{name} layer {i}"
-            if i == 0 and len(parts) > 1:
-                start = 0
-                for k, part in enumerate(parts):
-                    stop = start + part.shape[-1]
-                    term = affine(part, transpose(narrow(wl, start, stop)), label=label)
-                    out = term if k == 0 else add(out, term)
-                    start = stop
-                out = add(out, bl)
-            else:
-                out = affine(out, transpose(wl), bl, label=label)
-            if act is not None:
-                out = ACTIVATIONS[act](out)
-        return out
+            out, start = None, 0
+            for part in parts:
+                stop = start + part.shape[-1]
+                term = affine(part, transpose(narrow(wl, start, stop)), label=label)
+                out = term if out is None else add(out, term)
+                start = stop
+            out = add(out, bl)
+            parts = [ACTIVATIONS[act](out) if act is not None else out]
+        return parts[0]

@@ -4,8 +4,8 @@ generators and Gromov delta-hyperbolicity analysis.
 Directory format (all text UTF-8, LF endings, '.' decimal separator):
 
 * ``nodes.csv``   — header ``id,label,f0,f1,...``; one row per node with
-  ``id`` running 0..n-1 in order and an integer class label (ids, labels
-  and edge endpoints are an optional sign and ASCII digits).  Feature cells
+  ``id`` running 0..n-1 in order and a class label, an integer in [0, 2^63)
+  (ids, labels and edge endpoints are an optional sign and ASCII digits).  Feature cells
   are finite ASCII decimals (no ``_`` separators), parsed by numpy's C
   reader; a bad cell is reported with its line.
 * ``edges.tsv``   — two tab-separated node ids per line, undirected;
@@ -97,7 +97,10 @@ class GraphDataset:
 
     def __post_init__(self):
         self.features = eg.frozen_float64(self.features)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        try:
+            self.labels = np.asarray(self.labels, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("labels must be class ids that fit in int64") from None
         n = self.features.shape[0]
         if self.features.ndim != 2 or self.labels.shape != (n,):
             raise ValueError("features must be (n, F) and labels (n,)")
@@ -264,7 +267,11 @@ def load_dataset(path) -> GraphDataset:
         if node_id != len(linenos):
             raise ValueError(
                 f"node ids must run 0..n-1 in order; got {node_id} at line {lineno}")
-        labels.append(_int_cell(label, "label", lineno))
+        label = _int_cell(label, "label", lineno)
+        if not 0 <= label < 2**63:
+            raise ValueError(f"label must be a non-negative integer that fits in int64;"
+                             f" got {label} at nodes.csv line {lineno}")
+        labels.append(label)
         linenos.append(lineno)
         if n_features:
             if not rest[0].strip():

@@ -210,14 +210,15 @@ def make_link_split(dataset: GraphDataset, seed,
     order = rng.permutation(len(edges))
     n_val = int(math.floor(fractions[1] * len(edges)))
     n_test = int(math.floor(fractions[2] * len(edges)))
+    for what, count in (("validation", n_val), ("test", n_test)):
+        if not count:
+            raise ValueError(f"a link split of {len(edges)} edges leaves no {what} pair")
     val = tuple(edges[i] for i in order[:n_val])
     test = tuple(edges[i] for i in order[n_val:n_val + n_test])
     train = tuple(edges[i] for i in order[n_val + n_test:])
     all_edges = set(edges)
-    test_neg = negative_sample(dataset.n, n_test, [seed, 1], all_edges) \
-        if n_test else []
-    val_neg = negative_sample(dataset.n, n_val, [seed, 2],
-                              all_edges | set(test_neg)) if n_val else []
+    test_neg = negative_sample(dataset.n, n_test, [seed, 1], all_edges)
+    val_neg = negative_sample(dataset.n, n_val, [seed, 2], all_edges | set(test_neg))
     return LinkSplit(train, val, test, tuple(val_neg), tuple(test_neg))
 
 
@@ -292,10 +293,16 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
     with one line per epoch when given.
     """
     task = train_cfg.task
-    if task == "classification" and model_cfg.decoder != "classification":
-        raise ValueError("classification training needs the classification decoder")
-    if task == "classification" and dataset.train_mask.size == 0:
-        raise ValueError("dataset has no training mask")
+    link_split = None
+    if task == "classification":
+        if model_cfg.decoder != "classification":
+            raise ValueError("classification training needs the classification decoder")
+        for what, mask in (("training", dataset.train_mask),
+                           ("validation", dataset.val_mask), ("test", dataset.test_mask)):
+            if not mask.size:
+                raise ValueError(f"dataset has no {what} nodes")
+    else:
+        link_split = make_link_split(dataset, train_cfg.seed)
 
     params = md.init_params(model_cfg, dataset.num_features, dataset.num_classes,
                             seed=train_cfg.seed)
@@ -306,7 +313,6 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
     z_node, _ = md.encode_nodes(params, model_cfg, dataset)
     leaves = _param_leaves(params)
 
-    link_split = None
     logits_node = None
     loss_node = None
     grad_nodes = None
@@ -316,7 +322,6 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
                                        dataset.train_mask)
         grad_nodes = eg.gradient_all(loss_node, leaves, allow_unused=True)
     else:
-        link_split = make_link_split(dataset, train_cfg.seed)
         positives = np.array(link_split.train_edges, dtype=np.intp).reshape(-1, 2)
         edges = np.array(dataset.edges, dtype=np.int64).reshape(-1, 2)
 
@@ -381,27 +386,31 @@ def _link_auc(z: np.ndarray, positives, negatives) -> float:
 
 
 def evaluate_params(params: ModelParams, model_cfg: ModelConfig,
-                    train_cfg: TrainConfig, dataset: GraphDataset) -> dict:
-    """Metrics of a fixed parameter set (no training)."""
-    z = md.encode(params, model_cfg, dataset)
-    if train_cfg.task == "classification":
-        if params.head is None:
-            raise ValueError("parameters have no classification head")
-        logits = md.decode_class(params.head, z).array
-        preds = md.predict_classes(logits)
-        out = {"train_accuracy": accuracy(preds, dataset.labels, dataset.train_mask)
-               if dataset.train_mask.size else math.nan,
-               "val_accuracy": accuracy(preds, dataset.labels, dataset.val_mask)
-               if dataset.val_mask.size else math.nan,
-               "test_accuracy": accuracy(preds, dataset.labels, dataset.test_mask)
-               if dataset.test_mask.size else math.nan}
-        loss = cross_entropy(logits, dataset.labels, dataset.train_mask) \
-            if dataset.train_mask.size else math.nan
-        out["train_loss"] = loss
-        return out
-    split = make_link_split(dataset, train_cfg.seed)
-    return {"val_roc_auc": _link_auc(z, split.val_edges, split.val_negatives),
-            "test_roc_auc": _link_auc(z, split.test_edges, split.test_negatives)}
+                    train_cfg: TrainConfig, dataset: GraphDataset) -> tuple[dict, np.ndarray]:
+    """Metrics of a fixed parameter set (no training) and its embeddings.
+
+    One evaluation of the graph ``fit`` trains gives the embeddings and,
+    for classification, the logits and the training loss.
+    """
+    z_node, bindings = md.encode_nodes(params, model_cfg, dataset)
+    if train_cfg.task == "link":
+        split = make_link_split(dataset, train_cfg.seed)
+        z = eg.evaluate(z_node, bindings)
+        return {"val_roc_auc": _link_auc(z, split.val_edges, split.val_negatives),
+                "test_roc_auc": _link_auc(z, split.test_edges, split.test_negatives)}, z
+    if params.head is None:
+        raise ValueError("parameters have no classification head")
+    logits_node = params.head.graph(z_node, "head")
+    outputs = [z_node, logits_node]
+    if dataset.train_mask.size:
+        outputs.append(cross_entropy_node(logits_node, dataset.labels, dataset.train_mask))
+    z, logits, *loss = eg.evaluate(outputs, bindings)
+    preds = md.predict_classes(logits)
+    out = {f"{what}_accuracy": accuracy(preds, dataset.labels, mask) if mask.size else math.nan
+           for what, mask in (("train", dataset.train_mask), ("val", dataset.val_mask),
+                              ("test", dataset.test_mask))}
+    out["train_loss"] = float(loss[0]) if loss else math.nan
+    return out, z
 
 
 def layer_sweep(model_cfg: ModelConfig, train_cfg: TrainConfig,

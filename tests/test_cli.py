@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import hamgnn
 from hamgnn import graphdata as gd
+from hamgnn import model as md
 from hamgnn.cli import build_configs, load_run_config, main
 from hamgnn.model import ModelConfig
 from hamgnn.odeint import IntegrationConfig
@@ -234,6 +236,79 @@ def test_link_eval_reproduces_training_metric(workdir):
     evaluated = json.loads((workdir / "eval" / "metrics.json").read_text())
     assert evaluated["task"] == "link" and "test_accuracy" not in evaluated
     assert evaluated["test_roc_auc"] == trained["test_roc_auc"]
+
+
+def test_eval_with_exported_embeddings_encodes_once(workdir, monkeypatch):
+    assert main(["train", "--config", str(workdir / "config.json"),
+                 "--set", "train.max_epochs=2", "--set", "train.patience=2"]) == 0
+    checkpoint = workdir / "run" / "checkpoint"
+    calls = []
+    encode_nodes = md.encode_nodes
+
+    def spy(*args):
+        calls.append(args)
+        return encode_nodes(*args)
+
+    monkeypatch.setattr(md, "encode_nodes", spy)
+    assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(workdir / "sbm"),
+                 "--out", str(workdir / "eval"), "--export-embeddings"]) == 0
+    assert len(calls) == 1
+    params, manifest = md.load_checkpoint(checkpoint)
+    model_cfg, _, _ = build_configs(manifest["config"])
+    z = md.encode(params, model_cfg, gd.load_dataset(workdir / "sbm"))
+    rows = (workdir / "eval" / "embeddings.csv").read_text().splitlines()
+    assert np.array([[float(x) for x in row.split(",")] for row in rows]).tobytes() == z.tobytes()
+
+
+def test_eval_of_an_overflowing_compressor_exits_2_naming_the_layer(workdir, capsys):
+    assert main(["train", "--config", str(workdir / "config.json"),
+                 "--set", "train.max_epochs=1", "--set", "train.patience=1"]) == 0
+    checkpoint = workdir / "run" / "checkpoint"
+    params, manifest = md.load_checkpoint(checkpoint)
+    for _, arr in params.compressor.param_items("compress"):
+        arr[...] = 1e308
+    md.save_checkpoint(params, manifest["config"], checkpoint)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(workdir / "sbm")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"runtime error: non-finite intermediate at <Node \d+ elementwise-add "
+                        r"'compress layer 0' shape=\(40, 16\)> \(rows \[.+\]\)", line)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--set", "train.lr"], "override 'train.lr' must look like dotted.key=value"),
+    (["train", "--set", "dataset.x=1"], "cannot override through non-object key 'dataset'"),
+    (["train", "--set", "extra=1"], "unknown key 'extra' in the config root"),
+    (["train", "--set", "train.task=link"], "link task needs the link decoder"),
+    (["sweep-layers", "--layers", " , "], "need at least one layer count"),
+    (["sweep-layers", "--layers", "1,x"], "bad layer list '1,x'"),
+], ids=["set-without-equals", "set-through-a-value", "unknown-root-key",
+        "link-task-class-decoder", "empty-layer-list", "non-integer-layer"])
+def test_a_bad_command_line_fails_by_name(workdir, capsys, argv, message):
+    command, *rest = argv
+    assert main([command, "--config", str(workdir / "config.json"), *rest]) == 1
+    err = capsys.readouterr().err
+    assert [l for l in err.splitlines() if l.startswith("error:")] == [f"error: {message}"]
+    assert "Traceback" not in err and not (workdir / "run").exists()
+
+
+def test_a_missing_config_file_or_dataset_key_fails_by_name(workdir, capsys):
+    absent = workdir / "absent.json"
+    assert main(["train", "--config", str(absent)]) == 1
+    assert f"error: config file not found: {absent}" in capsys.readouterr().err.splitlines()
+    cfg = json.loads((workdir / "config.json").read_text())
+    del cfg["dataset"]
+    (workdir / "bad.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(workdir / "bad.json")]) == 1
+    assert "error: missing required key 'dataset'" in capsys.readouterr().err.splitlines()
+    assert not (workdir / "run").exists()
+
+
+def test_a_non_integer_thread_cap_variable_fails_by_name(monkeypatch, capsys):
+    monkeypatch.setenv("HAMGNN_THREADS", "abc")
+    assert main(["gradcheck", "--variant", "flexible", "--dim", "2"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: HAMGNN_THREADS must be an integer, got 'abc'"]
 
 
 def test_diverged_training_exits_2_and_records_the_epoch(workdir, capsys):

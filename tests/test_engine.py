@@ -86,6 +86,20 @@ def test_forward_non_finite_reports_node_identity():
         eg.evaluate(prod)
 
 
+def test_affine_is_a_product_of_two_operands():
+    x, w, b = eg.parameter("x", (5, 3)), eg.parameter("w", (3, 4)), eg.parameter("b", (4,))
+    with pytest.raises(TypeError):
+        eg.affine(x, w, b)  # a bias is an add of its own
+    assert eg.affine(x, w, label="layer").inputs == (x, w)
+
+
+def test_a_full_extent_narrow_is_its_input():
+    x = eg.parameter("x", (3, 4))
+    assert eg.narrow(x, 0, 4) is x and eg.narrow(x, 0, 3, axis=0) is x
+    part = eg.narrow(x, 0, 2)
+    assert part.op == "slice" and part.shape == (3, 2)
+
+
 def test_construction_rejects_bad_shapes():
     x = eg.parameter("x", (2,))
     w = eg.parameter("w", (3, 4))
@@ -249,7 +263,7 @@ def _random_composite(rng, dim):
     x = eg.parameter("x", (dim,))
     w0 = eg.constant(rng.normal(size=(dim + 1, dim)) / math.sqrt(dim))
     b0 = eg.constant(rng.normal(size=dim + 1))
-    h = eg.affine(x, eg.transpose(w0), b0)
+    h = eg.add(eg.affine(x, eg.transpose(w0)), b0)
     act = (eg.tanh, eg.sigmoid, eg.sin, eg.kappa)[rng.integers(0, 4)]
     h = act(h)
     w1 = eg.constant(rng.normal(size=(dim + 1,)))
@@ -345,8 +359,8 @@ def test_a_transposed_operand_is_a_view_with_the_bits_of_numpys_transpose(rng):
     binds = {"x": rng.normal(size=(5, 3)), "w": rng.normal(size=(4, 3)),
              "b": rng.normal(size=4), "m": rng.normal(size=(3, 3)) + 3.0 * np.eye(3),
              "v": rng.normal(size=3)}
-    got = eg.evaluate([eg.affine(x, eg.transpose(w), b), eg.solve(eg.transpose(m), v)],
-                      binds)
+    got = eg.evaluate([eg.add(eg.affine(x, eg.transpose(w)), b),
+                       eg.solve(eg.transpose(m), v)], binds)
     assert got[0].tobytes() == (binds["x"] @ binds["w"].T + binds["b"]).tobytes()
     assert got[1].tobytes() == np.linalg.solve(binds["m"].T, binds["v"]).tobytes()
 
@@ -1306,3 +1320,31 @@ def test_mlp_params_init_is_seeded_and_bounded():
         assert np.all(b1 == 0.0)
     for (w, _, _), fan_in in zip(net1.layers, dims):
         assert np.max(np.abs(w)) <= 1.0 / math.sqrt(fan_in)
+
+
+def test_a_one_part_layer_is_a_product_then_a_bias_add(rng):
+    w, b = rng.normal(size=(4, 3)), rng.normal(size=4)
+    net = eg.MlpParams([(w, b, None)])
+    x = rng.normal(size=(5, 3))
+    out = net.graph(eg.parameter("x", x.shape), "mlp")
+    assert out.op == "elementwise-add" and out.inputs[0].op == "affine"
+    got = eg.evaluate(out, {"x": x, **net.bindings("mlp")})
+    assert got.tobytes() == (x @ w.T + b).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["flexible", "convex", "geodesic"])
+def test_every_network_layer_is_products_plus_one_bias_add(
+        sbm_dataset, training_outputs, variant):
+    cfg = ModelConfig(hidden_dim=4, layers=2, net_hidden=4, variant=variant)
+    outputs = training_outputs(cfg, sbm_dataset)[0]
+    nodes = eg._reachable(outputs, lambda n: n.inputs)
+    assert all(len(n.inputs) == 2 for n in nodes if n.op == "affine")
+    # the loss graph: the fields' own gradients but not the training sweep,
+    # whose unused leaves are zero fills shaped like them
+    forward = eg._reachable(outputs[:1], lambda n: n.inputs)
+    biases = [n for n in forward
+              if n.op == "parameter" and n.attrs["name"].rsplit(".", 1)[1].startswith("b")]
+    assert biases
+    for bias in biases:
+        (reader,) = [n for n in forward if bias in n.inputs]
+        assert reader.op == "elementwise-add" and reader.inputs[1] is bias

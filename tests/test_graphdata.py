@@ -227,6 +227,42 @@ def test_load_rejects_non_integer_label(tmp_path):
         gd.load_dataset(p)
 
 
+@pytest.mark.parametrize("cell", ["-1", str(2**63), "9" * 30])
+def test_load_rejects_a_label_outside_int64_class_ids_by_line(tmp_path, cell):
+    nodes = PATH3_NODES.replace("\n1,1,", f"\n1,{cell},")
+    p = write_dataset(tmp_path / "x", nodes, "", PATH3_SPLITS)
+    message = (f"label must be a non-negative integer that fits in int64; got {int(cell)}"
+               " at nodes.csv line 3")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gd.load_dataset(p)
+
+
+@pytest.mark.parametrize("labels", [[0, 2**70], [0, -2**70]])
+def test_dataset_rejects_a_label_past_int64_by_value(labels):
+    with pytest.raises(ValueError, match="^labels must be class ids that fit in int64$"):
+        GraphDataset("x", np.eye(2), labels, [], [], [], [])
+
+
+@pytest.mark.parametrize("nodes, edges, splits, message", [
+    ("", "", PATH3_SPLITS, "nodes.csv is empty"),
+    ("label,id,f0\n0,0,1.0\n", "", PATH3_SPLITS, "nodes.csv header must start with 'id,label'"),
+    (PATH3_NODES, "0\t1\n1\t2\t3\n", PATH3_SPLITS,
+     "edge line 2 must hold two tab-separated ids"),
+    (PATH3_NODES, "0\t1\n", '{"train": [0], "holdout": [1]}',
+     "splits.json has unknown keys: ['holdout']"),
+], ids=["empty-nodes", "header", "three-field-edge", "splits-key"])
+def test_load_names_a_malformed_file_layout(tmp_path, nodes, edges, splits, message):
+    p = write_dataset(tmp_path / "x", nodes, edges, splits)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gd.load_dataset(p)
+
+
+def test_load_skips_a_blank_edge_line(tmp_path):
+    ds = gd.load_dataset(write_dataset(tmp_path / "x", PATH3_NODES, "0\t1\n\n  \n1\t2\n",
+                                       PATH3_SPLITS))
+    assert ds.edges == [(0, 1), (1, 2)]
+
+
 def test_load_header_only_and_featureless(tmp_path):
     empty = '{"train": [], "val": [], "test": []}'
     ds = gd.load_dataset(write_dataset(tmp_path / "a", "id,label,f0,f1\n", "", empty))

@@ -747,6 +747,21 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path, sbm_dataset):
         md.load_checkpoint(tmp_path)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("shape", [2, 2], r"has shape \(2, 2\), expected \(4, \d+\)"),
+    ("offset", 8, "starts at byte 8, expected 0"),
+])
+def test_checkpoint_rejects_a_tensor_of_the_wrong_shape_or_offset(
+        tmp_path, sbm_dataset, key, value, message):
+    saved_checkpoint(tmp_path, sbm_dataset)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["tensors"][0][key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"^checkpoint tensor 'compress\.w0' {message}$"):
+        md.load_checkpoint(tmp_path)
+
+
 def test_checkpoint_rejects_missing_model_field(tmp_path, sbm_dataset):
     saved_checkpoint(tmp_path, sbm_dataset)
     edit_manifest_config(tmp_path, lambda cfg: cfg["model"].pop("hidden_dim"))

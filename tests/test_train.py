@@ -308,7 +308,7 @@ def test_fit_reports_test_at_best_val(sbm_dataset):
     best_params, history = tr.fit(cfg, tcfg, sbm_dataset)
     rec = history.records[history.best_epoch - 1]
     assert rec["val_metric"] == history.best_val
-    replay = tr.evaluate_params(best_params, cfg, tcfg, sbm_dataset)
+    replay, _ = tr.evaluate_params(best_params, cfg, tcfg, sbm_dataset)
     assert replay["test_accuracy"] == history.test_at_best
     assert replay["val_accuracy"] == history.best_val
 
@@ -402,9 +402,56 @@ def test_fit_divergence_aborts_with_best_checkpoint(sbm_dataset):
     assert len(history.records) >= 1
     for _, arr in params.param_items():
         assert np.all(np.isfinite(arr))
-    replay = tr.evaluate_params(params, cfg,
-                                TrainConfig(lr=0.01, seed=1), sbm_dataset)
+    replay, _ = tr.evaluate_params(params, cfg,
+                                   TrainConfig(lr=0.01, seed=1), sbm_dataset)
     assert replay["val_accuracy"] == history.best_val
+
+
+@pytest.mark.parametrize("slot, what", [
+    ("train", "training"), ("val", "validation"), ("test", "test")])
+def test_fit_rejects_an_empty_mask_before_building_a_graph(
+        sbm_dataset, monkeypatch, slot, what):
+    masks = {"train": sbm_dataset.train_mask, "val": sbm_dataset.val_mask,
+             "test": sbm_dataset.test_mask, slot: []}
+    ds = gd.GraphDataset("x", sbm_dataset.features, sbm_dataset.labels, sbm_dataset.edges,
+                         masks["train"], masks["val"], masks["test"])
+    monkeypatch.setattr(md, "encode_nodes", None)  # a call would raise TypeError
+    with pytest.raises(ValueError, match=f"^dataset has no {what} nodes$"):
+        tr.fit(small_model(), TrainConfig(max_epochs=2, patience=2), ds)
+
+
+def test_a_link_split_without_validation_pairs_fails_by_edge_count(monkeypatch):
+    grid = gd.synth_dataset("grid", width=3, height=3)  # 12 edges: 5% is 0.6
+    cfg = small_model(decoder="link")
+    tcfg = TrainConfig(max_epochs=2, patience=2, task="link")
+    message = "^a link split of 12 edges leaves no validation pair$"
+    with pytest.raises(ValueError, match=message):
+        tr.make_link_split(grid, 0)
+    params = md.init_params(cfg, grid.num_features, grid.num_classes, seed=0)
+    with pytest.raises(ValueError, match=message):
+        tr.evaluate_params(params, cfg, tcfg, grid)
+    monkeypatch.setattr(md, "encode_nodes", None)
+    with pytest.raises(ValueError, match=message):
+        tr.fit(cfg, tcfg, grid)
+
+
+@pytest.mark.parametrize("ratio", [1, 2])
+def test_negative_ratio_sets_the_negatives_per_link_epoch(sbm_dataset, monkeypatch, ratio):
+    drawn = []
+    sample = tr.negative_sample
+
+    def spy(n_nodes, count, seed, forbidden):
+        drawn.append((seed, count))
+        return sample(n_nodes, count, seed, forbidden)
+
+    monkeypatch.setattr(tr, "negative_sample", spy)
+    cfg = small_model(decoder="link")
+    tcfg = TrainConfig(max_epochs=2, patience=2, seed=1, task="link", negative_ratio=ratio)
+    _, history = tr.fit(cfg, tcfg, sbm_dataset)
+    positives = len(tr.make_link_split(sbm_dataset, 1).train_edges)
+    assert [(seed, count) for seed, count in drawn if seed[1] == 3] == [
+        ([1, 3, epoch], ratio * positives) for epoch in (1, 2)]
+    assert len(history.records) == 2
 
 
 def test_train_config_validation():
