@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -127,6 +128,13 @@ def build_configs(raw: dict) -> tuple[ModelConfig, TrainConfig, int]:
     return model_cfg, train_cfg, seed
 
 
+def _dump_metrics(metrics: dict, **kw) -> str:
+    """``metrics`` as strict JSON: a metric that has no value (NaN, or the
+    -inf best of a run with no finished epoch) is written as null."""
+    return json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                       for k, v in metrics.items()}, allow_nan=False, **kw)
+
+
 def cmd_train(args) -> int:
     raw = load_run_config(args.config, args.set)
     model_cfg, train_cfg, seed = build_configs(raw)
@@ -158,7 +166,7 @@ def cmd_train(args) -> int:
         metrics["test_roc_auc"] = history.test_at_best
     if history.diverged_at is not None:
         metrics["diverged_at_epoch"] = history.diverged_at
-    (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n",
+    (out_dir / "metrics.json").write_text(_dump_metrics(metrics, indent=1) + "\n",
                                           encoding="utf-8")
     if history.diverged_at is not None:
         print(f"training diverged at epoch {history.diverged_at}",
@@ -186,13 +194,13 @@ def cmd_eval(args) -> int:
 
     metrics, z = tr.evaluate_params(params, model_cfg, train_cfg, dataset)
     metrics = {"config": echo, "task": train_cfg.task, **metrics}
-    (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n",
+    (out_dir / "metrics.json").write_text(_dump_metrics(metrics, indent=1) + "\n",
                                           encoding="utf-8")
     if args.export_embeddings:
         with open(out_dir / "embeddings.csv", "w", encoding="utf-8") as fh:
             for row in z:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    print(json.dumps({k: v for k, v in metrics.items() if k != "config"}))
+    print(_dump_metrics({k: v for k, v in metrics.items() if k != "config"}))
     return 0
 
 

@@ -550,20 +550,20 @@ _FORWARD = {
     "transpose": lambda node, vals: vals[0].T,
     "gather-rows": lambda node, vals: vals[0][node.attrs["indices"]],
     "sparse-matmul": lambda node, vals: node.attrs["matrix"] @ vals[0],
-    "tanh": lambda node, vals: np.tanh(vals[0]),
-    "sigmoid": lambda node, vals: scipy.special.expit(vals[0]),
-    "sin": lambda node, vals: np.sin(vals[0]),
-    "relu": lambda node, vals: np.maximum(vals[0], 0.0),
+    "tanh": lambda node, vals, out=None: np.tanh(vals[0], out=out),
+    "sigmoid": lambda node, vals, out=None: scipy.special.expit(vals[0], out=out),
+    "sin": lambda node, vals, out=None: np.sin(vals[0], out=out),
+    "relu": lambda node, vals, out=None: np.maximum(vals[0], 0.0, out=out),
     "rehu": _fw_rehu,
     "kappa": _fw_kappa,
     "step": lambda node, vals: (vals[0] > 0.0).astype(np.float64),
     "expand": _fw_expand,
     "softmax": _fw_softmax,
     "log-softmax": _fw_log_softmax,
-    "elementwise-add": lambda node, vals: vals[0] + vals[1],
-    "elementwise-sub": lambda node, vals: vals[0] - vals[1],
-    "elementwise-mul": lambda node, vals: vals[0] * vals[1],
-    "scale": lambda node, vals: vals[0] * node.attrs["factor"],
+    "elementwise-add": lambda node, vals, out=None: np.add(vals[0], vals[1], out=out),
+    "elementwise-sub": lambda node, vals, out=None: np.subtract(vals[0], vals[1], out=out),
+    "elementwise-mul": lambda node, vals, out=None: np.multiply(vals[0], vals[1], out=out),
+    "scale": lambda node, vals, out=None: np.multiply(vals[0], node.attrs["factor"], out=out),
     "sum": lambda node, vals: np.sum(vals[0], axis=node.attrs["axis"]),
     "concat": lambda node, vals: np.concatenate(vals, axis=node.attrs["axis"]),
     "slice": _fw_slice,
@@ -629,6 +629,8 @@ _ONE_PASS = frozenset({"elementwise-add", "elementwise-sub", "elementwise-mul", 
 # a view is never dropped, but it may run again for a moment as the operand
 # of a dropped value
 _RECOMPUTABLE = _VIEWS | _ONE_PASS
+# one ufunc call, which may write into the array of an operand dying at it
+_IN_PLACE = _ONE_PASS | {"tanh", "sin", "sigmoid", "relu"}
 
 
 def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
@@ -736,17 +738,43 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
                   for f, (again, gone) in redo.items()}
 
 
-def _run(node: Node, values: dict) -> np.ndarray:
+def _dying_operand(node: Node, vals: list, dead) -> np.ndarray | None:
+    """The array of an operand of ``node`` that ``node`` may write its value
+    into, or None.  The operand is in ``dead``, the ids freed right after
+    ``node``, so it is no leaf and no output; its array has the node's
+    shape, owns its data (so it is no view), is writable and shares no
+    memory with another operand (the same array twice is allowed).  No live
+    value reads the array afterwards: every op but a leaf or a view returns
+    an array of its own, and a view dies with its base."""
+    for inp, val in zip(node.inputs, vals):
+        if (inp.nid in dead and val.shape == node.shape
+                and val.base is None and val.flags.writeable
+                and not any(v is not val and np.may_share_memory(val, v) for v in vals)):
+            return val
+    return None
+
+
+def _run(node: Node, values: dict, dead=()) -> np.ndarray:
     vals = [values[i.nid] for i in _operands(node)]
+    rule = _FORWARD[node.op]
+    out = _dying_operand(node, vals, dead) if dead and node.op in _IN_PLACE else None
     try:
-        val = np.asarray(_FORWARD[node.op](node, vals), dtype=np.float64)
+        if out is None:
+            val = np.asarray(rule(node, vals), dtype=np.float64)
+        else:
+            val = rule(node, vals, out=out)
         if node.op in _UNSCANNED:
             return val
     except FloatingPointError:
-        # the flag may come from a value that ends finite (the softmax of a
-        # row spanning +-1e308) or from a BLAS thread: run again and scan
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            val = np.asarray(_FORWARD[node.op](node, vals), dtype=np.float64)
+        if out is not None:
+            # numpy checks the flags after the whole loop, so the buffer
+            # holds what a second run would give; its operand is gone
+            val = out
+        else:
+            # the flag may come from a value that ends finite (the softmax of
+            # a row spanning +-1e308) or from a BLAS thread: run again and scan
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                val = np.asarray(rule(node, vals), dtype=np.float64)
     if not all_finite(val):
         raise FloatingPointError(f"non-finite intermediate at {node!r}"
                                  f"{_bad_rows(val)}{_whereabouts(node)}")
@@ -791,6 +819,12 @@ def evaluate(outputs, bindings=None):
     change; in a training step these are the tanh slopes ``1 - t*t`` and
     their products with the field's adjoint.  Outputs are never dropped.
 
+    An op whose rule is one ufunc call (``_IN_PLACE``: ``add``, ``sub``,
+    ``mul``, ``scale``, ``tanh``, ``sin``, ``sigmoid``, ``relu``) writes its
+    value into the array of an operand freed right after it, if that array
+    has the node's shape, owns its data and overlaps no other operand: the
+    same ufunc loop on the same input bits, so the outputs do not change.
+
     An ``expand`` (a ``zeros_like`` fill is one) needs only its operand: it
     never computes the input it is shaped like, and a leaf that only such
     inputs reach needs no binding.  An ``expand`` is a read-only zero-stride
@@ -800,7 +834,9 @@ def evaluate(outputs, bindings=None):
     ancestors.  The walk runs under one ``np.errstate`` that raises on the
     flags guarding the ufunc ops of ``_FLAGGED``; other ops are scanned.  A
     node that raises runs again with the flags ignored, and is reported only
-    if that value is not finite.
+    if that value is not finite.  A node that wrote into an operand cannot
+    run again; numpy finishes the loop before it checks the flags, so its
+    buffer already holds that value and is scanned instead.
     """
     single = isinstance(outputs, Node)
     outs = [outputs] if single else list(outputs)
@@ -811,6 +847,7 @@ def evaluate(outputs, bindings=None):
     values: dict[int, np.ndarray] = {}
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for i, node in enumerate(order):
+            dead = free.get(i, ())
             if i in redo:
                 again, transient = redo[i]
                 for other in again:
@@ -828,9 +865,9 @@ def evaluate(outputs, bindings=None):
                 if not all_finite(val):
                     raise FloatingPointError(f"non-finite value bound to {name!r}")
             else:
-                val = _run(node, values)
+                val = _run(node, values, dead)
             values[node.nid] = val
-            for nid in free.get(i, ()):
+            for nid in dead:
                 del values[nid]
 
     result = [np.array(values[o.nid]) if o.op == "expand" else values[o.nid]

@@ -240,27 +240,40 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float,
               beta2: float = 0.999, eps: float = 1e-8,
               decay_biases: bool = True) -> None:
     """One update, in place; decoupled weight decay runs before the moment
-    update, and convexity-constrained specs are re-projected afterwards."""
-    state.t += 1
-    t = state.t
+    update, and convexity-constrained specs are re-projected afterwards.
+
+    Every tensor's new values are worked out before any array changes, so a
+    step that overflows (a squared gradient above the largest double, say)
+    raises ``FloatingPointError`` naming the tensor and changes nothing.
+    """
+    t = state.t + 1
+    new = {}
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for name, arr in params.param_items():
+            g = grads.get(name)
+            if g is None:
+                continue
+            if g.shape != arr.shape:
+                raise ValueError(f"gradient for {name!r} has shape {g.shape}, "
+                                 f"expected {arr.shape}")
+            try:
+                decayed = arr
+                if weight_decay and (decay_biases
+                                     or not name.rsplit(".", 1)[-1].startswith("b")):
+                    decayed = arr - lr * weight_decay * arr
+                m = state.m[name] * beta1
+                m += (1 - beta1) * g
+                v = state.v[name] * beta2
+                v += (1 - beta2) * g * g
+                m_hat = m / (1 - beta1 ** t)
+                v_hat = v / (1 - beta2 ** t)
+                new[name] = decayed - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+            except FloatingPointError:
+                raise FloatingPointError(f"Adam step overflows in {name!r}") from None
+    state.t = t
     for name, arr in params.param_items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient for {name!r} has shape {g.shape}, "
-                             f"expected {arr.shape}")
-        if weight_decay and (decay_biases or not name.rsplit(".", 1)[-1].startswith("b")):
-            arr -= lr * weight_decay * arr
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        if name in new:
+            arr[...], state.m[name], state.v[name] = new[name]
     params.project_feasible()
 
 
@@ -288,9 +301,11 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
         dataset: GraphDataset, log=None) -> tuple[ModelParams, TrainHistory]:
     """Full-batch training with patience-based early stopping.
 
-    Deterministic per seed.  On divergence (non-finite loss) the epoch is
-    recorded and the best checkpoint so far is returned.  ``log`` is called
-    with one line per epoch when given.
+    Deterministic per seed.  On divergence (a non-finite value in an
+    evaluation, or an Adam step that overflows, which counts against the
+    epoch it would have fed) the epoch is recorded and the best checkpoint
+    so far is returned.  ``log`` is called with one line per epoch when
+    given.
     """
     task = train_cfg.task
     link_split = None
@@ -372,8 +387,13 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
 
         if stale >= train_cfg.patience:
             break
-        adam_step(params, grads, state, train_cfg.lr, train_cfg.weight_decay,
-                  decay_biases=train_cfg.decay_biases)
+        try:
+            adam_step(params, grads, state, train_cfg.lr, train_cfg.weight_decay,
+                      decay_biases=train_cfg.decay_biases)
+        except FloatingPointError:
+            # the next epoch would run on the parameters the step could not make
+            history.diverged_at = epoch + 1
+            break
 
     return best_params, history
 

@@ -322,6 +322,48 @@ def test_diverged_training_exits_2_and_records_the_epoch(workdir, capsys):
     assert f"training diverged at epoch {epoch}" in capsys.readouterr().err.splitlines()
 
 
+def _strict_json(text):
+    """Parses RFC 8259 JSON: NaN and +-Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_run_diverging_at_epoch_1_writes_null_metrics(workdir, capsys):
+    rc = main(["train", "--config", str(workdir / "config.json"),
+               "--set", "integration.horizon=1.7e308", "--set", "integration.step=1.7e308"])
+    assert rc == 2
+    metrics = _strict_json((workdir / "run" / "metrics.json").read_text())
+    assert metrics["diverged_at_epoch"] == 1 and metrics["epochs_run"] == 0
+    assert metrics["best_val_metric"] is None and metrics["test_accuracy"] is None
+
+
+def test_eval_without_test_nodes_writes_a_null_accuracy(workdir, capsys):
+    assert main(["train", "--config", str(workdir / "config.json"),
+                 "--set", "train.max_epochs=2", "--set", "train.patience=2"]) == 0
+    ds = gd.load_dataset(workdir / "sbm")
+    gd.save_dataset(gd.GraphDataset("untested", ds.features, ds.labels, ds.edges,
+                                     ds.train_mask, ds.val_mask, []), workdir / "untested")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(workdir / "run" / "checkpoint"),
+                 "--dataset", str(workdir / "untested"), "--out", str(workdir / "ev")]) == 0
+    line = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    metrics = _strict_json((workdir / "ev" / "metrics.json").read_text())
+    assert line["test_accuracy"] is None and metrics["test_accuracy"] is None
+    assert 0.0 <= line["val_accuracy"] == metrics["val_accuracy"] <= 1.0
+
+
+def test_an_overflowing_adam_step_diverges_at_the_next_epoch(workdir, capsys):
+    # the loss stays finite, near 1e305, but its gradient's square does not
+    rc = main(["train", "--config", str(workdir / "config.json"),
+               "--set", "integration.horizon=1e300", "--set", "integration.step=1e300",
+               "--set", "train.max_epochs=5", "--set", "train.patience=5"])
+    assert rc == 2
+    metrics = _strict_json((workdir / "run" / "metrics.json").read_text())
+    assert metrics["diverged_at_epoch"] == 2 and metrics["epochs_run"] == 1
+    assert "training diverged at epoch 2" in capsys.readouterr().err.splitlines()
+
+
 def test_eval_rejects_wrong_dimension(workdir, capsys):
     assert main(["train", "--config", str(workdir / "config.json")]) == 0
     other = gd.synth_dataset("sbm", sizes=(5, 5, 5), p_in=0.6, p_out=0.05, seed=1)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -449,9 +450,9 @@ def _count_runs(monkeypatch) -> Counter:
     """Counts, by node id, every forward rule that runs from now on."""
     runs = Counter()
     for op, rule in list(eg._FORWARD.items()):
-        def spy(node, vals, rule=rule):
+        def spy(node, vals, rule=rule, **kw):
             runs[node.nid] += 1
-            return rule(node, vals)
+            return rule(node, vals, **kw)
         monkeypatch.setitem(eg._FORWARD, op, spy)
     return runs
 
@@ -596,6 +597,128 @@ def test_non_finite_error_names_the_layer_and_the_solver_step():
     with pytest.raises(FloatingPointError, match=r"affine 'layer1.field.energy layer 0' "
                        r"shape=\(2, 3\)> \(rows \[0\]\) after 'layer1.field q after step 2'$"):
         eg.evaluate(hidden, {"x": np.array([[5e307, 5e307, 0.0], [0.0, 0.0, 0.0]])})
+
+
+# ---------------------------------------------------------------------------
+# writing into a dying operand
+
+
+def _record_in_place(monkeypatch) -> list:
+    """Records ``(node, vals, out)`` for every one-ufunc rule given an ``out``."""
+    seen = []
+    for op in eg._IN_PLACE:
+        def spy(node, vals, rule=eg._FORWARD[op], **kw):
+            if "out" in kw:
+                seen.append((node, list(vals), kw["out"]))
+            return rule(node, vals, **kw)
+        monkeypatch.setitem(eg._FORWARD, op, spy)
+    return seen
+
+
+def test_the_in_place_ops_are_the_one_ufunc_rules():
+    assert eg._IN_PLACE == {"elementwise-add", "elementwise-sub", "elementwise-mul",
+                            "scale", "tanh", "sin", "sigmoid", "relu"}
+    assert eg._IN_PLACE <= eg._UNSCANNED
+
+
+@pytest.mark.parametrize("variant", sorted(ham.VARIANTS))
+def test_a_training_evaluate_writes_into_no_binding_or_output(
+        sbm_dataset, training_outputs, monkeypatch, variant):
+    small = variant == "symplectic"
+    cfg = ModelConfig(hidden_dim=4, layers=1 if small else 2, net_hidden=4,
+                      variant=variant)
+    outputs, bindings = training_outputs(cfg, sbm_dataset)
+    # the parameter arrays themselves, as the optimizer holds them
+    before = {name: (arr, arr.tobytes()) for name, arr in bindings.items()}
+    seen = _record_in_place(monkeypatch)
+    got = eg.evaluate(outputs, bindings)
+    assert seen
+    for name, (arr, data) in before.items():
+        assert bindings[name] is arr and arr.tobytes() == data, name
+    expected = _dfs_evaluate(outputs, bindings)
+    for g, e in zip(got, expected):
+        assert g.tobytes() == e.tobytes()
+    for i, g in enumerate(got):
+        assert not any(np.may_share_memory(g, other) for other in got[i + 1:])
+
+
+def test_a_view_a_broadcast_or_an_overlapping_operand_is_not_written_into(
+        rng, monkeypatch):
+    x, row = eg.parameter("x", (5, 5)), eg.parameter("row", (5,))
+    m = eg.tanh(x)
+    seen = _record_in_place(monkeypatch)
+    xv, rv = rng.normal(size=(5, 5)), rng.normal(size=5)
+    mv = np.tanh(xv)
+    # each dying operand below is a view, a row broadcast to the node's
+    # shape, or overlaps the other operand (m dies with its transpose)
+    for out, expected in ((eg.add(eg.transpose(eg.sin(x)), x), np.sin(xv).T + xv),
+                          (eg.mul(x, eg.sin(row)), xv * np.sin(rv)),
+                          (eg.add(m, eg.transpose(m)), mv + mv.T)):
+        got = eg.evaluate(out, {"x": xv, "row": rv})
+        assert got.tobytes() == expected.tobytes()
+    assert [node for node, _, _ in seen] == []
+    # one array read twice is no overlap: the square goes into the tanh
+    square = eg.mul(m, m)
+    got = eg.evaluate(square, {"x": xv})
+    assert got.tobytes() == (mv * mv).tobytes()
+    ((node, vals, into),) = seen
+    assert node is square and vals[0] is vals[1] is into
+
+
+def test_an_in_place_overflow_is_scanned_not_run_again(monkeypatch):
+    x = eg.parameter("x", (3, 2))
+    doubled = eg.scale(x, 2.0)
+    node = eg.add(doubled, x)
+    xv = np.ones((3, 2))
+    xv[1] = 8e307  # its double is finite, the sum with it is not
+    kept = xv.copy()
+    seen = _record_in_place(monkeypatch)
+    runs = _count_runs(monkeypatch)
+    with pytest.raises(FloatingPointError) as caught:
+        eg.evaluate(node, {"x": xv})
+    assert str(caught.value) == f"non-finite intermediate at {node!r} (rows [1])"
+    assert runs[node.nid] == 1
+    ((written, vals, into),) = seen
+    assert written is node and into is vals[0] and into is not xv
+    assert xv.tobytes() == kept.tobytes()
+
+
+def test_every_buffer_written_into_is_a_dying_interior_operand(
+        training_outputs, monkeypatch):
+    ds = gd.synth_dataset("sbm", **SBM_300)
+    cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible")
+    outputs, bindings = training_outputs(cfg, ds)
+    order = eg._reachable(outputs)
+    pinned = {o.nid for o in outputs}
+    free, _ = eg._plan(order, pinned)
+    at = {node.nid: i for i, node in enumerate(order)}
+    seen = _record_in_place(monkeypatch)
+    eg.evaluate(outputs, bindings)
+    counts = Counter()
+    for node, vals, into in seen:
+        (k,) = [k for k, v in enumerate(vals) if v is into]
+        operand = node.inputs[k]
+        assert operand.nid in free.get(at[node.nid], ())
+        assert operand.op not in eg._LEAVES | eg._VIEWS and operand.nid not in pinned
+        counts[node.op] += 1
+    assert all(counts[op] > 0 for op in ("elementwise-add", "elementwise-sub",
+                                         "elementwise-mul", "scale", "tanh"))
+
+
+def test_concurrent_training_evaluations_keep_their_bytes(training_outputs):
+    ds = gd.synth_dataset("sbm", **SBM_300)
+    cfg = ModelConfig(hidden_dim=16, layers=2, variant="flexible")
+    outputs, bindings = training_outputs(cfg, ds)
+    expected = [v.tobytes() for v in eg.evaluate(outputs, bindings)]
+    start = threading.Barrier(2)
+
+    def run(_):
+        start.wait()
+        return [[v.tobytes() for v in eg.evaluate(outputs, bindings)]
+                for _ in range(20)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = [got for batch in pool.map(run, range(2)) for got in batch]
+    assert len(results) == 40 and all(got == expected for got in results)
 
 
 # ---------------------------------------------------------------------------
@@ -1215,8 +1338,9 @@ def test_a_flagged_op_that_overflows_raises_at_its_node_naming_the_rows(
     with pytest.raises(FloatingPointError) as caught:
         eg.evaluate(node, {"x": xv})
     assert str(caught.value) == f"non-finite intermediate at {node!r} (rows [1])"
-    # the flag raised, then the node ran again with the flags ignored
-    assert runs[node.nid] == 2
+    # the flag raised, then the node ran again with the flags ignored; the
+    # sub writes into its dying negate(x) operand, so it is scanned, not run again
+    assert runs[node.nid] == (1 if op == "elementwise-sub" else 2)
 
 
 @pytest.mark.parametrize("op, xv", [

@@ -187,6 +187,33 @@ def test_adam_first_step_is_learning_rate():
     assert p.w[0, 0] == pytest.approx(-0.1, rel=1e-6)
 
 
+class _TwoTensors(_OneTensor):
+    def __init__(self, first, second):
+        super().__init__(first)
+        self.u = np.array(second, dtype=np.float64)
+
+    def param_items(self):
+        return [("u", self.u), ("w", self.w)]
+
+
+def test_an_overflowing_adam_step_raises_naming_the_tensor_and_changes_nothing():
+    p = _TwoTensors([[0.5, -1.0]], [[2.0]])
+    u, w = p.u, p.w
+    state = tr.AdamState(p.param_items())
+    tr.adam_step(p, {"u": np.ones((1, 1)), "w": np.ones((1, 2))}, state, lr=0.1)
+    assert p.u is u and p.w is w and u[0, 0] != 2.0  # stepped in place
+    arrays = [u, w, state.m["u"], state.m["w"], state.v["u"], state.v["w"]]
+    kept = [a.tobytes() for a in arrays]
+    # the squared gradient of w overflows; u, which comes first, is not
+    # stepped either
+    grads = {"u": np.ones((1, 1)), "w": np.array([[1e200, 1.0]])}
+    with pytest.raises(FloatingPointError, match="^Adam step overflows in 'w'$"):
+        tr.adam_step(p, grads, state, lr=0.1, weight_decay=0.01)
+    assert state.t == 1
+    now = [p.u, p.w, state.m["u"], state.m["w"], state.v["u"], state.v["w"]]
+    assert [a.tobytes() for a in now] == kept
+
+
 def test_adam_converges_on_quadratic():
     p = _OneTensor([[0.0]])
     state = tr.AdamState(p.param_items())
