@@ -128,11 +128,15 @@ def build_configs(raw: dict) -> tuple[ModelConfig, TrainConfig, int]:
     return model_cfg, train_cfg, seed
 
 
-def _dump_metrics(metrics: dict, **kw) -> str:
-    """``metrics`` as strict JSON: a metric that has no value (NaN, or the
-    -inf best of a run with no finished epoch) is written as null."""
-    return json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
-                       for k, v in metrics.items()}, allow_nan=False, **kw)
+def _dump_metrics(metrics: dict | list, **kw) -> str:
+    """``metrics``, one dict or a list of them, as strict JSON: a metric that
+    has no value (NaN, or the -inf best of a run with no finished epoch) is
+    written as null."""
+    def strict(row: dict) -> dict:
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in row.items()}
+    rows = [strict(row) for row in metrics] if isinstance(metrics, list) else strict(metrics)
+    return json.dumps(rows, allow_nan=False, **kw)
 
 
 def cmd_train(args) -> int:
@@ -166,11 +170,12 @@ def cmd_train(args) -> int:
         metrics["test_roc_auc"] = history.test_at_best
     if history.diverged_at is not None:
         metrics["diverged_at_epoch"] = history.diverged_at
+        metrics["divergence_cause"] = history.divergence_cause
     (out_dir / "metrics.json").write_text(_dump_metrics(metrics, indent=1) + "\n",
                                           encoding="utf-8")
     if history.diverged_at is not None:
-        print(f"training diverged at epoch {history.diverged_at}",
-              file=sys.stderr)
+        print(f"training diverged at epoch {history.diverged_at}\n"
+              f"cause: {history.divergence_cause}", file=sys.stderr)
         return 2
     return 0
 
@@ -306,11 +311,12 @@ def cmd_sweep_layers(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = tr.layer_sweep(model_cfg, train_cfg, dataset, counts)
     with open(out_dir / "layer_sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write("layers,best_val,test_metric,epochs\n")
+        fh.write("layers,best_val,test_metric,epochs,diverged_at\n")
         for row in rows:
+            diverged = "" if row["diverged_at"] is None else row["diverged_at"]
             fh.write(f"{row['layers']},{row['best_val']!r},"
-                     f"{row['test_metric']!r},{row['epochs']}\n")
-    print(json.dumps(rows))
+                     f"{row['test_metric']!r},{row['epochs']},{diverged}\n")
+    print(_dump_metrics(rows))
     return 0
 
 

@@ -58,13 +58,16 @@ class TrainConfig:
 @dataclass
 class TrainHistory:
     """Per-epoch record of (train loss, val metric, test metric at the best
-    validation checkpoint so far)."""
+    validation checkpoint so far).  A run that diverged records the epoch
+    and the message of the ``FloatingPointError`` that ended it, which names
+    the node, layer and solver step, or the Adam tensor, where it began."""
 
     records: list = dc_field(default_factory=list)
     best_epoch: int = -1
     best_val: float = -math.inf
     test_at_best: float = math.nan
     diverged_at: int | None = None
+    divergence_cause: str | None = None
 
     def append(self, epoch: int, train_loss: float, val_metric: float,
                test_metric: float):
@@ -286,8 +289,7 @@ def _link_loss_node(z: Node, positives: np.ndarray, negatives) -> Node:
     # score, so the masked cross entropy below is exactly logistic loss
     negatives = np.asarray(negatives, dtype=np.intp).reshape(-1, 2)
     pairs = np.concatenate([positives, negatives])
-    scores = eg.reduce_sum(eg.mul(eg.gather_rows(z, pairs[:, 0]),
-                                  eg.gather_rows(z, pairs[:, 1])), axis=1)
+    scores = eg.pair_dot(z, z, pairs[:, 0], pairs[:, 1])
     logits = eg.outer(scores, eg.constant([1.0, 0.0]))
     labels = np.repeat([0, 1], [len(positives), len(negatives)])
     return cross_entropy_node(logits, labels, np.arange(labels.size))
@@ -353,8 +355,8 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
             outputs.append(logits_node)
         try:
             values = eg.evaluate(outputs, params.bindings())
-        except FloatingPointError:
-            history.diverged_at = epoch
+        except FloatingPointError as exc:
+            history.diverged_at, history.divergence_cause = epoch, str(exc)
             break
         loss = float(values[0])
         z_val = values[1]
@@ -390,9 +392,9 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
         try:
             adam_step(params, grads, state, train_cfg.lr, train_cfg.weight_decay,
                       decay_biases=train_cfg.decay_biases)
-        except FloatingPointError:
+        except FloatingPointError as exc:
             # the next epoch would run on the parameters the step could not make
-            history.diverged_at = epoch + 1
+            history.diverged_at, history.divergence_cause = epoch + 1, str(exc)
             break
 
     return best_params, history
@@ -435,7 +437,8 @@ def evaluate_params(params: ModelParams, model_cfg: ModelConfig,
 
 def layer_sweep(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 dataset: GraphDataset, layer_counts) -> list:
-    """Fit once per layer count with a shared seed; returns one row per L."""
+    """Fit once per layer count with a shared seed; returns one row per L,
+    with the epoch its fit diverged at, or None."""
     layer_counts = list(layer_counts)
     if not layer_counts:
         raise ValueError("need at least one layer count")
@@ -446,5 +449,6 @@ def layer_sweep(model_cfg: ModelConfig, train_cfg: TrainConfig,
         rows.append({"layers": int(L),
                      "best_val": history.best_val,
                      "test_metric": history.test_at_best,
-                     "epochs": len(history.records)})
+                     "epochs": len(history.records),
+                     "diverged_at": history.diverged_at})
     return rows

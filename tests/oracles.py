@@ -10,8 +10,10 @@ layer into its q and p column blocks; the symplectic field differentiates
 its own copy of the energy net on the joined state, as it did before it took
 grad H from the canonical field; the three-pass logistic is the one the
 engine's sigmoid and ``decode_link`` computed before ``scipy.special.expit``;
-and the exact hyperbolicity loop scores one quadruple at a time, as
-``delta_hyperbolicity`` did before it scored them all in one array pass.
+the exact hyperbolicity loop scores one quadruple at a time, as
+``delta_hyperbolicity`` did before it scored them all in one array pass; and
+the pair chains score and scatter node pairs through (pairs, d) row tables,
+as the link loss did before ``pair_dot`` and ``pair_scatter``.
 """
 
 from __future__ import annotations
@@ -226,3 +228,20 @@ def loop_delta_hyperbolicity(dataset: GraphDataset) -> dict:
             histogram[delta] = histogram.get(delta, 0) + 1
     return {"max_delta": max(histogram), "histogram": dict(sorted(histogram.items())),
             "num_quadruples": sum(histogram.values())}
+
+
+# ---------------------------------------------------------------------------
+# pair chains
+
+
+def chain_pair_dot(a: Node, b: Node, rows, cols) -> Node:
+    """``pair_dot(a, b, rows, cols)`` as two row gathers, their product and a
+    row sum; its derivative scatters two (pairs, d) products."""
+    return eg.reduce_sum(eg.mul(eg.gather_rows(a, rows), eg.gather_rows(b, cols)), axis=1)
+
+
+def chain_pair_scatter(x: Node, w: Node, rows, cols, num_rows: int) -> Node:
+    """``pair_scatter(x, w, rows, cols, num_rows)`` as a row gather of ``x``
+    scaled by the weight column and scattered into ``num_rows`` rows."""
+    weights = eg.expand(w, (len(rows), x.shape[1]), column=True)
+    return eg.scatter_rows(eg.mul(weights, eg.gather_rows(x, cols)), rows, num_rows)

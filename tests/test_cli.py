@@ -364,6 +364,24 @@ def test_an_overflowing_adam_step_diverges_at_the_next_epoch(workdir, capsys):
     assert "training diverged at epoch 2" in capsys.readouterr().err.splitlines()
 
 
+@pytest.mark.parametrize("size, epoch, cause", [
+    ("1e300", 2, r"Adam step overflows in 'compress\.w0'"),
+    ("1.7e308", 1, r"non-finite intermediate at <Node \d+ sum shape=\(\)> "
+                   r"in 'head layer 0' after 'layer 1 orbit end'"),
+], ids=["adam", "evaluation"])
+def test_a_diverged_run_names_its_cause(workdir, capsys, size, epoch, cause):
+    rc = main(["train", "--config", str(workdir / "config.json"),
+               "--set", f"integration.horizon={size}", "--set", f"integration.step={size}",
+               "--set", "train.max_epochs=5", "--set", "train.patience=5"])
+    assert rc == 2
+    metrics = _strict_json((workdir / "run" / "metrics.json").read_text())
+    assert metrics["diverged_at_epoch"] == epoch
+    assert re.fullmatch(cause, metrics["divergence_cause"])
+    err = capsys.readouterr().err.splitlines()
+    at = err.index(f"training diverged at epoch {epoch}")
+    assert err[at + 1] == f"cause: {metrics['divergence_cause']}"
+
+
 def test_eval_rejects_wrong_dimension(workdir, capsys):
     assert main(["train", "--config", str(workdir / "config.json")]) == 0
     other = gd.synth_dataset("sbm", sizes=(5, 5, 5), p_in=0.6, p_out=0.05, seed=1)
@@ -519,8 +537,20 @@ def test_sweep_layers_writes_table(workdir, capsys):
                "--set", f"out_dir={workdir / 'sweep'}"])
     assert rc == 0
     csv = (workdir / "sweep" / "layer_sweep.csv").read_text().strip().splitlines()
-    assert csv[0] == "layers,best_val,test_metric,epochs"
+    assert csv[0] == "layers,best_val,test_metric,epochs,diverged_at"
     assert len(csv) == 3
+    assert all(line.endswith(",") for line in csv[1:])  # no fit diverged
+
+
+def test_a_diverging_sweep_prints_strict_json_and_keeps_the_epoch(workdir, capsys):
+    main(["sweep-layers", "--config", str(workdir / "config.json"), "--layers", "1,2",
+          "--set", "integration.horizon=1.7e308", "--set", "integration.step=1.7e308",
+          "--set", f"out_dir={workdir / 'sweep'}"])
+    rows = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rows == [{"layers": layers, "best_val": None, "test_metric": None, "epochs": 0,
+                     "diverged_at": 1} for layers in (1, 2)]
+    csv = (workdir / "sweep" / "layer_sweep.csv").read_text().strip().splitlines()
+    assert csv[1:] == ["1,-inf,nan,0,1", "2,-inf,nan,0,1"]
 
 
 def test_console_entry_point_runs(workdir):

@@ -18,7 +18,7 @@ from hamgnn import graphdata as gd
 from hamgnn import hamiltonian as ham
 from hamgnn import model as md
 from hamgnn.model import ModelConfig
-from oracles import LOGISTIC_GRID, three_pass_logistic
+from oracles import LOGISTIC_GRID, chain_pair_dot, chain_pair_scatter, three_pass_logistic
 
 
 # ---------------------------------------------------------------------------
@@ -875,6 +875,7 @@ def test_interior_zero_fill_is_a_view_and_an_output_fill_is_owned(rng, monkeypat
 
 def test_every_op_has_a_forward_and_a_derivative_rule():
     assert set(eg._VJP) == set(eg._FORWARD) - {"constant"}
+    assert {"pair-dot", "pair-scatter"} <= set(eg._VJP)
     assert not {"zeros-like", "negate", "dot"} & set(eg._FORWARD)
 
 
@@ -988,6 +989,108 @@ def test_gather_rows_keeps_a_frozen_index_array_and_names_a_bad_index():
     for bad, first in (([0, 3, 5], 3), ([1, -1], -1)):
         with pytest.raises(ValueError, match=rf"gather index {first} out of range \[0, 3\)"):
             eg.gather_rows(x, bad)
+
+
+def _random_pairs(rng, m, n, num_rows=None):
+    """``m`` (row, col) pairs over ``num_rows`` (default ``n``) rows and
+    ``n`` cols, with self-pairs and one pair repeated among them."""
+    rows = rng.integers(0, num_rows or n, size=m)
+    cols = rng.integers(0, n, size=m)
+    cols[::5] = np.minimum(rows[::5], n - 1)
+    rows[1::7], cols[1::7] = rows[0], cols[0]
+    return rows, cols
+
+
+# above one block of pairs and not a multiple of it
+PAIR_COUNT = 2 * eg._PAIR_CHUNK + 37
+
+
+def test_pair_dot_and_its_adjoints_have_the_bits_of_the_gather_chain(rng):
+    n, d = 50, 6
+    rows, cols = _random_pairs(rng, PAIR_COUNT, n)
+    z, y = eg.parameter("z", (n, d)), eg.parameter("y", (n, d))
+    weights = eg.constant(rng.normal(size=PAIR_COUNT))
+    binds = {"z": rng.normal(size=(n, d)), "y": rng.normal(size=(n, d))}
+    for a, b in ((z, z), (z, y)):
+        values = []
+        for build in (eg.pair_dot, chain_pair_dot):
+            scores = build(a, b, rows, cols)
+            loss = eg.reduce_sum(eg.mul(scores, weights))
+            values.append(eg.evaluate(
+                [scores, *eg.gradient_all(loss, [z, y], allow_unused=True)], binds))
+        for got, expected in zip(*values):
+            _assert_same_bits(got, expected)
+
+
+def test_pair_scatter_and_its_adjoints_match_the_scatter_chain(rng):
+    n, d, num_rows = 40, 5, 30
+    rows, cols = _random_pairs(rng, PAIR_COUNT, n, num_rows)
+    x, w = eg.parameter("x", (n, d)), eg.parameter("w", (PAIR_COUNT,))
+    direction = eg.constant(rng.normal(size=(num_rows, d)))
+    binds = {"x": rng.normal(size=(n, d)), "w": rng.normal(size=PAIR_COUNT)}
+    values = []
+    for build in (eg.pair_scatter, chain_pair_scatter):
+        out = build(x, w, rows, cols, num_rows)
+        loss = eg.reduce_sum(eg.mul(out, direction))
+        values.append(eg.evaluate([out, *eg.gradient_all(loss, [x, w])], binds))
+    (out, gx, gw), (chain_out, chain_gx, chain_gw) = values
+    _assert_same_bits(out, chain_out)
+    _assert_same_bits(gx, chain_gx)
+    # the chain sums each weight's row product with a BLAS dot, pair_dot with
+    # numpy's row sum: the same terms, added in another order
+    assert np.allclose(gw, chain_gw, rtol=1e-13, atol=1e-13)
+
+
+def test_pair_ops_first_and_second_order_gradients(rng):
+    n, d, m = 6, 3, 14
+    rows, cols = _random_pairs(rng, m, n)
+    a, b, w = eg.parameter("a", (n, d)), eg.parameter("b", (n, d)), eg.parameter("w", (m,))
+    binds = {"a": rng.normal(size=(n, d)), "b": rng.normal(size=(n, d)),
+             "w": rng.normal(size=m)}
+    cases = [
+        (eg.pair_dot(a, b, rows, cols), (a, b)),
+        (eg.pair_dot(a, a, rows, cols), (a,)),
+        (eg.pair_scatter(a, w, rows, cols, n), (a, w)),
+    ]
+    for node, leaves in cases:
+        f = eg.reduce_sum(eg.sin(node))
+        for leaf in leaves:
+            assert eg.check_gradient(f, leaf, binds, fd_step=1e-6, tol=1e-6)["passed"]
+            # the gradient is a graph of pair ops, differentiated again
+            g = eg.gradient(f, leaf)
+            h = eg.reduce_sum(eg.mul(g, eg.constant(rng.normal(size=g.shape))))
+            for other in leaves:
+                assert eg.check_gradient(h, other, binds, fd_step=1e-5, tol=1e-5)["passed"]
+
+
+def test_pair_ops_over_no_pairs(rng):
+    a, w = eg.parameter("a", (4, 3)), eg.parameter("w", (0,))
+    binds = {"a": rng.normal(size=(4, 3)), "w": np.zeros(0)}
+    scores = eg.pair_dot(a, a, [], [])
+    assert scores.shape == (0,) and eg.evaluate(scores, binds).shape == (0,)
+    _assert_same_bits(eg.evaluate(eg.pair_scatter(a, w, [], [], 5), binds), np.zeros((5, 3)))
+    grad = eg.gradient(eg.reduce_sum(eg.tanh(scores)), a)
+    _assert_same_bits(eg.evaluate(grad, binds), np.zeros((4, 3)))
+
+
+def test_pair_ops_name_a_bad_index_or_shape():
+    a, b, w = eg.parameter("a", (3, 2)), eg.parameter("b", (5, 2)), eg.parameter("w", (2,))
+    for build, message in (
+            (lambda: eg.pair_dot(a, b, [0, 3], [0, 1]),
+             r"pair_dot row index 3 out of range \[0, 3\)"),
+            (lambda: eg.pair_dot(a, b, [0, 1], [-1, 5]),
+             r"pair_dot col index -1 out of range \[0, 5\)"),
+            (lambda: eg.pair_scatter(b, w, [4, 0], [0, 0], 4),
+             r"pair_scatter row index 4 out of range \[0, 4\)"),
+            (lambda: eg.pair_scatter(a, w, [0, 0], [0, 3], 4),
+             r"pair_scatter col index 3 out of range \[0, 3\)"),
+            (lambda: eg.pair_dot(a, b, [0, 1], [0]), r"pair_dot: 2 rows but 1 cols"),
+            (lambda: eg.pair_dot(a, eg.parameter("c", (5, 3)), [0], [0]),
+             r"pair_dot needs two matrices of one width"),
+            (lambda: eg.pair_scatter(a, w, [0], [0], 4),
+             r"pair_scatter: 1 pairs but weights of shape \(2,\)")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
 
 
 def test_slice_adjoints_meet_by_part(rng):
@@ -1124,6 +1227,14 @@ def test_sparse_transpose_is_built_once_and_shared_by_every_backward_sweep(rng):
      "scatter_rows indices"),
     (lambda ids: eg.SparseMatrix(ids, [0, 1], [1.0, 1.0], (4, 4)), "SparseMatrix rows"),
     (lambda ids: eg.SparseMatrix([0, 1], ids, [1.0, 1.0], (4, 4)), "SparseMatrix cols"),
+    (lambda ids: eg.pair_dot(eg.parameter("x", (4, 2)), eg.parameter("x", (4, 2)), ids, [0, 1]),
+     "pair_dot rows"),
+    (lambda ids: eg.pair_dot(eg.parameter("x", (4, 2)), eg.parameter("x", (4, 2)), [0, 1], ids),
+     "pair_dot cols"),
+    (lambda ids: eg.pair_scatter(eg.parameter("x", (4, 2)), eg.parameter("w", (2,)),
+                                 ids, [0, 1], 4), "pair_scatter rows"),
+    (lambda ids: eg.pair_scatter(eg.parameter("x", (4, 2)), eg.parameter("w", (2,)),
+                                 [0, 1], ids, 4), "pair_scatter cols"),
 ])
 def test_index_arrays_reject_float_and_bool_ids(build, what):
     assert build([3, 0]) is not None
@@ -1296,13 +1407,14 @@ def test_first_non_finite_value_is_reported_where_it_is_produced():
 
 # the ops whose outputs evaluate scans: bindings aside, the BLAS and scipy
 # products, whose floating-point flags are raised in other threads
-SCANNED = {"affine", "outer", "solve", "sparse-matmul"}
+SCANNED = {"affine", "outer", "solve", "sparse-matmul", "pair-scatter"}
 
 
 def test_flagged_skipped_and_scanned_ops_partition_the_forward_table():
     flagged, skipped = eg._FLAGGED, eg._FINITE_IF_INPUTS_FINITE
     assert not (flagged & skipped or flagged & SCANNED or skipped & SCANNED)
     assert flagged | skipped | SCANNED == set(eg._FORWARD)
+    assert "pair-dot" in flagged
 
 
 def _overflowing(op, big):
@@ -1315,7 +1427,8 @@ def _overflowing(op, big):
             "scale": lambda: eg.scale(x, 1e10),
             "sum": lambda: eg.reduce_sum(x, axis=1),
             "kappa": lambda: eg.kappa(x),
-            "log-softmax": lambda: eg.log_softmax(x)}[op]()
+            "log-softmax": lambda: eg.log_softmax(x),
+            "pair-dot": lambda: eg.pair_dot(x, x, [0, 1, 2], [0, 1, 2])}[op]()
     assert node.op == op
     xv = np.ones((3, 2))
     xv[1] = big
@@ -1326,6 +1439,7 @@ def _overflowing(op, big):
 OVERFLOWS = [
     ("elementwise-add", 1e308), ("elementwise-sub", 1e308), ("elementwise-mul", 1e200),
     ("scale", 1e300), ("sum", 1e308), ("kappa", 1e200), ("log-softmax", [-1e308, 1e308]),
+    ("pair-dot", 1e200),
 ]
 
 
