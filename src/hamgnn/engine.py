@@ -279,10 +279,8 @@ class SparseMatrix:
         weights = _frozen(weights, np.float64)
         if not rows.size == cols.size == weights.size:
             raise ValueError("SparseMatrix: rows, cols and weights differ in length")
-        if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
-            raise ValueError(f"SparseMatrix row index out of range [0, {num_rows})")
-        if cols.size and (cols.min() < 0 or cols.max() >= num_cols):
-            raise ValueError(f"SparseMatrix column index out of range [0, {num_cols})")
+        _check_range(rows, num_rows, "SparseMatrix row")
+        _check_range(cols, num_cols, "SparseMatrix column")
         if not all_finite(weights):
             raise ValueError("SparseMatrix weights must be finite")
         for name, value in (("rows", rows), ("cols", cols), ("weights", weights),
