@@ -317,7 +317,7 @@ def cmd_sweep_layers(args) -> int:
             fh.write(f"{row['layers']},{row['best_val']!r},"
                      f"{row['test_metric']!r},{row['epochs']},{diverged}\n")
     print(_dump_metrics(rows))
-    return 0
+    return 2 if any(row["diverged_at"] is not None for row in rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1330,26 +1330,35 @@ class MlpParams:
         """Forward graph with parameter leaves named ``{name}.w{i}`` / ``.b{i}``.
 
         ``x`` is the input, or a sequence of parts whose last axes join into
-        the input.  Each layer multiplies each of its parts by that part's
-        column block of the weight, adds the products and then the bias, so
-        a joined input is never built, and a part's adjoint holds only its
-        own columns.  After the first layer the one part is the previous
-        layer's output.
+        the input, so a joined input is never built, and a part's adjoint
+        holds only its own columns.
         """
         parts = [x] if isinstance(x, Node) else list(x)
         if sum(part.shape[-1] for part in parts) != self.input_dim:
             raise ValueError(f"inputs of shapes {[part.shape for part in parts]} "
                              f"do not fit {self.input_dim} input columns")
-        for i, (w, b, act) in enumerate(self.layers):
-            wl = parameter(f"{name}.w{i}", w.shape)
-            bl = parameter(f"{name}.b{i}", b.shape)
-            label = f"{name} layer {i}"
-            out, start = None, 0
-            for part in parts:
-                stop = start + part.shape[-1]
-                term = affine(part, transpose(narrow(wl, start, stop)), label=label)
-                out = term if out is None else add(out, term)
-                start = stop
-            out = add(out, bl)
-            parts = [ACTIVATIONS[act](out) if act is not None else out]
-        return parts[0]
+        return self.graph_after(self.layer_node(0, parts, name), name)
+
+    def layer_node(self, i: int, parts: Sequence[Node], name: str) -> Node:
+        """Layer ``i``'s pre-activation: each part times that part's column
+        block of the weight, the products added, then the bias."""
+        w, b, _ = self.layers[i]
+        wl = parameter(f"{name}.w{i}", w.shape)
+        bl = parameter(f"{name}.b{i}", b.shape)
+        label = f"{name} layer {i}"
+        out, start = None, 0
+        for part in parts:
+            stop = start + part.shape[-1]
+            term = affine(part, transpose(narrow(wl, start, stop)), label=label)
+            out = term if out is None else add(out, term)
+            start = stop
+        return add(out, bl)
+
+    def graph_after(self, a: Node, name: str) -> Node:
+        """The network's output from layer 0's pre-activation ``a``; after
+        the first layer the one part is the previous layer's output."""
+        for i, (_, _, act) in enumerate(self.layers):
+            if i:
+                a = self.layer_node(i, [out], name)
+            out = ACTIVATIONS[act](a) if act is not None else a
+        return out

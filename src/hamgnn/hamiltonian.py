@@ -99,6 +99,10 @@ def _stack_rows(rows) -> Node:
     return eg.concat([eg.expand(r, (1, width)) for r in rows], axis=0)
 
 
+def _identity(x: Node, y: Node) -> tuple[Node, Node]:
+    return x, y
+
+
 class HamiltonianSpec:
     """Base of the variant specs: a dataclass subclass keeps each network in a
     field named ``<role>_net``, defines ``field_nodes(q, p, prefix)`` and draws
@@ -122,6 +126,13 @@ class HamiltonianSpec:
     def conservative(self) -> "HamiltonianSpec":
         """The variant without its terms that break energy conservation by design."""
         return self
+
+    def chart(self, q0: Node, p0: Node, prefix: str):
+        """The coordinates the solver moves the orbit from (q0, p0) in: the
+        field owner, whose ``field_nodes`` gives the chart state's rate, the
+        start state, and the readout of a chart state to (q, p).  By default
+        the canonical coordinates themselves."""
+        return self, q0, p0, _identity
 
 
 class _EnergySpec(HamiltonianSpec):
@@ -201,6 +212,20 @@ class GeodesicMetric(_EnergySpec):
         return eg.scale(eg.reduce_sum(eg.mul(diag, eg.mul(p, p))), 0.5)
 
 
+class _FirstLayerFlow:
+    """The flow of an MLP energy E in the chart (a, s) of
+    ``FlexibleHamiltonian.chart``: ȧ = δ·A and ṡ = δ, with δ = ∇E(a)."""
+
+    def __init__(self, energy_net: MlpParams, skew: Node):
+        self.energy_net = energy_net
+        self.skew = skew
+
+    def field_nodes(self, a: Node, s: Node, prefix: str) -> tuple[Node, Node]:
+        total = eg.reduce_sum(self.energy_net.graph_after(a, f"{prefix}.energy"))
+        [delta] = eg.gradient_all(total, [a], stop_at=(a,))
+        return eg.affine(delta, self.skew), delta
+
+
 @dataclass
 class FlexibleHamiltonian(_EnergySpec):
     """Scalar energy given by a fully connected network on (q, p)."""
@@ -224,6 +249,23 @@ class FlexibleHamiltonian(_EnergySpec):
         """The energy net on the state (q, p), summed over every state."""
         out = self.energy_net.graph([q, p], f"{prefix}.energy")
         return eg.reduce_sum(out)
+
+    def chart(self, q0: Node, p0: Node, prefix: str):
+        """First-layer coordinates: with a = q Wqᵀ + p Wpᵀ + b the energy
+        net's first pre-activation and H(q, p) = E(a), the canonical flow is
+        ȧ = ∇E(a)·A with the constant skew A = Wp Wqᵀ − Wq Wpᵀ, and
+        q = q0 + s·Wp, p = p0 − s·Wq with s = ∫∇E(a) dt.  A field step
+        costs one (n, H)×(H, H) product; s starts as a zero fill."""
+        name = f"{prefix}.energy"
+        a0 = self.energy_net.layer_node(0, [q0, p0], name)
+        w0 = eg.parameter(f"{name}.w0", self.energy_net.layers[0][0].shape)
+        wq, wp = eg.narrow(w0, 0, self.q_dim), eg.narrow(w0, self.q_dim, 2 * self.q_dim)
+        m = eg.affine(wp, eg.transpose(wq))
+        skew = eg.sub(m, eg.transpose(m))  # M − Mᵀ: skew in every bit
+
+        def readout(a: Node, s: Node) -> tuple[Node, Node]:
+            return eg.add(q0, eg.affine(s, wp)), eg.sub(p0, eg.affine(s, wq))
+        return _FirstLayerFlow(self.energy_net, skew), a0, eg.zeros_like(a0), readout
 
 
 @dataclass
@@ -264,6 +306,8 @@ class RelaxedHamiltonian(_Relaxed, FlexibleHamiltonian):
 
     bias_net: MlpParams
 
+    chart = HamiltonianSpec.chart  # the bias reads q at every step
+
 
 @dataclass
 class LearnedSymplecticForm(FlexibleHamiltonian):
@@ -278,6 +322,8 @@ class LearnedSymplecticForm(FlexibleHamiltonian):
 
     form_net: MlpParams
     eps: float
+
+    chart = HamiltonianSpec.chart  # the form reads (q, p) at every step
 
     def __post_init__(self):
         super().__post_init__()
@@ -442,9 +488,10 @@ def canonical_skew_matrix(d: int) -> np.ndarray:
     return k
 
 
-def phase_velocity_nodes(spec: HamiltonianSpec, q: Node, p: Node,
+def phase_velocity_nodes(spec, q: Node, p: Node,
                          prefix: str = "field") -> tuple[Node, Node]:
-    """Graphs for (dq/dt, dp/dt) under the variant's equations.
+    """Graphs for (dq/dt, dp/dt) under the variant's equations, or for the
+    rate of a chart state when ``spec`` is the field owner of a ``chart``.
 
     Accepts a single state (vectors) or a batch (row per state).
     """

@@ -77,7 +77,9 @@ class Trajectory:
 
 
 def _axpy(state: Node, rate: Node, h: float) -> Node:
-    return eg.add(state, eg.scale(rate, h))
+    # a zero-fill state (a chart's start) is never built: its step is h·rate
+    step = eg.scale(rate, h)
+    return step if eg._is_zero_fill(state) else eg.add(state, step)
 
 
 def integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
@@ -86,27 +88,30 @@ def integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
 
     Works for a single state (vector nodes) or a batch (matrix nodes, one row
     per state); the whole unrolled computation is ordinary graph operations,
-    so gradients flow to the field parameters and to the initial state.
+    so gradients flow to the field parameters and to the initial state.  The
+    solver moves the state the spec's ``chart`` gives, and every stored
+    state is that chart's readout in (q, p).
     """
     h = cfg.effective_step
+    owner, x, y, readout = spec.chart(q0, p0, prefix)
     states = [(q0, p0)]
-    q, p = q0, p0
     for k in range(cfg.n_steps):
         if cfg.method == "euler":
-            dq, dp = ham.phase_velocity_nodes(spec, q, p, prefix)
-            q, p = _axpy(q, dq, h), _axpy(p, dp, h)
+            dx, dy = ham.phase_velocity_nodes(owner, x, y, prefix)
+            x, y = _axpy(x, dx, h), _axpy(y, dy, h)
         else:  # classical four-stage Runge-Kutta
-            k1q, k1p = ham.phase_velocity_nodes(spec, q, p, prefix)
-            k2q, k2p = ham.phase_velocity_nodes(
-                spec, _axpy(q, k1q, h / 2), _axpy(p, k1p, h / 2), prefix)
-            k3q, k3p = ham.phase_velocity_nodes(
-                spec, _axpy(q, k2q, h / 2), _axpy(p, k2p, h / 2), prefix)
-            k4q, k4p = ham.phase_velocity_nodes(
-                spec, _axpy(q, k3q, h), _axpy(p, k3p, h), prefix)
+            k1x, k1y = ham.phase_velocity_nodes(owner, x, y, prefix)
+            k2x, k2y = ham.phase_velocity_nodes(
+                owner, _axpy(x, k1x, h / 2), _axpy(y, k1y, h / 2), prefix)
+            k3x, k3y = ham.phase_velocity_nodes(
+                owner, _axpy(x, k2x, h / 2), _axpy(y, k2y, h / 2), prefix)
+            k4x, k4y = ham.phase_velocity_nodes(
+                owner, _axpy(x, k3x, h), _axpy(y, k3y, h), prefix)
             mix = lambda a, b, c, d: eg.add(eg.add(a, eg.scale(b, 2.0)),
                                             eg.add(eg.scale(c, 2.0), d))
-            q = _axpy(q, mix(k1q, k2q, k3q, k4q), h / 6.0)
-            p = _axpy(p, mix(k1p, k2p, k3p, k4p), h / 6.0)
+            x = _axpy(x, mix(k1x, k2x, k3x, k4x), h / 6.0)
+            y = _axpy(y, mix(k1y, k2y, k3y, k4y), h / 6.0)
+        q, p = readout(x, y)
         q.attrs["label"] = f"{prefix} q after step {k + 1}"
         p.attrs["label"] = f"{prefix} p after step {k + 1}"
         states.append((q, p))

@@ -46,7 +46,10 @@ class FrozenMetric(ham.GeodesicMetric):
 
 @dataclass
 class Oscillator(ham.FlexibleHamiltonian):
-    """Harmonic oscillator H = (|q|^2 + |p|^2) / 2; the energy net is ignored."""
+    """Harmonic oscillator H = (|q|^2 + |p|^2) / 2; the energy net is ignored,
+    so the orbit moves in (q, p), not in the energy net's first layer."""
+
+    chart = ham.HamiltonianSpec.chart
 
     def energy_node(self, q, p, prefix):
         kinetic = eg.add(eg.mul(q, q), eg.mul(p, p))

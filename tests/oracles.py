@@ -11,9 +11,11 @@ its own copy of the energy net on the joined state, as it did before it took
 grad H from the canonical field; the three-pass logistic is the one the
 engine's sigmoid and ``decode_link`` computed before ``scipy.special.expit``;
 the exact hyperbolicity loop scores one quadruple at a time, as
-``delta_hyperbolicity`` did before it scored them all in one array pass; and
+``delta_hyperbolicity`` did before it scored them all in one array pass;
 the pair chains score and scatter node pairs through (pairs, d) row tables,
-as the link loss did before ``pair_dot`` and ``pair_scatter``.
+as the link loss did before ``pair_dot`` and ``pair_scatter``; and the
+canonical orbit graph moves every spec's orbit in (q, p), as the solver did
+before the MLP energies moved theirs in the energy net's first-layer chart.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from hamgnn import hamiltonian as ham
 from hamgnn import model as md
 from hamgnn.engine import MlpParams, Node
 from hamgnn.graphdata import GraphDataset
-from hamgnn.odeint import IntegrationConfig, integrate_nodes
+from hamgnn.odeint import IntegrationConfig
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +181,65 @@ def concat_energy_spec(spec: ham.HamiltonianSpec) -> ham.HamiltonianSpec:
 
 def dense_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, dict]:
     """``model.encode_nodes`` with the dense compressor ``X @ w0.T + b0`` over
-    the whole table and every field from ``concat_energy_spec``."""
+    the whole table and every field from ``concat_energy_spec``, integrated
+    in (q, p) by ``canonical_integrate_nodes``."""
     x = eg.constant(dataset.features, label="raw features")
     mean = md.aggregation_matrix(dataset.n, dataset.edges)
     h = params.compressor.graph(x, "compress")
     for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
         p = qnet.graph(h, f"layer{i}.momentum")
-        states = integrate_nodes(concat_energy_spec(spec), h, p, cfg.integration,
-                                 prefix=f"layer{i}.field")
+        states = canonical_integrate_nodes(concat_energy_spec(spec), h, p,
+                                           cfg.integration, prefix=f"layer{i}.field")
         q_end = states[-1][0]
         h = eg.add(q_end, eg.sparse_matmul(q_end, mean))
+    return h, params.bindings()
+
+
+# ---------------------------------------------------------------------------
+# canonical orbit graph
+
+
+def canonical_integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
+                              prefix: str = "field") -> list[tuple[Node, Node]]:
+    """``odeint.integrate_nodes`` with the orbit moved in (q, p) for every
+    spec, whatever its ``chart``: an MLP energy's field step rebuilds the
+    first layer's pre-activation from (q, p) and forms dH/dq and dH/dp, four
+    (n, d)×(d, H) products."""
+    h = cfg.effective_step
+    axpy = lambda state, rate, step: eg.add(state, eg.scale(rate, step))
+    field = lambda q, p: ham.phase_velocity_nodes(spec, q, p, prefix)
+    states = [(q0, p0)]
+    q, p = q0, p0
+    for _ in range(cfg.n_steps):
+        if cfg.method == "euler":
+            dq, dp = field(q, p)
+            q, p = axpy(q, dq, h), axpy(p, dp, h)
+        else:  # classical four-stage Runge-Kutta
+            k1q, k1p = field(q, p)
+            k2q, k2p = field(axpy(q, k1q, h / 2), axpy(p, k1p, h / 2))
+            k3q, k3p = field(axpy(q, k2q, h / 2), axpy(p, k2p, h / 2))
+            k4q, k4p = field(axpy(q, k3q, h), axpy(p, k3p, h))
+            mix = lambda a, b, c, d: eg.add(eg.add(a, eg.scale(b, 2.0)),
+                                            eg.add(eg.scale(c, 2.0), d))
+            q = axpy(q, mix(k1q, k2q, k3q, k4q), h / 6.0)
+            p = axpy(p, mix(k1p, k2p, k3p, k4p), h / 6.0)
+        states.append((q, p))
+    return states
+
+
+def canonical_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, dict]:
+    """``model.encode_nodes`` with every layer's orbit from
+    ``canonical_integrate_nodes``."""
+    [(w, b, _)] = params.compressor.layers
+    h = eg.add(eg.sparse_matmul(eg.transpose(eg.parameter("compress.w0", w.shape)),
+                                dataset.feature_matrix),
+               eg.parameter("compress.b0", b.shape))
+    for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
+        p = qnet.graph(h, f"layer{i}.momentum")
+        states = canonical_integrate_nodes(spec, h, p, cfg.integration,
+                                           prefix=f"layer{i}.field")
+        q_end = states[-1][0]
+        h = eg.add(q_end, eg.sparse_matmul(q_end, dataset.mean_matrix))
     return h, params.bindings()
 
 

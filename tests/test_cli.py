@@ -505,20 +505,29 @@ def test_gradcheck_passes_for_known_variants(capsys):
 # when the energy net's first layer came to take q and p apart; symplectic
 # and geodesic_relaxed again when the backward sweep came to add adjoints in
 # descending node id, the sigmoid became ``scipy.special.expit`` and the
-# symplectic field came to take grad H from the canonical field.
-GRADCHECK_DIGESTS = {
-    "geodesic": "29fbae62153a7f4848d7a9c2b5641cec3bec9f64518601d8502a9c78dbbaa2f1",
-    "flexible": "5ccf828c33a7a1c49c61e8ca0c1076edefa3a29e590009dbf95e0855e2f02376",
-    "convex": "73c5ab3dfb09c492f8b906fe4de1630996aea5b3359dc6af84e8f33641dd6171",
-    "relaxed": "87c69e45240164c6a25c8097c564a96e99523b7f36dfe7355f858eb4f70ad283",
-    "symplectic": "e4ab8a66da3b778f962f1504a9888ad7a9801d7179399fa808dad95ba355b393",
-    "geodesic_relaxed": "28370aaff868d6665247d6e39e2d34e805afc9bb5351fd0ffb0dc62771a8a62d",
-    "higher_dim": "09670fb473e82082f9627fd09a30fd5ef68bb4d9e5f31c26d588843fc06f129e",
-    "vanilla_ode": "daef09e7adf18ed1ff9c86b7cd590fe4365133a97764d0e91fbea73d9f8b5d4d",
-}
+# symplectic field came to take grad H from the canonical field; flexible and
+# convex again when their orbits came to move in the energy net's first-layer
+# chart, which moved the drift, halving-ratio and solver-gradient figures in
+# their last digits.  A re-pinned entry takes its variant as its test id, so
+# a later re-pin does not rename it; the others keep the id pytest derives
+# until their own next re-pin.
+GRADCHECK_DIGESTS = [
+    ("geodesic", "29fbae62153a7f4848d7a9c2b5641cec3bec9f64518601d8502a9c78dbbaa2f1"),
+    pytest.param("flexible",
+                 "b8d041ccee5f348bccaffb5bd10a9ec81ad17868ec5f033e27ee542218563e8a",
+                 id="flexible"),
+    pytest.param("convex",
+                 "33e19e0e5694537b65aca05158254a626718c6d578f1d782151979f0af7bdd26",
+                 id="convex"),
+    ("relaxed", "87c69e45240164c6a25c8097c564a96e99523b7f36dfe7355f858eb4f70ad283"),
+    ("symplectic", "e4ab8a66da3b778f962f1504a9888ad7a9801d7179399fa808dad95ba355b393"),
+    ("geodesic_relaxed", "28370aaff868d6665247d6e39e2d34e805afc9bb5351fd0ffb0dc62771a8a62d"),
+    ("higher_dim", "09670fb473e82082f9627fd09a30fd5ef68bb4d9e5f31c26d588843fc06f129e"),
+    ("vanilla_ode", "daef09e7adf18ed1ff9c86b7cd590fe4365133a97764d0e91fbea73d9f8b5d4d"),
+]
 
 
-@pytest.mark.parametrize("variant, digest", GRADCHECK_DIGESTS.items())
+@pytest.mark.parametrize("variant, digest", GRADCHECK_DIGESTS)
 def test_gradcheck_report_digest_is_pinned(capsys, variant, digest):
     rc = main(["gradcheck", "--dim", "3", "--seed", "1", "--variant", variant])
     assert rc == 0
@@ -543,9 +552,10 @@ def test_sweep_layers_writes_table(workdir, capsys):
 
 
 def test_a_diverging_sweep_prints_strict_json_and_keeps_the_epoch(workdir, capsys):
-    main(["sweep-layers", "--config", str(workdir / "config.json"), "--layers", "1,2",
-          "--set", "integration.horizon=1.7e308", "--set", "integration.step=1.7e308",
-          "--set", f"out_dir={workdir / 'sweep'}"])
+    rc = main(["sweep-layers", "--config", str(workdir / "config.json"), "--layers", "1,2",
+               "--set", "integration.horizon=1.7e308", "--set", "integration.step=1.7e308",
+               "--set", f"out_dir={workdir / 'sweep'}"])
+    assert rc == 2
     rows = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
     assert rows == [{"layers": layers, "best_val": None, "test_metric": None, "epochs": 0,
                      "diverged_at": 1} for layers in (1, 2)]

@@ -493,15 +493,43 @@ def test_only_the_planned_tanh_slopes_and_products_run_twice(training_outputs, m
     products = {n.nid for n in order if n.op == "elementwise-mul"
                 and any(i.nid in slopes for i in n.inputs)}
     # every slope but the last one, with its square and its product with
-    # the field adjoint; the last slope is kept, because its tanh is freed
-    # at the peak, before the slope's next reader could run it again
+    # the field adjoint, which is the field δ of the first-layer chart; the
+    # last slope is kept, because its tanh is freed at the peak, before the
+    # slope's next reader could run it again
     assert len(slopes) == 6 and len(slopes & set(planned)) == 5
     assert len(squares & set(planned)) == len(products & set(planned)) == 5
+    # and the chart's s = h·δ0 + h·δ1 of every layer but the last: its two
+    # steps and their sum; δ is the expanded energy weight row times a slope
+    deltas = {n.nid for n in order if n.nid in products and n.inputs[0].op == "expand"}
+    steps = {n.nid for n in order if n.op == "scale" and n.inputs[0].nid in deltas}
+    sums = {n.nid for n in order if n.op == "elementwise-add"
+            and {i.nid for i in n.inputs} <= steps}
+    assert len(steps) == 6 and len(sums) == 3
+    assert len(steps & set(planned)) == 4 and len(sums & set(planned)) == 2
     # nothing else: the field adjoint's expanded (1, H) rows stay live with
     # their views
-    assert set(planned) <= slopes | squares | products and len(planned) == 15
+    assert set(planned) <= slopes | squares | products | steps | sums
+    assert len(planned) == 21
     for g, e in zip(got, _dfs_evaluate(outputs, bindings)):
         assert g.tobytes() == e.tobytes()
+
+
+def test_flexible_training_graph_runs_63_products_under_a_bounded_peak(training_outputs):
+    # the first-layer chart runs one (n, H)×(H, H) product per field step and
+    # one per layer to read q_end; the (q, p) orbit ran 81 products and
+    # peaked at 27.4 (n, H) arrays
+    ds = gd.synth_dataset("sbm", **SBM_300)
+    cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible")
+    outputs, bindings = training_outputs(cfg, ds)
+    assert Counter(n.op for n in eg._reachable(outputs))["affine"] == 63
+    eg.evaluate(outputs, bindings)  # builds the CSR copies of the transposes
+    tracemalloc.start()
+    try:
+        eg.evaluate(outputs, bindings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * ds.n * cfg.field_hidden * 8
 
 
 @pytest.mark.parametrize("variant", ["flexible", "geodesic", "convex"])

@@ -20,7 +20,7 @@ from hamgnn.hamiltonian import PhaseState
 from hamgnn.model import ModelConfig
 from hamgnn.odeint import IntegrationConfig
 from oracles import (LOGISTIC_GRID, baseline_mlp_nodes, baseline_mlp_params,
-                     dense_encode_nodes, three_pass_logistic)
+                     canonical_encode_nodes, dense_encode_nodes, three_pass_logistic)
 
 
 def affine_rows(net, name, x):
@@ -426,6 +426,18 @@ def test_encode_matches_the_dense_concat_reference(sbm_dataset, variant, table):
     params = md.init_params(cfg, ds.num_features, ds.num_classes, seed=2)
     got = encode_and_gradients(md.encode_nodes, params, cfg, ds)
     want = encode_and_gradients(dense_encode_nodes, params, cfg, ds)
+    assert len(got) == len(want) == 1 + len(params.param_items())
+    for name, g, w in zip(["z", *params.bindings()], got, want):
+        assert eg.relative_error(g, w) <= 1e-12, name
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("variant", ["flexible", "convex"])
+def test_encode_matches_the_canonical_orbit_reference(sbm_dataset, variant, method):
+    cfg = small_config(variant=variant, integration=IntegrationConfig(method, 1.0, 0.5))
+    params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=2)
+    got = encode_and_gradients(md.encode_nodes, params, cfg, sbm_dataset)
+    want = encode_and_gradients(canonical_encode_nodes, params, cfg, sbm_dataset)
     assert len(got) == len(want) == 1 + len(params.param_items())
     for name, g, w in zip(["z", *params.bindings()], got, want):
         assert eg.relative_error(g, w) <= 1e-12, name

@@ -12,7 +12,7 @@ from hamgnn import hamiltonian as ham
 from hamgnn import odeint as oi
 from hamgnn.hamiltonian import PhaseState
 from hamgnn.odeint import IntegrationConfig
-from oracles import AnalyticDiagMetric, reference_geodesic_check
+from oracles import AnalyticDiagMetric, canonical_integrate_nodes, reference_geodesic_check
 
 
 def harmonic(oscillator, new_spec, rng, dim=1):
@@ -198,6 +198,75 @@ def test_time_reversal_quadratic_hamiltonian(rng, oscillator, new_spec):
     back = oi.integrate(spec, PhaseState(fwd.states[-1].q, -fwd.states[-1].p), cfg)
     assert np.max(np.abs(back.states[-1].q - start.q)) <= 1e-6
     assert np.max(np.abs(back.states[-1].p + start.p)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# first-layer chart
+
+
+def orbit_and_gradients(integrate_nodes, spec, cfg, rng, rows=None):
+    """Every stored state of one orbit (of ``rows`` states, or of one) and
+    the gradients of a fixed weighting of the last state with respect to
+    the start and every field parameter, as graphs and their bindings."""
+    d = spec.q_dim
+    shape = (d,) if rows is None else (rows, d)
+    q0, p0 = eg.parameter("q0", shape), eg.parameter("p0", shape)
+    states = integrate_nodes(spec, q0, p0, cfg)
+    weights = [eg.constant(np.random.default_rng(5).normal(size=shape)) for _ in range(2)]
+    q_end, p_end = states[-1]
+    probe = eg.add(eg.reduce_sum(eg.mul(q_end, weights[0])),
+                   eg.reduce_sum(eg.mul(p_end, weights[1])))
+    leaves = [q0, p0] + [eg.parameter(name, arr.shape)
+                         for name, arr in spec.param_items("field")]
+    binds = {"q0": rng.uniform(-1, 1, shape), "p0": rng.uniform(-1, 1, shape),
+             **spec.bindings("field")}
+    flat = [n for pair in states for n in pair]
+    return flat + eg.gradient_all(probe, leaves, allow_unused=True), binds
+
+
+@pytest.mark.parametrize("rows", [None, 5], ids=["single", "batched"])
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("tag", ["flexible", "convex"])
+def test_chart_orbit_matches_the_canonical_orbit(rng, new_spec, tag, method, rows):
+    spec = new_spec(tag, 3, 6, rng)
+    cfg = IntegrationConfig(method, 1.0, 0.25)
+    got, binds = orbit_and_gradients(oi.integrate_nodes, spec, cfg, rng, rows)
+    want, _ = orbit_and_gradients(canonical_integrate_nodes, spec, cfg, rng, rows)
+    assert len(got) == len(want) == 2 * (cfg.n_steps + 1) + 2 + len(spec.param_items("f"))
+    for g, w in zip(eg.evaluate(got, binds), eg.evaluate(want, binds)):
+        # relative to the array's largest entry: an entry that cancels to a
+        # few 1e-5 of it keeps only the absolute error of the others
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("tag", sorted(ham.VARIANTS))
+def test_every_variant_stores_the_states_of_its_canonical_orbit(rng, new_spec, tag):
+    # a spec that inherits a chart its field does not have fails here
+    spec = new_spec(tag, 3, 4, rng)
+    cfg = IntegrationConfig("rk4", 1.0, 0.5)
+    for rows in (None, 3):
+        shape = (3,) if rows is None else (rows, 3)
+        q0, p0 = eg.parameter("q0", shape), eg.parameter("p0", shape)
+        binds = {"q0": rng.uniform(-1, 1, shape), "p0": rng.uniform(-1, 1, shape),
+                 **spec.bindings("field")}
+        got, want = ([n for pair in integrate(spec, q0, p0, cfg) for n in pair]
+                     for integrate in (oi.integrate_nodes, canonical_integrate_nodes))
+        for g, w in zip(eg.evaluate(got, binds), eg.evaluate(want, binds)):
+            assert eg.relative_error(g, w) <= 1e-12
+
+
+def test_the_chart_moves_the_first_layer_by_a_skew_product(rng, new_spec):
+    spec = new_spec("flexible", 3, 6, rng)
+    q0, p0 = eg.parameter("q0", (4, 3)), eg.parameter("p0", (4, 3))
+    owner, a0, s0, _ = spec.chart(q0, p0, "field")
+    assert a0.shape == (4, 6) and eg._is_zero_fill(s0)
+    skew = eg.evaluate(owner.skew, spec.bindings("field"))
+    assert np.array_equal(skew, -skew.T)
+    # s starts as a zero fill that is never built: its first step is h·δ
+    (q_end, _), = oi.integrate_nodes(spec, q0, p0, IntegrationConfig("euler", 0.5, 0.5))[1:]
+    nodes = eg._reachable([q_end])
+    assert not [n for n in nodes if eg._is_zero_fill(n)]
+    assert sum(n.op == "affine" for n in nodes) == 3  # a0 from q and p, and q_end
 
 
 # ---------------------------------------------------------------------------

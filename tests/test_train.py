@@ -527,12 +527,20 @@ def test_history_csv(tmp_path, sbm_dataset):
 # sigmoid became ``scipy.special.expit`` and the symplectic field came to
 # take grad H from the canonical field: flexible-classification, both
 # geodesic and both symplectic digests moved, no loss by more than 2 ulp,
-# and no test metric did.
+# and no test metric did.  The flexible digests were re-pinned once more
+# when the orbit came to move in the energy net's first-layer chart: two
+# classification losses and one link loss moved, by at most 2 ulp, and no
+# test metric did.  A re-pinned entry takes its variant and task as its test
+# id, so a later re-pin does not rename it; the others keep the id pytest
+# derives until their next re-pin.
 # The symplectic variant is kept small: its field takes a Jacobian row by row.
 FIT_DIGESTS = [
-    ("flexible", "classification",
-     "25c0b1b704fc9d76a25c1b49c557797198c29f22119219cd40fd8331cf6fb160"),
-    ("flexible", "link", "e2a356269b4e95464260a5c4b8f7fa9bb14a8480a2de77a5dcf74b2d1b08a5ce"),
+    pytest.param("flexible", "classification",
+                 "cfda48b3692870d142b44c7e6f16fbfc25b720d1eea7a7b824fe7d8201a9c6c0",
+                 id="flexible-classification"),
+    pytest.param("flexible", "link",
+                 "e19692ff5234ac84ed2b90032d961228a7fb5bd05485b07399a526140fd5a7d1",
+                 id="flexible-link"),
     ("geodesic", "classification",
      "0b971822b04748a4f877c0daa5823779115d47cb421891b5b1c2b71aec142922"),
     ("geodesic", "link", "957b52b714b4f3714199894f040f34e2d7115cdc7bbe1470cb75699494b84575"),
