@@ -27,7 +27,7 @@ __all__ = [
     "Tensor", "Node", "MlpParams", "SparseMatrix",
     "constant", "parameter",
     "affine", "outer", "solve", "transpose",
-    "gather_rows", "scatter_rows", "sparse_matmul", "pair_dot", "pair_scatter",
+    "sparse_matmul", "pair_dot", "pair_scatter",
     "tanh", "sigmoid", "sin", "relu", "rehu", "kappa", "step", "zeros_like",
     "expand", "softmax", "log_softmax",
     "add", "sub", "mul", "scale", "negate", "reduce_sum", "concat", "narrow",
@@ -176,9 +176,12 @@ def affine(x: Node, weight: Node, *, label: str | None = None) -> Node:
 
 
 def outer(u: Node, v: Node) -> Node:
+    """The outer product of two vectors: ``u`` expanded over the columns times
+    the row ``v``, which are numpy's own ``np.outer`` multiplications; the
+    ``mul`` and ``expand`` rules give its derivative."""
     if len(u.shape) != 1 or len(v.shape) != 1:
         raise ValueError("outer expects two vectors")
-    return Node("outer", (u, v), {}, (u.shape[0], v.shape[0]))
+    return mul(expand(u, (u.shape[0], v.shape[0]), column=True), v)
 
 
 def solve(matrix: Node, rhs: Node) -> Node:
@@ -198,24 +201,6 @@ def transpose(x: Node) -> Node:
     if x.op == "transpose":
         return x.inputs[0]
     return Node("transpose", (x,), {}, (x.shape[1], x.shape[0]))
-
-
-def gather_rows(x: Node, indices: Sequence[int]) -> Node:
-    """Rows ``x[indices]``; the indices are kept as a read-only array."""
-    idx = _index_array(indices, "gather_rows indices")
-    if len(x.shape) not in (1, 2):
-        raise ValueError("gather_rows expects a vector or matrix")
-    _check_range(idx, x.shape[0], "gather")
-    return Node("gather-rows", (x,), {"indices": idx}, (idx.size,) + x.shape[1:])
-
-
-def scatter_rows(x: Node, indices: Sequence[int], num_rows: int) -> Node:
-    """Rows of ``x`` accumulated into a zero array of ``num_rows`` rows."""
-    idx = _index_array(indices, "scatter_rows indices")
-    if x.shape[0] != idx.size:
-        raise ValueError("scatter_rows: one index per input row required")
-    return sparse_matmul(x, SparseMatrix(idx, np.arange(idx.size), np.ones(idx.size),
-                                         (num_rows, idx.size)))
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -357,10 +342,9 @@ def pair_dot(a: Node, b: Node, rows, cols) -> Node:
     """Row dot products ``out[k] = a[rows[k]] . b[cols[k]]`` of two matrices.
 
     The pairs run in blocks of ``_PAIR_CHUNK``: each block's rows are
-    gathered, multiplied and summed along the rows by the numpy calls of
-    ``reduce_sum(mul(gather_rows(a, rows), gather_rows(b, cols)), axis=1)``,
-    so each score has that chain's bits, and nothing of (pairs, d) is built.
-    The derivative is two ``pair_scatter`` sums.
+    gathered, multiplied and summed along the rows, so each score has the
+    bits of ``np.sum(a[rows] * b[cols], axis=1)``, and nothing of (pairs, d)
+    is built.  The derivative is two ``pair_scatter`` sums.
     """
     if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"pair_dot needs two matrices of one width, got {a.shape} and {b.shape}")
@@ -374,9 +358,10 @@ def pair_scatter(x: Node, w: Node, rows, cols, num_rows: int) -> Node:
 
     One scipy CSR product of ``x``: the layout (a stable sort by row, so
     each output row adds its terms in pair order from +0.0, as
-    ``scatter_rows`` does) is built here, and an evaluation only puts the
-    weights ``w`` in that order.  The derivative is a ``pair_scatter`` with
-    rows and cols swapped for ``x`` and a ``pair_dot`` for ``w``.
+    ``np.add.at(out, rows, w[:, None] * x[cols])`` does) is built here, and
+    an evaluation only puts the weights ``w`` in that order.  The derivative
+    is a ``pair_scatter`` with rows and cols swapped for ``x`` and a
+    ``pair_dot`` for ``w``.
     """
     if len(x.shape) != 2:
         raise ValueError(f"pair_scatter expects a matrix, got shape {x.shape}")
@@ -627,10 +612,8 @@ def _fw_slice(node, vals):
 _FORWARD = {
     "constant": lambda node, vals: node.attrs["value"],
     "affine": lambda node, vals: vals[0] @ vals[1],
-    "outer": lambda node, vals: np.outer(vals[0], vals[1]),
     "solve": lambda node, vals: np.linalg.solve(vals[0], vals[1]),
     "transpose": lambda node, vals: vals[0].T,
-    "gather-rows": lambda node, vals: vals[0][node.attrs["indices"]],
     "sparse-matmul": lambda node, vals: node.attrs["matrix"] @ vals[0],
     "pair-dot": _fw_pair_dot,
     "pair-scatter": _fw_pair_scatter,
@@ -659,7 +642,7 @@ _FORWARD = {
 # and a non-finite value is still reported at the node that produced it.  A
 # constant holds a Tensor's array, checked when the Tensor was built.
 _FINITE_IF_INPUTS_FINITE = frozenset({
-    "constant", "transpose", "slice", "concat", "gather-rows",
+    "constant", "transpose", "slice", "concat",
     "step", "expand", "relu", "tanh", "sin", "sigmoid",
 })
 # Ops that numpy ufuncs compute in the calling thread.  From finite inputs a
@@ -1096,12 +1079,8 @@ def _vjp_kappa(node, g):
 
 _VJP = {
     "affine": _vjp_affine,
-    "outer": lambda node, g: [affine(g, node.inputs[1]),
-                              affine(node.inputs[0], g)],
     "solve": _vjp_solve,
     "transpose": lambda node, g: [transpose(g)],
-    "gather-rows": lambda node, g: [
-        scatter_rows(g, node.attrs["indices"], node.inputs[0].shape[0])],
     "sparse-matmul": lambda node, g: [sparse_matmul(g, node.attrs["matrix"].T)],
     "pair-dot": _vjp_pair_dot,
     "pair-scatter": _vjp_pair_scatter,

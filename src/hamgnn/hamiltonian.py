@@ -90,7 +90,7 @@ def _mlp(cfg, d_in: int, d_out: int, rng, act: str = "tanh") -> MlpParams:
 
 
 def _row(x: Node, i: int) -> Node:
-    return eg.reduce_sum(eg.gather_rows(x, (i,)), axis=0)
+    return eg.reduce_sum(eg.narrow(x, i, i + 1, axis=0), axis=0)
 
 
 def _stack_rows(rows) -> Node:

@@ -22,7 +22,7 @@ from .graphdata import GraphDataset, LinkSplit
 from .model import ModelConfig, ModelParams
 
 __all__ = [
-    "TrainConfig", "TrainHistory", "cross_entropy", "cross_entropy_node",
+    "TrainConfig", "TrainHistory", "cross_entropy_node",
     "negative_sample", "AdamState", "adam_step", "roc_auc", "accuracy",
     "make_link_split", "fit", "layer_sweep",
 ]
@@ -103,14 +103,6 @@ def cross_entropy_node(logits: Node, labels, mask) -> Node:
     picked = _onehot_mask(labels, mask, logits.shape[1])
     total = eg.reduce_sum(eg.mul(eg.log_softmax(logits), eg.constant(picked)))
     return eg.scale(total, -1.0 / mask.size)
-
-
-def cross_entropy(logits, labels, mask) -> float:
-    """Masked mean negative log-likelihood, stabilized by max subtraction."""
-    arr = eg.as_array(logits)
-    leaf = eg.parameter("logits", arr.shape)
-    return float(eg.evaluate(cross_entropy_node(leaf, labels, mask),
-                             {"logits": arr}))
 
 
 def accuracy(preds, labels, mask) -> float:
@@ -442,11 +434,16 @@ def layer_sweep(model_cfg: ModelConfig, train_cfg: TrainConfig,
     layer_counts = list(layer_counts)
     if not layer_counts:
         raise ValueError("need at least one layer count")
+    cfgs = []
+    for L in layer_counts:  # every count is checked before the first fit
+        try:
+            cfgs.append(replace(model_cfg, layers=int(L)))
+        except ValueError as exc:
+            raise ValueError(f"layer count {L}: {exc}") from None
     rows = []
-    for L in layer_counts:
-        cfg = replace(model_cfg, layers=int(L))
+    for cfg in cfgs:
         _, history = fit(cfg, train_cfg, dataset)
-        rows.append({"layers": int(L),
+        rows.append({"layers": cfg.layers,
                      "best_val": history.best_val,
                      "test_metric": history.test_at_best,
                      "epochs": len(history.records),

@@ -12,8 +12,8 @@ grad H from the canonical field; the three-pass logistic is the one the
 engine's sigmoid and ``decode_link`` computed before ``scipy.special.expit``;
 the exact hyperbolicity loop scores one quadruple at a time, as
 ``delta_hyperbolicity`` did before it scored them all in one array pass;
-the pair chains score and scatter node pairs through (pairs, d) row tables,
-as the link loss did before ``pair_dot`` and ``pair_scatter``; and the
+the pair chains score and scatter node pairs through numpy's (pairs, d) row
+tables, as the link loss did before ``pair_dot`` and ``pair_scatter``; and the
 canonical orbit graph moves every spec's orbit in (q, p), as the solver did
 before the MLP energies moved theirs in the energy net's first-layer chart.
 """
@@ -285,14 +285,16 @@ def loop_delta_hyperbolicity(dataset: GraphDataset) -> dict:
 # pair chains
 
 
-def chain_pair_dot(a: Node, b: Node, rows, cols) -> Node:
-    """``pair_dot(a, b, rows, cols)`` as two row gathers, their product and a
-    row sum; its derivative scatters two (pairs, d) products."""
-    return eg.reduce_sum(eg.mul(eg.gather_rows(a, rows), eg.gather_rows(b, cols)), axis=1)
+def chain_pair_dot(a: np.ndarray, b: np.ndarray, rows, cols) -> np.ndarray:
+    """``pair_dot(a, b, rows, cols)``'s scores from two gathered (pairs, d)
+    row tables, their product and a row sum."""
+    return np.sum(a[rows] * b[cols], axis=1)
 
 
-def chain_pair_scatter(x: Node, w: Node, rows, cols, num_rows: int) -> Node:
-    """``pair_scatter(x, w, rows, cols, num_rows)`` as a row gather of ``x``
-    scaled by the weight column and scattered into ``num_rows`` rows."""
-    weights = eg.expand(w, (len(rows), x.shape[1]), column=True)
-    return eg.scatter_rows(eg.mul(weights, eg.gather_rows(x, cols)), rows, num_rows)
+def chain_pair_scatter(x: np.ndarray, w: np.ndarray, rows, cols, num_rows: int) -> np.ndarray:
+    """``pair_scatter(x, w, rows, cols, num_rows)`` as a gathered (pairs, d)
+    row table of ``x`` scaled by the weight column and added into
+    ``num_rows`` zero rows in pair order."""
+    out = np.zeros((num_rows, x.shape[1]))
+    np.add.at(out, rows, w[:, None] * x[cols])
+    return out

@@ -14,6 +14,7 @@ import pytest
 import hamgnn
 from hamgnn import graphdata as gd
 from hamgnn import model as md
+from hamgnn import train as tr
 from hamgnn.cli import build_configs, load_run_config, main
 from hamgnn.model import ModelConfig
 from hamgnn.odeint import IntegrationConfig
@@ -549,6 +550,18 @@ def test_sweep_layers_writes_table(workdir, capsys):
     assert csv[0] == "layers,best_val,test_metric,epochs,diverged_at"
     assert len(csv) == 3
     assert all(line.endswith(",") for line in csv[1:])  # no fit diverged
+
+
+def test_a_bad_layer_count_fails_by_name_before_any_fit(workdir, capsys, monkeypatch):
+    fits = []
+    monkeypatch.setattr(tr, "fit", lambda *args, **kwargs: fits.append(args))
+    rc = main(["sweep-layers", "--config", str(workdir / "config.json"), "--layers", "3,0",
+               "--set", f"out_dir={workdir / 'sweep'}"])
+    assert rc == 1 and fits == []
+    err = capsys.readouterr().err
+    assert [l for l in err.splitlines() if l.startswith("error:")] == [
+        "error: layer count 0: hidden dimension and layer count must be positive"]
+    assert not (workdir / "sweep" / "layer_sweep.csv").exists()
 
 
 def test_a_diverging_sweep_prints_strict_json_and_keeps_the_epoch(workdir, capsys):

@@ -838,6 +838,13 @@ def test_negated_product_flips_the_operand_of_its_expanded_factor(column):
         _assert_same_bits(eg.evaluate(neg, {"a": av, "r": rv}), np.broadcast_to(expected, av.shape))
     # a zero fill keeps the negation over the product
     assert eg.negate(eg.mul(a, eg.zeros_like(a))).op == "scale"
+    if column:
+        # an outer product is this column-expanded product: numpy's np.outer
+        for node, expected in ((eg.outer(r, r), np.outer(rv, rv)),
+                               (eg.negate(eg.outer(r, r)), np.outer(-rv, rv))):
+            assert node.op == "elementwise-mul"
+            assert "outer" not in {n.op for n in eg._reachable([node])}
+            _assert_same_bits(eg.evaluate(node, {"r": rv}), expected)
 
 
 def test_tanh_slope_adjoints_negate_rows_not_arrays(sbm_dataset, training_outputs):
@@ -972,8 +979,8 @@ def test_sparse_matmul_rejects_bad_coordinates():
         eg.SparseMatrix([0], [0], [np.inf], (3, 4))
     with pytest.raises(ValueError, match=r"cannot multiply 4 rows"):
         eg.sparse_matmul(x, eg.SparseMatrix([0], [0], [1.0], (3, 5)))
-    with pytest.raises(ValueError, match="row index"):
-        eg.scatter_rows(x, [0, 5, 1, 2], 5)
+    with pytest.raises(ValueError, match="row index 5"):
+        eg.SparseMatrix([0, 5, 1, 2], np.arange(4), np.ones(4), (5, 4))
 
 
 def test_sparse_matmul_first_and_second_order_gradients(rng):
@@ -987,36 +994,6 @@ def test_sparse_matmul_first_and_second_order_gradients(rng):
     gf = eg.gradient(f, x)
     h = eg.reduce_sum(eg.mul(gf, gf))
     assert eg.check_gradient(h, x, binds, fd_step=1e-5, tol=1e-5)["passed"]
-
-
-def test_scatter_rows_sums_repeated_rows_with_the_sparse_product(rng):
-    x = eg.parameter("x", (4, 2))
-    node = eg.scatter_rows(x, [2, 0, 2, 3], 5)
-    assert node.op == "sparse-matmul" and node.shape == (5, 2)
-    xv = rng.normal(size=(4, 2))
-    got = eg.evaluate(node, {"x": xv})
-    assert np.array_equal(got, np.stack([xv[1], np.zeros(2), xv[0] + xv[2],
-                                          xv[3], np.zeros(2)]))
-    # gather_rows differentiates into a scatter, and that scatter again
-    v = eg.parameter("v", (5,))
-    g = eg.gather_rows(v, [4, 1, 4])
-    f = eg.reduce_sum(eg.sin(eg.mul(g, g)))
-    direction = eg.constant(rng.normal(size=5))
-    slice_of_grad = eg.reduce_sum(eg.mul(eg.gradient(f, v), direction))
-    assert eg.check_gradient(slice_of_grad, v, {"v": rng.normal(size=5)},
-                             fd_step=1e-5, tol=1e-5)["passed"]
-
-
-def test_gather_rows_keeps_a_frozen_index_array_and_names_a_bad_index():
-    x = eg.parameter("x", (3, 2))
-    node = eg.gather_rows(x, [2, 0, 2])
-    idx = node.attrs["indices"]
-    assert idx.dtype == np.intp and not idx.flags.writeable
-    assert idx.tolist() == [2, 0, 2] and node.shape == (3, 2)
-    assert eg.gather_rows(x, []).shape == (0, 2)
-    for bad, first in (([0, 3, 5], 3), ([1, -1], -1)):
-        with pytest.raises(ValueError, match=rf"gather index {first} out of range \[0, 3\)"):
-            eg.gather_rows(x, bad)
 
 
 def _random_pairs(rng, m, n, num_rows=None):
@@ -1033,40 +1010,49 @@ def _random_pairs(rng, m, n, num_rows=None):
 PAIR_COUNT = 2 * eg._PAIR_CHUNK + 37
 
 
+def _signed_weights(rng, m):
+    """``m`` normal weights with +0.0 and -0.0 among them."""
+    w = rng.normal(size=m)
+    w[3::11], w[8::11] = 0.0, -0.0
+    return w
+
+
 def test_pair_dot_and_its_adjoints_have_the_bits_of_the_gather_chain(rng):
     n, d = 50, 6
     rows, cols = _random_pairs(rng, PAIR_COUNT, n)
     z, y = eg.parameter("z", (n, d)), eg.parameter("y", (n, d))
-    weights = eg.constant(rng.normal(size=PAIR_COUNT))
+    w = _signed_weights(rng, PAIR_COUNT)
     binds = {"z": rng.normal(size=(n, d)), "y": rng.normal(size=(n, d))}
     for a, b in ((z, z), (z, y)):
-        values = []
-        for build in (eg.pair_dot, chain_pair_dot):
-            scores = build(a, b, rows, cols)
-            loss = eg.reduce_sum(eg.mul(scores, weights))
-            values.append(eg.evaluate(
-                [scores, *eg.gradient_all(loss, [z, y], allow_unused=True)], binds))
-        for got, expected in zip(*values):
-            _assert_same_bits(got, expected)
+        scores = eg.pair_dot(a, b, rows, cols)
+        loss = eg.reduce_sum(eg.mul(scores, eg.constant(w)))
+        got = eg.evaluate([scores, *eg.gradient_all(loss, [z, y], allow_unused=True)], binds)
+        av, bv = binds[a.attrs["name"]], binds[b.attrs["name"]]
+        # the score's adjoint is w: each side scatters w times the other's rows
+        ga = chain_pair_scatter(bv, w, rows, cols, n)
+        gb = chain_pair_scatter(av, w, cols, rows, n)
+        expected = [chain_pair_dot(av, bv, rows, cols),
+                    *((ga + gb, np.zeros((n, d))) if a is b else (ga, gb))]
+        for got_value, expected_value in zip(got, expected):
+            _assert_same_bits(got_value, expected_value)
 
 
 def test_pair_scatter_and_its_adjoints_match_the_scatter_chain(rng):
     n, d, num_rows = 40, 5, 30
     rows, cols = _random_pairs(rng, PAIR_COUNT, n, num_rows)
     x, w = eg.parameter("x", (n, d)), eg.parameter("w", (PAIR_COUNT,))
-    direction = eg.constant(rng.normal(size=(num_rows, d)))
-    binds = {"x": rng.normal(size=(n, d)), "w": rng.normal(size=PAIR_COUNT)}
-    values = []
-    for build in (eg.pair_scatter, chain_pair_scatter):
-        out = build(x, w, rows, cols, num_rows)
-        loss = eg.reduce_sum(eg.mul(out, direction))
-        values.append(eg.evaluate([out, *eg.gradient_all(loss, [x, w])], binds))
-    (out, gx, gw), (chain_out, chain_gx, chain_gw) = values
-    _assert_same_bits(out, chain_out)
-    _assert_same_bits(gx, chain_gx)
-    # the chain sums each weight's row product with a BLAS dot, pair_dot with
-    # numpy's row sum: the same terms, added in another order
-    assert np.allclose(gw, chain_gw, rtol=1e-13, atol=1e-13)
+    direction = rng.normal(size=(num_rows, d))
+    binds = {"x": rng.normal(size=(n, d)), "w": _signed_weights(rng, PAIR_COUNT)}
+    out = eg.pair_scatter(x, w, rows, cols, num_rows)
+    loss = eg.reduce_sum(eg.mul(out, eg.constant(direction)))
+    got = eg.evaluate([out, *eg.gradient_all(loss, [x, w])], binds)
+    # the output's adjoint is the direction, scattered back to x and dotted
+    # with x's rows for w
+    expected = [chain_pair_scatter(binds["x"], binds["w"], rows, cols, num_rows),
+                chain_pair_scatter(direction, binds["w"], cols, rows, n),
+                chain_pair_dot(direction, binds["x"], rows, cols)]
+    for got_value, expected_value in zip(got, expected):
+        _assert_same_bits(got_value, expected_value)
 
 
 def test_pair_ops_first_and_second_order_gradients(rng):
@@ -1250,9 +1236,6 @@ def test_sparse_transpose_is_built_once_and_shared_by_every_backward_sweep(rng):
 
 
 @pytest.mark.parametrize("build, what", [
-    (lambda ids: eg.gather_rows(eg.parameter("x", (4, 2)), ids), "gather_rows indices"),
-    (lambda ids: eg.scatter_rows(eg.parameter("x", (2, 2)), ids, 4),
-     "scatter_rows indices"),
     (lambda ids: eg.SparseMatrix(ids, [0, 1], [1.0, 1.0], (4, 4)), "SparseMatrix rows"),
     (lambda ids: eg.SparseMatrix([0, 1], ids, [1.0, 1.0], (4, 4)), "SparseMatrix cols"),
     (lambda ids: eg.pair_dot(eg.parameter("x", (4, 2)), eg.parameter("x", (4, 2)), ids, [0, 1]),
@@ -1406,7 +1389,6 @@ def test_skipped_ops_map_finite_inputs_to_finite_outputs(rng):
     built = {
         "transpose": eg.transpose(x),
         "slice": eg.narrow(x, 1, 4, axis=0), "concat": eg.concat([x, x], axis=1),
-        "gather-rows": eg.gather_rows(x, [9, 0, 3, 3]),
         "step": eg.step(x), "relu": eg.relu(x), "tanh": eg.tanh(x),
         "sin": eg.sin(x), "sigmoid": eg.sigmoid(x),
         "expand": eg.expand(row, xv.shape, like=x),
@@ -1435,7 +1417,7 @@ def test_first_non_finite_value_is_reported_where_it_is_produced():
 
 # the ops whose outputs evaluate scans: bindings aside, the BLAS and scipy
 # products, whose floating-point flags are raised in other threads
-SCANNED = {"affine", "outer", "solve", "sparse-matmul", "pair-scatter"}
+SCANNED = {"affine", "solve", "sparse-matmul", "pair-scatter"}
 
 
 def test_flagged_skipped_and_scanned_ops_partition_the_forward_table():

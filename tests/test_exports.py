@@ -73,5 +73,8 @@ def test_readme_states_the_engine_op_count():
     readme = Path(hamgnn.__file__).resolve().parents[2] / "README.md"
     if not readme.is_file():
         pytest.skip("not a source checkout")
-    stated = re.findall(r"The engine has (\d+) op\s+kinds", readme.read_text())
+    text = readme.read_text()
+    stated = re.findall(r"The engine has (\d+) op\s+kinds", text)
     assert stated == [str(len(eg._FORWARD))]
+    [scanned] = re.findall(r"the BLAS and scipy outputs\s+\(([^)]*)\)", text)
+    assert set(re.findall(r"`([^`]+)`", scanned)) == set(eg._FORWARD) - eg._UNSCANNED

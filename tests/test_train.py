@@ -28,9 +28,16 @@ def small_model(**kw):
 # cross entropy
 
 
+def cross_entropy(logits, labels, mask) -> float:
+    """The masked mean negative log-likelihood of a logits array, evaluated
+    through ``cross_entropy_node``."""
+    leaf = eg.parameter("logits", np.shape(logits))
+    return float(eg.evaluate(tr.cross_entropy_node(leaf, labels, mask), {"logits": logits}))
+
+
 def test_cross_entropy_uniform_logits():
     logits = np.zeros((3, 4))
-    loss = tr.cross_entropy(logits, [0, 1, 2], [0, 1, 2])
+    loss = cross_entropy(logits, [0, 1, 2], [0, 1, 2])
     assert loss == pytest.approx(math.log(4.0), abs=1e-12)
 
 
@@ -40,7 +47,7 @@ def test_cross_entropy_decreases_with_margin():
         logits = np.zeros((2, 3))
         logits[0, 1] = margin
         logits[1, 2] = margin
-        losses.append(tr.cross_entropy(logits, [1, 2], [0, 1]))
+        losses.append(cross_entropy(logits, [1, 2], [0, 1]))
     assert losses[0] > losses[1] > losses[2]
     assert losses[2] < 1e-4
 
@@ -54,12 +61,12 @@ def test_cross_entropy_matches_extended_precision(rng):
     log_z = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(5), labels]
     oracle = float((log_z - picked).mean())
-    assert abs(tr.cross_entropy(logits, labels, mask) - oracle) <= 1e-12
+    assert abs(cross_entropy(logits, labels, mask) - oracle) <= 1e-12
 
 
 def test_cross_entropy_empty_mask():
     with pytest.raises(ValueError, match="empty mask"):
-        tr.cross_entropy(np.zeros((2, 2)), [0, 1], [])
+        cross_entropy(np.zeros((2, 2)), [0, 1], [])
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +601,13 @@ def _is_ones(node):
     return node.op == "constant" and bool(np.all(node.attrs["value"] == 1.0))
 
 
+def _is_outer(node):
+    """Whether ``node`` is an ``outer(u, v)``: a column-expanded ``u`` times
+    the row ``v``."""
+    return (node.op == "elementwise-mul" and node.inputs[0].op == "expand"
+            and node.inputs[0].attrs["column"] and len(node.inputs[1].shape) == 1)
+
+
 def _link_training_outputs(cfg, dataset):
     params = md.init_params(cfg, dataset.num_features, dataset.num_classes, seed=0)
     z, _ = md.encode_nodes(params, cfg, dataset)
@@ -617,8 +631,8 @@ def test_training_graph_evaluates_no_materialised_broadcast(
     # each summed energy's seed reaches the last energy layer as an expanded
     # row, not as a K = 1 product of a ones column with that layer's weight
     assert not [n for n in evaluated if n.op == "affine" and _inner_dim(n) == 1]
-    assert not [n for n in evaluated
-                if n.op == "outer" and any(_is_ones(i) for i in n.inputs)]
+    assert not [n for n in evaluated if _is_outer(n) and (
+        _is_ones(n.inputs[0].inputs[-1]) or _is_ones(n.inputs[1]))]
     assert "expand" in {n.op for n in evaluated}
     # one tanh slope per tanh node, shared by the field and the training sweep
     squares = [n.inputs[0] for n in evaluated
