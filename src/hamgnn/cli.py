@@ -304,8 +304,7 @@ def cmd_sweep_layers(args) -> int:
         counts = [int(x) for x in args.layers.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(f"bad layer list {args.layers!r}")
-    if not counts:
-        raise ConfigError("need at least one layer count")
+    tr.layer_configs(model_cfg, counts)  # a bad count fails before the load and the mkdir
     dataset = gd.load_dataset(raw["dataset"])
     out_dir = Path(raw["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

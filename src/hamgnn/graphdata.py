@@ -7,7 +7,8 @@ Directory format (all text UTF-8, LF endings, '.' decimal separator):
   ``id`` running 0..n-1 in order and a class label, an integer in [0, 2^63)
   (ids, labels and edge endpoints are an optional sign and ASCII digits).  Feature cells
   are finite ASCII decimals (no ``_`` separators), parsed by numpy's C
-  reader; a bad cell is reported with its line.
+  reader, except that a cell reading exactly ``0.0`` is +0.0 without it; a
+  bad cell is reported with its line.
 * ``edges.tsv``   — two tab-separated node ids per line, undirected;
   self-loops, duplicates and reversed duplicates are rejected.
 * ``splits.json`` — object with node-id arrays ``train``, ``val``, ``test``.
@@ -70,6 +71,35 @@ def aggregation_matrix(n: int, edges) -> eg.SparseMatrix:
     return eg.SparseMatrix(rows, cols, 1.0 / degree[rows], (n, n))
 
 
+def _check_edges(edges, n: int) -> tuple[tuple | None, np.ndarray]:
+    """Check a sequence of (u, v) node-id pairs against the nodes 0..n-1.
+
+    Returns the first fault, in edge order, as (index, kind), where kind is
+    ``"self-loop"``, ``"unknown"`` (a node outside 0..n-1) or
+    ``"duplicate"`` (an earlier edge in either orientation), checked in that
+    order for each edge; None if every edge is sound.  Also returns the
+    (min, max) endpoint pairs in ascending order: with no fault, one row per
+    edge.
+    """
+    try:
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an id past int64 names no node; -1 stands for it
+        pairs = np.array([[x if -2**63 <= x < 2**63 else -1 for x in map(int, e)]
+                          for e in edges], dtype=np.int64).reshape(-1, 2)
+    canon = np.sort(pairs, axis=1)
+    order = np.lexsort((canon[:, 1], canon[:, 0]))  # stable: a repeat follows its first
+    canon = canon[order]
+    repeat = np.zeros(len(pairs), dtype=bool)
+    repeat[order[1:]] = (canon[1:] == canon[:-1]).all(axis=1)
+    loop = pairs[:, 0] == pairs[:, 1]
+    unknown = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    bad = np.flatnonzero(loop | unknown | repeat)
+    if not bad.size:
+        return None, canon
+    i = int(bad[0])
+    return (i, "self-loop" if loop[i] else "unknown" if unknown[i] else "duplicate"), canon
+
+
 @dataclass
 class GraphDataset:
     """Undirected graph with node features, labels and split masks.
@@ -116,18 +146,14 @@ class GraphDataset:
         self.feature_matrix.csr()
         if np.any(self.labels < 0):
             raise ValueError("labels must be non-negative class ids")
-        canon = set()
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) references an unknown node")
-            key = (min(u, v), max(u, v))
-            if key in canon:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            canon.add(key)
-        self.edges = sorted(canon)
+        fault, canon = _check_edges(self.edges, n)
+        if fault is not None:
+            i, kind = fault
+            u, v = (int(x) for x in self.edges[i])
+            raise ValueError({"self-loop": f"self-loop at node {u}",
+                              "unknown": f"edge ({u}, {v}) references an unknown node",
+                              "duplicate": f"duplicate edge ({u}, {v})"}[kind])
+        self.edges = list(zip(*canon.T.tolist()))
         self.mean_matrix = aggregation_matrix(n, self.edges)
         self.mean_matrix.csr()
         masks = []
@@ -196,31 +222,57 @@ def _l1_normalize_rows(features: np.ndarray) -> np.ndarray:
 # column 1-based
 _LOADTXT_CELL_ERROR = re.compile(
     r"could not convert string (.*) to \w+ at row (\d+), column (\d+)")
+# rows scanned at a time: the byte masks of a block stay in cache
+_FEATURE_BLOCK_ROWS = 64
+_COMMA, _DOT, _ZERO = b",.0"
 
 
 def _parse_features(cells: list, linenos: list, header: list) -> np.ndarray:
-    """Parse the comma-separated feature cells of each row in one C pass.
+    """Parse the comma-separated feature cells of each row.
 
-    ``cells`` holds each row's feature part and ``linenos`` its line in
-    nodes.csv; an unparsable or non-finite cell is reported by that line and
-    its header column.
+    ``cells`` holds each row's feature part, with one cell per header column
+    after ``id,label``, and ``linenos`` its line in nodes.csv.  A cell that
+    reads exactly ``0.0`` (what ``save_dataset`` writes for +0.0) is +0.0,
+    as numpy's C reader would give; byte compares find those, and only the
+    other cells go through the reader, one line per block of rows.  An
+    unparsable or non-finite cell is reported by its line and header column.
     """
     n_features = len(header) - 2
-    if not cells or not n_features:
-        return np.zeros((len(linenos), n_features))
-    try:
-        # the reader takes the list of lines as it is (faster than one joined
-        # string); comments=None: a '#' must fail as a bad cell, not end the
-        # row early
-        features = np.loadtxt(cells, delimiter=",", comments=None,
-                              dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        match = _LOADTXT_CELL_ERROR.match(str(exc))
-        if match is None:
-            raise ValueError(f"nodes.csv features: {exc}") from exc
-        cell, row, col = match.group(1), int(match.group(2)), int(match.group(3))
-        raise ValueError(f"unparsable feature {header[col + 1]} = {cell}"
-                         f" at nodes.csv line {linenos[row]}") from None
+    features = np.zeros((len(linenos), n_features))
+    flat = features.reshape(-1)
+    for first in range(0, len(cells), _FEATURE_BLOCK_ROWS):
+        # a comma leads the block and closes every cell, so a cell is 0.0
+        # exactly where the bytes read ",0.0,"
+        text = ("," + ",".join(cells[first:first + _FEATURE_BLOCK_ROWS]) + ",").encode()
+        b = np.frombuffer(text, dtype=np.uint8)
+        comma, zero = b == _COMMA, b == _ZERO
+        zero_cell = comma[:-4] & zero[1:-3] & (b[2:-2] == _DOT) & zero[3:-1] & comma[4:]
+        drop = np.zeros(b.size, dtype=bool)  # each 0.0 cell and its closing comma
+        for k in range(1, 5):
+            drop[k:k + zero_cell.size] |= zero_cell
+        keep = ~drop
+        kept = b[keep]
+        if kept.size == 1:  # the leading comma alone: every cell was 0.0
+            continue
+        # a kept cell's place in the block: the kept cells before it, plus
+        # the 0.0 cells before it, which took four bytes each
+        ends = np.flatnonzero(keep & comma)[1:]
+        kept_ends = np.flatnonzero(kept == _COMMA)[1:]
+        index = first * n_features + (ends - kept_ends) // 4 + np.arange(kept_ends.size)
+        line = kept[1:-1].tobytes().decode()
+        try:
+            if not line:  # the reader would skip a lone empty cell as an empty line
+                raise ValueError("could not convert string '' to float64 at row 0, column 1")
+            # comments=None: a '#' must fail as a bad cell, not end the line
+            flat[index] = np.loadtxt([line], delimiter=",", comments=None,
+                                     dtype=np.float64, ndmin=1)
+        except ValueError as exc:
+            match = _LOADTXT_CELL_ERROR.match(str(exc))
+            if match is None:
+                raise ValueError(f"nodes.csv features: {exc}") from exc
+            row, col = divmod(int(index[int(match.group(3)) - 1]), n_features)
+            raise ValueError(f"unparsable feature {header[col + 2]} = {match.group(1)}"
+                             f" at nodes.csv line {linenos[row]}") from None
     if not eg.all_finite(features):
         row, col = np.argwhere(~np.isfinite(features))[0]
         raise ValueError(f"non-finite feature {header[col + 2]} = {float(features[row, col])!r}"
@@ -274,34 +326,35 @@ def load_dataset(path) -> GraphDataset:
         labels.append(label)
         linenos.append(lineno)
         if n_features:
-            if not rest[0].strip():
-                # the C reader would skip a lone blank cell as an empty line
-                raise ValueError(f"unparsable feature {header[2]} = {rest[0]!r}"
-                                 f" at nodes.csv line {lineno}")
             cells.append(rest[0])
     features = _parse_features(cells, linenos, header)
     n = len(linenos)
 
-    edges = []
-    seen = set()
+    # the first line that is not two integer ids is reported after any
+    # fault of the edges before it
+    edges, edge_lines, bad_line = [], [], None
     for lineno, row in enumerate(
             (root / "edges.tsv").read_text(encoding="utf-8").splitlines(), start=1):
         if not row.strip():
             continue
         parts = row.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"edge line {lineno} must hold two tab-separated ids")
-        u, v = (_int_cell(cell, "node id", lineno, "edges.tsv") for cell in parts)
-        if u == v:
-            raise ValueError(f"self-loop at line {lineno}")
-        for node in (u, v):
-            if not 0 <= node < n:
-                raise ValueError(f"unknown node id {node} at line {lineno}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"duplicate edge at line {lineno}")
-        seen.add(key)
-        edges.append(key)
+        try:
+            if len(parts) != 2:
+                raise ValueError(f"edge line {lineno} must hold two tab-separated ids")
+            edges.append(tuple(_int_cell(cell, "node id", lineno, "edges.tsv")
+                               for cell in parts))
+        except ValueError as exc:
+            bad_line = exc
+            break
+        edge_lines.append(lineno)
+    fault, _ = _check_edges(edges, n)
+    if fault is not None:
+        i, kind = fault
+        node = next((x for x in edges[i] if not 0 <= x < n), None)
+        raise ValueError({"self-loop": "self-loop", "unknown": f"unknown node id {node}",
+                          "duplicate": "duplicate edge"}[kind] + f" at line {edge_lines[i]}")
+    if bad_line is not None:
+        raise bad_line
 
     splits = load_json_object(root / "splits.json")
     extra = set(splits) - {"train", "val", "test"}

@@ -24,7 +24,7 @@ from .model import ModelConfig, ModelParams
 __all__ = [
     "TrainConfig", "TrainHistory", "cross_entropy_node",
     "negative_sample", "AdamState", "adam_step", "roc_auc", "accuracy",
-    "make_link_split", "fit", "layer_sweep",
+    "make_link_split", "fit", "layer_configs", "layer_sweep",
 ]
 
 
@@ -427,21 +427,27 @@ def evaluate_params(params: ModelParams, model_cfg: ModelConfig,
     return out, z
 
 
-def layer_sweep(model_cfg: ModelConfig, train_cfg: TrainConfig,
-                dataset: GraphDataset, layer_counts) -> list:
-    """Fit once per layer count with a shared seed; returns one row per L,
-    with the epoch its fit diverged at, or None."""
+def layer_configs(model_cfg: ModelConfig, layer_counts) -> list:
+    """The model config of each layer count; a bad count raises naming it."""
     layer_counts = list(layer_counts)
     if not layer_counts:
         raise ValueError("need at least one layer count")
     cfgs = []
-    for L in layer_counts:  # every count is checked before the first fit
+    for L in layer_counts:
         try:
             cfgs.append(replace(model_cfg, layers=int(L)))
         except ValueError as exc:
             raise ValueError(f"layer count {L}: {exc}") from None
+    return cfgs
+
+
+def layer_sweep(model_cfg: ModelConfig, train_cfg: TrainConfig,
+                dataset: GraphDataset, layer_counts) -> list:
+    """Fit once per layer count with a shared seed; returns one row per L,
+    with the epoch its fit diverged at, or None.  Every count is checked
+    (``layer_configs``) before the first fit."""
     rows = []
-    for cfg in cfgs:
+    for cfg in layer_configs(model_cfg, layer_counts):
         _, history = fit(cfg, train_cfg, dataset)
         rows.append({"layers": cfg.layers,
                      "best_val": history.best_val,

@@ -561,7 +561,7 @@ def test_a_bad_layer_count_fails_by_name_before_any_fit(workdir, capsys, monkeyp
     err = capsys.readouterr().err
     assert [l for l in err.splitlines() if l.startswith("error:")] == [
         "error: layer count 0: hidden dimension and layer count must be positive"]
-    assert not (workdir / "sweep" / "layer_sweep.csv").exists()
+    assert not (workdir / "sweep").exists()
 
 
 def test_a_diverging_sweep_prints_strict_json_and_keeps_the_epoch(workdir, capsys):

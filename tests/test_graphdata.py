@@ -60,6 +60,45 @@ def test_load_rejects_unknown_node(tmp_path):
         gd.load_dataset(p)
 
 
+@pytest.mark.parametrize("edges, message", [
+    ("0\t1\n2\t2\n1\t0\n", "self-loop at line 2"),
+    ("0\t1\n1\t0\n5\t5\n", "duplicate edge at line 2"),
+    ("7\t7\n", "self-loop at line 1"),
+    ("0\t9\n0\t9\n", "unknown node id 9 at line 1"),
+    ("\n2\t-1\n", "unknown node id -1 at line 2"),
+    ("0\t99999999999999999999\n", "unknown node id 99999999999999999999 at line 1"),
+    ("0\t1\n0\t1\nx\t2\n", "duplicate edge at line 2"),
+    ("0\t1\nx\t2\n0\t1\n", r"node id must be an integer; got 'x' at edges\.tsv line 2"),
+    ("0\t1\n1\t2\t0\n1\t1\n", "edge line 2 must hold two tab-separated ids"),
+], ids=["loop-before-repeat", "repeat-before-loop", "loop-before-unknown", "unknown-first",
+        "negative", "past-int64", "repeat-before-bad-id", "bad-id-before-repeat",
+        "bad-layout-before-loop"])
+def test_load_reports_the_first_bad_edge_line(tmp_path, edges, message):
+    p = write_dataset(tmp_path / "x", PATH3_NODES, edges, PATH3_SPLITS)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gd.load_dataset(p)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2), (1, 0)], "self-loop at node 2"),
+    ([(0, 1), (1, 0), (5, 5)], r"duplicate edge \(1, 0\)"),
+    ([(7, 7)], "self-loop at node 7"),
+    ([(1, 7), (1, 7)], r"edge \(1, 7\) references an unknown node"),
+    ([(0, 2**70)], rf"edge \(0, {2**70}\) references an unknown node"),
+    (np.array([[2, 1], [1, 2]]), r"duplicate edge \(1, 2\)"),
+])
+def test_dataset_reports_the_first_bad_edge_by_node(edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GraphDataset("x", np.eye(3), [0, 0, 0], edges, [], [], [])
+
+
+def test_dataset_stores_each_edge_once_as_sorted_pairs():
+    ds = GraphDataset("x", np.eye(4), [0] * 4, np.array([[3, 1], [0, 2], [1, 0]]),
+                      [], [], [])
+    assert ds.edges == [(0, 1), (0, 2), (1, 3)]
+    assert all(type(u) is int and type(v) is int for u, v in ds.edges)
+
+
 def test_load_rejects_ragged_rows(tmp_path):
     nodes = "id,label,f0,f1\n0,0,1.0,0.0\n1,1,0.5\n2,0,0.0,2.0\n"
     p = write_dataset(tmp_path / "x", nodes, "", PATH3_SPLITS)
@@ -162,7 +201,95 @@ def test_load_matches_reference_on_random_cells(tmp_path):
     assert ds.features.tobytes() == reference_features(text).tobytes()
 
 
-@pytest.mark.parametrize("cell", ["abc", "", "0x10", "1_0", "1#2", "1 2"])
+# the cells that read as zero but are not the literal 0.0 the loader skips,
+# and the smallest subnormal
+ZERO_SPELLINGS = ["-0.0", "0", "00", "0.", ".0", "0.00", "+0.0", " 0.0", "0.0 ", "0e0",
+                  "4.9e-324"]
+
+
+def _zero_table(n_rows, n_cols, placed):
+    """nodes.csv text whose cells are all 0.0 but those in ``placed``, a
+    dict from (row, column) to the cell text; a blank line follows row 2."""
+    lines = ["id,label," + ",".join(f"f{j}" for j in range(n_cols))]
+    for i in range(n_rows):
+        lines.append(f"{i},{i % 2}," + ",".join(placed.get((i, j), "0.0")
+                                                 for j in range(n_cols)))
+        if i == 2:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def _lineno(row):
+    """The nodes.csv line of a ``_zero_table`` row."""
+    return row + 2 + (row > 2)
+
+
+def _block_edge_cells(n_rows, n_cols):
+    """The first and last cells of the first, last and block-boundary rows."""
+    block = gd._FEATURE_BLOCK_ROWS
+    rows = [0, block - 1, block, 2 * block - 1, 2 * block, n_rows - 1]
+    return [(i, j) for i in rows for j in (0, n_cols - 1)]
+
+
+def test_load_matches_reference_on_zero_spellings_around_blocks(tmp_path):
+    n_rows, n_cols = 2 * gd._FEATURE_BLOCK_ROWS + 5, 7
+    places = _block_edge_cells(n_rows, n_cols)
+    placed = {where: ZERO_SPELLINGS[k % len(ZERO_SPELLINGS)] for k, where in enumerate(places)}
+    placed.update({(k, 3): cell for k, cell in enumerate(ZERO_SPELLINGS, start=20)})
+    placed[(30, 2)] = "0.5"
+    text = _zero_table(n_rows, n_cols, placed)
+    ds = gd.load_dataset(write_dataset(tmp_path / "x", text, "",
+                                       '{"train": [], "val": [], "test": []}'))
+    expected = reference_features(text)
+    assert ds.features.tobytes() == expected.tobytes()
+    assert np.signbit(ds.features).sum() == sum(
+        cell == "-0.0" for cell in placed.values())
+
+
+def test_load_hands_the_float_reader_only_cells_other_than_0_0(tmp_path, monkeypatch):
+    n_rows, n_cols = 2 * gd._FEATURE_BLOCK_ROWS + 5, 9
+    rng = np.random.default_rng(4)
+    placed = {(i, j): "1.0" for i, j in zip(rng.integers(0, n_rows, 60),
+                                           rng.integers(0, n_cols, 60))}
+    placed.update({where: ZERO_SPELLINGS[k % len(ZERO_SPELLINGS)]
+                   for k, where in enumerate(_block_edge_cells(n_rows, n_cols))})
+    text = _zero_table(n_rows, n_cols, placed)
+    read = []
+    loadtxt = np.loadtxt
+
+    def spy(lines, *args, **kwargs):
+        read.extend(cell for line in lines for cell in line.split(","))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    ds = gd.load_dataset(write_dataset(tmp_path / "x", text, "",
+                                       '{"train": [], "val": [], "test": []}'))
+    assert read == [placed[where] for where in sorted(placed)]
+    assert ds.features.tobytes() == reference_features(text).tobytes()
+
+
+@pytest.mark.parametrize("cell", ["0..0", "0.0.0", "", "  ", "1_0", "nan"])
+@pytest.mark.parametrize("where", ["first", "last", "alone-in-block"])
+def test_load_names_a_bad_cell_after_many_0_0_cells(tmp_path, cell, where):
+    block = gd._FEATURE_BLOCK_ROWS
+    n_rows, n_cols = 2 * block + 5, 6
+    # the last row of the first block, or the last cell of the table; alone,
+    # it is the one cell of the second block that is not 0.0
+    row, col = {"first": (block - 1, 0), "last": (n_rows - 1, n_cols - 1),
+                "alone-in-block": (block + 3, 2)}[where]
+    placed = {} if where == "alone-in-block" else {
+        (i, (3 * i) % n_cols): "0.25" for i in range(0, n_rows, 7)}
+    placed[(row, col)] = cell
+    text = _zero_table(n_rows, n_cols, placed)
+    p = write_dataset(tmp_path / "x", text, "", '{"train": [], "val": [], "test": []}')
+    kind = "non-finite" if cell == "nan" else "unparsable"
+    with pytest.raises(ValueError, match=rf"^{kind} feature f{col} = .* at nodes\.csv"
+                                         rf" line {_lineno(row)}$"):
+        gd.load_dataset(p)
+
+
+@pytest.mark.parametrize("cell", ["abc", "", "0x10", "1_0", "1#2", "1 2", "0..0", "0.0.0",
+                                  "  "])
 def test_load_rejects_bad_cell_by_line(tmp_path, cell):
     nodes = f"id,label,f0,f1\n0,0,1.0,0.0\n\n1,1,0.5,{cell}\n2,0,0.0,2.0\n"
     p = write_dataset(tmp_path / "x", nodes, "", PATH3_SPLITS)
