@@ -411,24 +411,19 @@ def step(x: Node) -> Node:
 
 
 def zeros_like(x: Node) -> Node:
-    """Zeros of x's shape, ``_ZERO`` expanded like ``x``: a leaf that ``x``
-    depends on stays in the graph, but no derivative flows back to ``x``, so
-    a backward sweep ends here, and ``evaluate`` never computes ``x``."""
-    return expand(_ZERO, x.shape, like=x)
+    """Zeros of x's shape, ``_ZERO`` expanded to it: the fill's one input is
+    ``_ZERO``, so ``x`` is not in its graph and a backward sweep ends here."""
+    return expand(_ZERO, x.shape)
 
 
 def _is_zero_fill(node: Node) -> bool:
-    return node.op == "expand" and node.inputs[-1] is _ZERO
+    return node.op == "expand" and node.inputs[0] is _ZERO
 
 
-def expand(x: Node, shape: Sequence[int], like: Node | None = None,
-           column: bool = False) -> Node:
+def expand(x: Node, shape: Sequence[int], column: bool = False) -> Node:
     """``x`` repeated to ``shape`` as a read-only zero-stride view: a scalar
     over every entry, a ``(k,)`` or ``(1, k)`` row over every row of an
-    ``(n, k)`` matrix, or with ``column`` an ``(n,)`` column over every column.
-    ``like``, when given, is kept as the first input: its history stays in
-    the graph, but it is never computed for the view and no derivative flows
-    back to it."""
+    ``(n, k)`` matrix, or with ``column`` an ``(n,)`` column over every column."""
     shape = tuple(shape)
     if column:
         fits = len(shape) == 2 and x.shape == shape[:1]
@@ -437,7 +432,7 @@ def expand(x: Node, shape: Sequence[int], like: Node | None = None,
                                  and x.shape in (shape[1:], (1, shape[1])))
     if not fits:
         raise ValueError(f"cannot expand shape {x.shape} to {shape}")
-    return Node("expand", (x,) if like is None else (like, x), {"column": column}, shape)
+    return Node("expand", (x,), {"column": column}, shape)
 
 
 def softmax(x: Node) -> Node:
@@ -492,8 +487,7 @@ def scale(x: Node, factor: float) -> Node:
         a, b = x.inputs
         for part in (a, b):
             if part.op == "expand" and not _is_zero_fill(part):
-                flipped = expand(negate(part.inputs[-1]), part.shape, column=part.attrs["column"],
-                                 like=part.inputs[0] if len(part.inputs) == 2 else None)
+                flipped = expand(negate(part.inputs[0]), part.shape, column=part.attrs["column"])
                 return mul(flipped, b) if part is a else mul(a, flipped)
     return Node("scale", (x,), {"factor": factor}, x.shape)
 
@@ -568,7 +562,7 @@ def _fw_kappa(node, vals):
 
 
 def _fw_expand(node, vals):
-    x = vals[-1]  # the operand: evaluate never computes the input shaped like
+    x = vals[0]
     return np.broadcast_to(x[:, None] if node.attrs["column"] else x, node.shape)
 
 
@@ -668,14 +662,8 @@ def _bad_rows(val: np.ndarray) -> str:
     return f" (rows {rows})" if rows else ""
 
 
-def _operands(node: Node) -> tuple:
-    # an expand reads only its last input, never the one it is shaped like
-    return node.inputs[-1:] if node.op == "expand" else node.inputs
-
-
-def _reachable(outputs: Sequence[Node], inputs=_operands,
-               stop: frozenset = frozenset()) -> list[Node]:
-    """The nodes reachable from the outputs through ``inputs(node)``, by
+def _reachable(outputs: Sequence[Node], stop: frozenset = frozenset()) -> list[Node]:
+    """The nodes reachable from the outputs through their inputs, by
     ascending ``nid``; ``stop`` nodes are kept but not expanded.  Each input
     is built before its consumer, so this is always a topological order."""
     reached: dict[int, Node] = {}
@@ -685,7 +673,7 @@ def _reachable(outputs: Sequence[Node], inputs=_operands,
         if node.nid not in reached:
             reached[node.nid] = node
             if node.nid not in stop:
-                stack.extend(inputs(node))
+                stack.extend(node.inputs)
     return [reached[nid] for nid in sorted(reached)]
 
 
@@ -726,7 +714,7 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     at = {node.nid: i for i, node in enumerate(order)}
     uses: list[list[int]] = [[] for _ in order]
     for i, node in enumerate(order):
-        for inp in _operands(node):
+        for inp in node.inputs:
             uses[at[inp.nid]].append(i)
     # the last position that reads each value; leaves and outputs outlive
     # the run (every other node has a reader, or it would not be here)
@@ -734,10 +722,10 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
             for node, u in zip(order, uses)]
     for i, node in enumerate(order):
         if node.op in _VIEWS:  # it frees nothing its base does not
-            last[i] = max(last[i], last[at[_operands(node)[0].nid]])
+            last[i] = max(last[i], last[at[node.inputs[0].nid]])
     for i in reversed(range(n)):  # and its base's bytes live while it is read
         if order[i].op in _VIEWS:
-            base = at[_operands(order[i])[0].nid]
+            base = at[order[i].inputs[0].nid]
             last[base] = max(last[base], last[i])
 
     change = [0] * (n + 2)
@@ -753,7 +741,7 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
             top, peak = live, i
 
     def operands(i: int) -> list[int]:
-        return [at[inp.nid] for inp in _operands(order[i])]
+        return [at[inp.nid] for inp in order[i].inputs]
 
     def ready(j: int, f: int, transient: list | None) -> bool:
         """Whether value ``j`` can be had just before position ``f``: it
@@ -822,7 +810,7 @@ def _dying_operand(node: Node, vals: list, dead) -> np.ndarray | None:
 
 
 def _run(node: Node, values: dict, dead=()) -> np.ndarray:
-    vals = [values[i.nid] for i in _operands(node)]
+    vals = [values[i.nid] for i in node.inputs]
     rule = _FORWARD[node.op]
     out = _dying_operand(node, vals, dead) if dead and node.op in _IN_PLACE else None
     try:
@@ -892,9 +880,7 @@ def evaluate(outputs, bindings=None):
     has the node's shape, owns its data and overlaps no other operand: the
     same ufunc loop on the same input bits, so the outputs do not change.
 
-    An ``expand`` (a ``zeros_like`` fill is one) needs only its operand: it
-    never computes the input it is shaped like, and a leaf that only such
-    inputs reach needs no binding.  An ``expand`` is a read-only zero-stride
+    An ``expand`` (a ``zeros_like`` fill is one) is a read-only zero-stride
     view, so an output that is one comes back as an array of its own.  A
     non-finite binding or intermediate value raises ``FloatingPointError``
     naming the leaf, or the node that produced it and its nearest labelled
@@ -968,13 +954,12 @@ def _vjp_affine(node, g):
     x, w = node.inputs
     if len(w.shape) == 1:
         gx = outer(g, w)
-    elif (len(x.shape) == 2 and g.op == "expand" and g.inputs[-1].shape == ()
+    elif (len(x.shape) == 2 and g.op == "expand" and g.inputs[0].shape == ()
           and g.shape[1] == 1):
         # an expanded scalar column times a (1, k) row: with one term per
         # entry, every row of the product is the scalar times that row
         row = transpose(w)
-        gx = expand(mul(g.inputs[-1], row), (g.shape[0], row.shape[1]),
-                    like=g.inputs[0] if len(g.inputs) == 2 else None)
+        gx = expand(mul(g.inputs[0], row), (g.shape[0], row.shape[1]))
     else:
         gx = affine(g, transpose(w))
     return [gx, outer(x, g) if len(x.shape) == 1 else affine(transpose(x), g)]
@@ -1007,34 +992,34 @@ def _vjp_sum(node, g):
     if node.attrs["axis"] == 1:
         return [expand(g, x.shape, column=True)]
     # scalar or row adjoint broadcasts back over the summed entries
-    return [expand(g, x.shape, like=x)]
+    return [expand(g, x.shape)]
 
 
 def _vjp_expand(node, g):
     # a BLAS product with ones for a column or a (1, k) row, a sum for a
     # scalar or a (k,) row: the reductions that the rules of a materialised
     # broadcast (ones products, zero fill plus operand) make, bit for bit
-    x = node.inputs[-1]
+    x = node.inputs[0]
     if x is _ZERO:
-        return [None, None]  # a zero fill
+        return [None]  # a zero fill
     if node.attrs["column"]:
         gx = affine(g, constant(np.ones(node.shape[1])))
     elif len(x.shape) == 2:
         gx = affine(constant(np.ones((1, node.shape[0]))), g)
     else:
         gx = _reduce_to_shape(g, x.shape)
-    return [None, gx] if len(node.inputs) == 2 else [gx]
+    return [gx]
 
 
 def _vjp_slice(node, g):
-    x = node.inputs[0]
     ax, start, stop = node.attrs["axis"], node.attrs["start"], node.attrs["stop"]
-    parts = []
+    extent = node.inputs[0].shape[ax]
+    pad = lambda width: expand(_ZERO, g.shape[:ax] + (width,) + g.shape[ax + 1:])
+    parts = [g]
     if start > 0:
-        parts.append(zeros_like(narrow(x, 0, start, axis=ax)))
-    parts.append(g)
-    if stop < x.shape[ax]:
-        parts.append(zeros_like(narrow(x, stop, x.shape[ax], axis=ax)))
+        parts.insert(0, pad(start))
+    if stop < extent:
+        parts.append(pad(extent - stop))
     return [concat(parts, axis=ax) if len(parts) > 1 else g]
 
 
@@ -1142,10 +1127,9 @@ def gradient_all(f: Node, wrts: Sequence[Node], allow_unused: bool = False,
     if f.shape != ():
         raise ValueError(f"gradient target must be scalar, got shape {f.shape}")
     stop = frozenset(n.nid for n in stop_at)
-    # every input counts, so a leaf behind a ``like`` input is present; the
-    # sweep runs in descending id, the reverse of evaluation, and so adds a
-    # node's adjoint contributions in descending id of their consumers
-    order = _reachable([f], lambda node: node.inputs, stop)
+    # the sweep runs in descending id, the reverse of evaluation, and so adds
+    # a node's adjoint contributions in descending id of their consumers
+    order = _reachable([f], stop)
     in_graph = {n.nid for n in order}
     adjoint: dict[int, Node] = {f.nid: constant(1.0)}
     for node in reversed(order):
@@ -1231,7 +1215,8 @@ def check_gradient(f: Node, x: Node, bindings, fd_step: float = 1e-5,
         raise ValueError("nonpositive step")
     if tol <= 0.0:
         raise ValueError("nonpositive tolerance")
-    analytic = evaluate(gradient(f, x), bindings)
+    # a leaf that f does not read has the zero gradient its differences give
+    analytic = evaluate(gradient_all(f, [x], allow_unused=True)[0], bindings)
     numeric = finite_difference(f, x, bindings, fd_step)
     worst = relative_error(analytic, numeric)
     return {"max_relative_error": worst, "tolerance": tol, "passed": worst <= tol}

@@ -210,11 +210,20 @@ def _l1_normalize_rows(features: np.ndarray) -> np.ndarray:
     """Divide each row by its L1 norm, in place.
 
     Rows already normalized (within round-off) stay bit-identical so that
-    save -> load round-trips exactly; zero rows stay zero.
+    save -> load round-trips exactly; zero rows stay zero.  A norm is numpy's
+    pairwise sum of the row, taken a block of rows at a time, and only
+    non-zero cells are divided, so no table-sized temporary is built.
     """
-    sums = np.abs(features).sum(axis=1)
+    n, m = features.shape
+    sums = np.empty(n)
+    block = np.empty((min(n, _FEATURE_BLOCK_ROWS), m))
+    for start in range(0, n, _FEATURE_BLOCK_ROWS):
+        part = features[start:start + _FEATURE_BLOCK_ROWS]
+        np.abs(part, out=block[:len(part)]).sum(axis=1, out=sums[start:start + len(part)])
     scale = ~((sums == 0.0) | (np.abs(sums - 1.0) <= 1e-12))
-    np.divide(features, sums[:, None], out=features, where=scale[:, None])
+    rows, cols = np.divmod(np.flatnonzero(features != 0.0), m)  # faster than np.nonzero
+    keep = scale[rows]
+    features[rows[keep], cols[keep]] /= sums[rows[keep]]
     return features
 
 

@@ -90,7 +90,8 @@ def integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
     per state); the whole unrolled computation is ordinary graph operations,
     so gradients flow to the field parameters and to the initial state.  The
     solver moves the state the spec's ``chart`` gives, and every stored
-    state is that chart's readout in (q, p).
+    state is that chart's readout in (q, p).  The chart state after step k,
+    which step k + 1 reads, is labelled ``{prefix} chart state after step k``.
     """
     h = cfg.effective_step
     owner, x, y, readout = spec.chart(q0, p0, prefix)
@@ -111,9 +112,9 @@ def integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
                                             eg.add(eg.scale(c, 2.0), d))
             x = _axpy(x, mix(k1x, k2x, k3x, k4x), h / 6.0)
             y = _axpy(y, mix(k1y, k2y, k3y, k4y), h / 6.0)
-        q, p = readout(x, y)
-        q.attrs["label"] = f"{prefix} q after step {k + 1}"
-        p.attrs["label"] = f"{prefix} p after step {k + 1}"
+        q, p = readout(x, y)  # in the identity chart (x, y) is (q, p)
+        for node, name in ((x, "chart state"), (y, "chart state"), (q, "q"), (p, "p")):
+            node.attrs["label"] = f"{prefix} {name} after step {k + 1}"
         states.append((q, p))
     return states
 

@@ -168,13 +168,16 @@ def test_grad_through_zero_derivative_op_is_zero():
 def test_gradient_through_zeros_like_is_zero_and_ends_the_sweep():
     x = eg.parameter("x", (2, 3))
     zeros = eg.zeros_like(eg.tanh(x))
-    assert zeros.inputs[0].op == "tanh"
+    assert zeros.inputs == (eg._ZERO,)
     got = eg.evaluate(zeros, {"x": -np.ones((2, 3))})
     assert got.shape == (2, 3) and not np.signbit(got).any() and not got.any()
-    # x is still in the graph, so it needs no allow_unused; its adjoint is a
-    # zero fill of its own, not a chain of zeros back through tanh
-    (g,) = eg.gradient_all(eg.reduce_sum(zeros), [x])
-    assert g.op == "expand" and g.inputs == (x, eg._ZERO)
+    # the fill's only input is _ZERO, so x is not in its graph and needs
+    # allow_unused; its adjoint is then a zero fill of its own, not a chain
+    # of zeros back through tanh
+    with pytest.raises(ValueError, match="does not appear in the graph"):
+        eg.gradient_all(eg.reduce_sum(zeros), [x])
+    (g,) = eg.gradient_all(eg.reduce_sum(zeros), [x], allow_unused=True)
+    assert g.op == "expand" and g.inputs == (eg._ZERO,) and g.shape == (2, 3)
     assert eg.evaluate(g, {"x": -np.ones((2, 3))}).tolist() == [[0.0] * 3] * 2
     f = eg.reduce_sum(eg.add(zeros, eg.mul(x, x)))
     got = eg.evaluate(eg.gradient(f, x), {"x": np.full((2, 3), 1.5)})
@@ -772,18 +775,9 @@ def test_expand_is_a_zero_stride_view_with_an_exact_gradient(rng, operand_shape,
 
 def test_expand_rejects_shapes_it_cannot_repeat():
     row = eg.parameter("r", (3,))
-    for args in [((3, 4),), ((4, 3, 1),), ((4, 3), None, True)]:
+    for args in [((3, 4),), ((4, 3, 1),), ((4, 3), True)]:
         with pytest.raises(ValueError, match="cannot expand shape"):
             eg.expand(row, *args)
-
-
-def test_expand_does_not_compute_the_input_it_is_shaped_like():
-    u = eg.parameter("u", (2, 3))
-    e = eg.expand(eg.constant(2.0), (2, 3), like=eg.tanh(u))
-    _assert_same_bits(eg.evaluate(e, {}), np.full((2, 3), 2.0))
-    # u stays in the graph, as under a zero fill: its gradient is present and 0
-    (gu,) = eg.gradient_all(eg.reduce_sum(e), [u])
-    _assert_same_bits(eg.evaluate(gu, {}), np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("transposed", [True, False])
@@ -826,15 +820,16 @@ def test_negated_product_flips_the_operand_of_its_expanded_factor(column):
     av = np.add.outer(values, np.zeros_like(values))
     rv = values.copy()
     a, r = eg.parameter("a", av.shape), eg.parameter("r", rv.shape)
-    wide = eg.expand(r, av.shape, like=a, column=column)
+    wide = eg.expand(r, av.shape, column=column)
     rb = rv[:, None] if column else rv
     for prod, expected in ((eg.mul(a, wide), -(av * rb)), (eg.mul(wide, a), -(rb * av)),
                            (eg.mul(wide, wide), -(rb * rb))):
         neg = eg.negate(prod)
         assert neg.op == "elementwise-mul"
-        flipped = [p for p in neg.inputs if p.op == "expand" and p.inputs[-1] is not r]
-        assert len(flipped) == 1 and flipped[0].inputs[0] is a
-        assert flipped[0].inputs[-1].op == "scale" and flipped[0].inputs[-1].shape == rv.shape
+        flipped = [p for p in neg.inputs if p.op == "expand" and p.inputs[0] is not r]
+        assert len(flipped) == 1 and flipped[0].attrs["column"] == column
+        (minus_r,) = flipped[0].inputs
+        assert minus_r.op == "scale" and minus_r.inputs == (r,) and minus_r.shape == rv.shape
         _assert_same_bits(eg.evaluate(neg, {"a": av, "r": rv}), np.broadcast_to(expected, av.shape))
     # a zero fill keeps the negation over the product
     assert eg.negate(eg.mul(a, eg.zeros_like(a))).op == "scale"
@@ -916,14 +911,23 @@ def test_every_op_has_a_forward_and_a_derivative_rule():
 
 def test_flexible_training_never_computes_the_energy_total(
         sbm_dataset, training_outputs, monkeypatch):
-    # each field takes the gradient of an (n, 1) energy total; only the
-    # expand of that gradient's sum rule keeps the total, as an input it
-    # never computes
+    # each field takes the gradient of an (n, 1) energy total, whose sum
+    # rule expands the seed to the total's shape without reading the total:
+    # no total is in the training graph at all, and none is computed
     cfg = ModelConfig(hidden_dim=4, layers=2, net_hidden=4, variant="flexible")
+    built = []
+    build_affine = eg.affine
+
+    def record(*args, **kwargs):
+        built.append(build_affine(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(eg, "affine", record)
     outputs, bindings = training_outputs(cfg, sbm_dataset)
-    totals = [n for n in _dfs_order(outputs)
-              if n.op == "affine" and n.shape == (sbm_dataset.n, 1)]
+    monkeypatch.setattr(eg, "affine", build_affine)
+    totals = {n.nid for n in built if n.shape == (sbm_dataset.n, 1)}
     assert len(totals) >= 2 * cfg.layers
+    assert not totals & {n.nid for n in _dfs_order(outputs)}
     shapes = []
     affine = eg._FORWARD["affine"]
 
@@ -934,6 +938,34 @@ def test_flexible_training_never_computes_the_energy_total(
     monkeypatch.setitem(eg._FORWARD, "affine", spy)
     eg.evaluate(outputs, bindings)
     assert shapes and (sbm_dataset.n, 1) not in shapes
+
+
+@pytest.mark.parametrize("variant", list(ham.VARIANTS))
+def test_evaluate_runs_every_node_that_the_inputs_reach(
+        sbm_dataset, training_outputs, monkeypatch, variant):
+    # every input of a node is an operand, so the graph that a backward
+    # sweep walks is the graph that evaluate runs: no node is reached only
+    # for its shape
+    small = variant == "symplectic"
+    cfg = ModelConfig(hidden_dim=4, layers=1 if small else 2, net_hidden=4, variant=variant)
+    outputs, bindings = training_outputs(cfg, sbm_dataset)
+    ran, bound = set(), set()
+    run = eg._run
+
+    def spy(node, values, dead=()):
+        ran.add(node.nid)
+        return run(node, values, dead)
+
+    class Recorded(dict):
+        def __getitem__(self, name):
+            bound.add(name)
+            return super().__getitem__(name)
+
+    monkeypatch.setattr(eg, "_run", spy)
+    eg.evaluate(outputs, Recorded(bindings))
+    reached = _dfs_order(outputs)
+    assert {n.nid for n in reached if n.op != "parameter"} == ran
+    assert {n.attrs["name"] for n in reached if n.op == "parameter"} == bound
 
 
 # ---------------------------------------------------------------------------
@@ -1391,7 +1423,7 @@ def test_skipped_ops_map_finite_inputs_to_finite_outputs(rng):
         "slice": eg.narrow(x, 1, 4, axis=0), "concat": eg.concat([x, x], axis=1),
         "step": eg.step(x), "relu": eg.relu(x), "tanh": eg.tanh(x),
         "sin": eg.sin(x), "sigmoid": eg.sigmoid(x),
-        "expand": eg.expand(row, xv.shape, like=x),
+        "expand": eg.expand(row, xv.shape),
     }
     assert set(built) == eg._FINITE_IF_INPUTS_FINITE - {"constant"}
     built["expand-column"] = eg.expand(row, (xv.shape[1], 3), column=True)
@@ -1585,11 +1617,10 @@ def test_every_network_layer_is_products_plus_one_bias_add(
         sbm_dataset, training_outputs, variant):
     cfg = ModelConfig(hidden_dim=4, layers=2, net_hidden=4, variant=variant)
     outputs = training_outputs(cfg, sbm_dataset)[0]
-    nodes = eg._reachable(outputs, lambda n: n.inputs)
+    nodes = eg._reachable(outputs)
     assert all(len(n.inputs) == 2 for n in nodes if n.op == "affine")
-    # the loss graph: the fields' own gradients but not the training sweep,
-    # whose unused leaves are zero fills shaped like them
-    forward = eg._reachable(outputs[:1], lambda n: n.inputs)
+    # the loss graph: the fields' own gradients but not the training sweep
+    forward = eg._reachable(outputs[:1])
     biases = [n for n in forward
               if n.op == "parameter" and n.attrs["name"].rsplit(".", 1)[1].startswith("b")]
     assert biases

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,22 @@ def test_load_matches_reference_on_random_cells(tmp_path):
     ds = gd.load_dataset(write_dataset(tmp_path / "x", text, "",
                                        '{"train": [], "val": [], "test": []}'))
     assert ds.features.tobytes() == reference_features(text).tobytes()
+
+
+def test_row_normalisation_builds_no_table_sized_temporary():
+    # a Cora-shaped table: 2708 x 1433, about 1.3% of the cells non-zero
+    rng = np.random.default_rng(0)
+    table = (rng.random((2708, 1433)) < 0.013).astype(np.float64)
+    table[::7] *= -1.0
+    expected = table / np.abs(table).sum(axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        got = gd._l1_normalize_rows(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is table and got.tobytes() == expected.tobytes()
+    assert peak < table.nbytes / 4
 
 
 # the cells that read as zero but are not the literal 0.0 the loader skips,

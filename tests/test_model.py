@@ -541,6 +541,22 @@ def test_encode_divergence_names_layer_and_rows(rng, sbm_dataset):
     assert "rows" in message
 
 
+@pytest.mark.parametrize("layer", [0, 1])
+def test_a_chart_orbit_error_names_the_step_before_it(sbm_dataset, layer):
+    # Euler 0.5 over 1.5: the last step adds h·δ to the chart's s, with δ
+    # the field at the chart state after step 2
+    cfg = small_config(layers=2, variant="flexible",
+                       integration=IntegrationConfig("euler", 1.5, 0.5))
+    params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
+    z, _ = md.encode_nodes(params, cfg, sbm_dataset)
+    last = [n for n in eg._reachable([z])
+            if n.attrs.get("label") == f"layer{layer}.field chart state after step 3"]
+    (s_end,) = last  # the chart's a after the last step is read by no readout
+    field = s_end.inputs[1].inputs[0]
+    assert eg._whereabouts(field).endswith(
+        f" after 'layer{layer}.field chart state after step 2'")
+
+
 def test_per_node_energy_conservation_along_layers(rng):
     # desk-scale conservation: every node's orbit keeps its energy
     ds = gd.synth_dataset("sbm", sizes=(3, 3), p_in=0.8, p_out=0.2, seed=1)

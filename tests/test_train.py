@@ -229,6 +229,24 @@ def test_adam_converges_on_quadratic():
     assert abs(p.w[0, 0] - 3.0) <= 0.1
 
 
+@pytest.mark.parametrize("decay_biases", [False, True])
+def test_decay_biases_switches_the_decay_of_every_bias(sbm_dataset, decay_biases):
+    params = md.init_params(small_model(), sbm_dataset.num_features,
+                            sbm_dataset.num_classes, seed=0)
+    items = params.param_items()
+    biases = {name for name, _ in items if name.rsplit(".", 1)[1].startswith("b")}
+    assert biases and all(name.rsplit(".", 1)[1].startswith("w")
+                          for name, _ in items if name not in biases)
+    for _, arr in items:
+        arr[...] = 1.5
+    # with zero gradients a step is the decay alone
+    tr.adam_step(params, {name: np.zeros_like(arr) for name, arr in items},
+                 tr.AdamState(items), lr=0.1, weight_decay=0.5, decay_biases=decay_biases)
+    for name, arr in params.param_items():
+        kept = name in biases and not decay_biases
+        assert np.all(arr == (1.5 if kept else 1.5 - 0.1 * 0.5 * 1.5)), name
+
+
 def test_adam_weight_decay_is_decoupled():
     p = _OneTensor([[2.0]])
     state = tr.AdamState(p.param_items())
@@ -579,7 +597,7 @@ def test_fit_and_encode_digest_is_pinned(sbm_dataset, variant, task, digest):
 def test_flexible_training_graph_builds_no_half_zero_adjoint_sums(
         sbm_dataset, training_outputs):
     cfg = small_model()
-    nodes = eg._reachable(training_outputs(cfg, sbm_dataset)[0], lambda n: n.inputs)
+    nodes = eg._reachable(training_outputs(cfg, sbm_dataset)[0])
     assert not [n for n in nodes if n.op == "slice" and n.inputs[0].op == "concat"]
     # the energy net's first layer takes q and p apart, so no (n, 2d) state
     # q‖p is built; the one concat per layer is the adjoint of that layer's
@@ -672,7 +690,7 @@ def test_link_training_graph_holds_no_pair_sized_rows():
     ds, cfg = _link_sbm(), _link_model()
     outputs, _ = _link_training_outputs(cfg, ds)
     pairs = 2 * len(tr.make_link_split(ds, 0).train_edges)  # one negative per positive
-    graph = eg._reachable(outputs, lambda node: node.inputs)
+    graph = eg._reachable(outputs)
     assert not [n for n in graph if n.shape == (pairs, cfg.hidden_dim)]
     (scores,) = [n for n in graph if n.op == "pair-dot"]
     assert scores.shape == (pairs,)
