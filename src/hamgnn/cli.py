@@ -123,8 +123,7 @@ def build_configs(raw: dict) -> tuple[ModelConfig, TrainConfig, int]:
     model_cfg = config_from_dict(ModelConfig, raw.get("model", {}), "model",
                                  integration=integration)
     train_cfg = config_from_dict(TrainConfig, raw.get("train", {}), "train", seed=seed)
-    if train_cfg.task == "link" and model_cfg.decoder != "link":
-        raise ConfigError("link task needs the link decoder")
+    tr.check_decoder(model_cfg, train_cfg)
     return model_cfg, train_cfg, seed
 
 

@@ -177,8 +177,8 @@ def affine(x: Node, weight: Node, *, label: str | None = None) -> Node:
 
 def outer(u: Node, v: Node) -> Node:
     """The outer product of two vectors: ``u`` expanded over the columns times
-    the row ``v``, which are numpy's own ``np.outer`` multiplications; the
-    ``mul`` and ``expand`` rules give its derivative."""
+    ``v`` expanded over the rows, which are numpy's own ``np.outer``
+    multiplications; the ``mul`` and ``expand`` rules give its derivative."""
     if len(u.shape) != 1 or len(v.shape) != 1:
         raise ValueError("outer expects two vectors")
     return mul(expand(u, (u.shape[0], v.shape[0]), column=True), v)
@@ -447,31 +447,30 @@ def log_softmax(x: Node) -> Node:
     return _unary("log-softmax", x)
 
 
-def _broadcast_shape(a: tuple, b: tuple) -> tuple:
-    # Permitted: equal shapes, scalar with anything, row vector with matrix.
-    if a == b:
-        return a
-    if a == ():
-        return b
-    if b == ():
-        return a
-    if len(a) == 2 and b == (a[1],):
-        return a
-    if len(b) == 2 and a == (b[1],):
-        return b
-    raise ValueError(f"shapes {a} and {b} do not broadcast")
+def _elementwise(op: str, a: Node, b: Node) -> Node:
+    """``op`` of two operands of the node's shape: a scalar, or a ``(k,)`` row
+    of an ``(n, k)`` matrix, is first expanded to the other's shape, so the
+    only broadcast is an ``expand`` and its rule makes the only reduction."""
+    if a.shape != b.shape:
+        if a.shape == () or (len(b.shape) == 2 and a.shape == b.shape[1:]):
+            a = expand(a, b.shape)
+        elif b.shape == () or (len(a.shape) == 2 and b.shape == a.shape[1:]):
+            b = expand(b, a.shape)
+        else:
+            raise ValueError(f"shapes {a.shape} and {b.shape} do not broadcast")
+    return Node(op, (a, b), {}, a.shape)
 
 
 def add(a: Node, b: Node) -> Node:
-    return Node("elementwise-add", (a, b), {}, _broadcast_shape(a.shape, b.shape))
+    return _elementwise("elementwise-add", a, b)
 
 
 def mul(a: Node, b: Node) -> Node:
-    return Node("elementwise-mul", (a, b), {}, _broadcast_shape(a.shape, b.shape))
+    return _elementwise("elementwise-mul", a, b)
 
 
 def sub(a: Node, b: Node) -> Node:
-    return Node("elementwise-sub", (a, b), {}, _broadcast_shape(a.shape, b.shape))
+    return _elementwise("elementwise-sub", a, b)
 
 
 def scale(x: Node, factor: float) -> Node:
@@ -937,17 +936,6 @@ def forward(f: Node, bindings=None) -> Tensor:
 # derivative rules (graph-to-graph)
 
 
-def _reduce_to_shape(g: Node, shape: tuple) -> Node:
-    """Sum a broadcast adjoint back down to an operand's shape."""
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return reduce_sum(g)
-    if len(g.shape) == 2 and shape == (g.shape[1],):
-        return reduce_sum(g, axis=0)
-    raise AssertionError(f"cannot reduce {g.shape} to {shape}")
-
-
 def _vjp_affine(node, g):
     # y = x @ w: x_bar = g w^T and w_bar = x^T g, or outer products where an
     # operand is a vector
@@ -1007,7 +995,7 @@ def _vjp_expand(node, g):
     elif len(x.shape) == 2:
         gx = affine(constant(np.ones((1, node.shape[0]))), g)
     else:
-        gx = _reduce_to_shape(g, x.shape)
+        gx = reduce_sum(g, axis=0 if x.shape else None)
     return [gx]
 
 
@@ -1080,15 +1068,9 @@ _VJP = {
     "expand": _vjp_expand,
     "softmax": _vjp_softmax,
     "log-softmax": _vjp_log_softmax,
-    "elementwise-add": lambda node, g: [
-        _reduce_to_shape(g, node.inputs[0].shape),
-        _reduce_to_shape(g, node.inputs[1].shape)],
-    "elementwise-sub": lambda node, g: [
-        _reduce_to_shape(g, node.inputs[0].shape),
-        negate(_reduce_to_shape(g, node.inputs[1].shape))],
-    "elementwise-mul": lambda node, g: [
-        _reduce_to_shape(mul(g, node.inputs[1]), node.inputs[0].shape),
-        _reduce_to_shape(mul(g, node.inputs[0]), node.inputs[1].shape)],
+    "elementwise-add": lambda node, g: [g, g],
+    "elementwise-sub": lambda node, g: [g, negate(g)],
+    "elementwise-mul": lambda node, g: [mul(g, node.inputs[1]), mul(g, node.inputs[0])],
     "scale": lambda node, g: [scale(g, node.attrs["factor"])],
     "sum": _vjp_sum,
     "concat": _vjp_concat,

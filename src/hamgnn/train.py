@@ -24,7 +24,7 @@ from .model import ModelConfig, ModelParams
 __all__ = [
     "TrainConfig", "TrainHistory", "cross_entropy_node",
     "negative_sample", "AdamState", "adam_step", "roc_auc", "accuracy",
-    "make_link_split", "fit", "layer_configs", "layer_sweep",
+    "make_link_split", "check_decoder", "fit", "layer_configs", "layer_sweep",
 ]
 
 
@@ -291,6 +291,13 @@ def _param_leaves(params: ModelParams) -> list[Node]:
     return [eg.parameter(name, arr.shape) for name, arr in params.param_items()]
 
 
+def check_decoder(model_cfg: ModelConfig, train_cfg: TrainConfig) -> None:
+    """Raise unless the model decodes what the task trains: a classification
+    head for classification, link scores for link prediction."""
+    if model_cfg.decoder != train_cfg.task:
+        raise ValueError(f"{train_cfg.task} task needs the {train_cfg.task} decoder")
+
+
 def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
         dataset: GraphDataset, log=None) -> tuple[ModelParams, TrainHistory]:
     """Full-batch training with patience-based early stopping.
@@ -301,11 +308,10 @@ def fit(model_cfg: ModelConfig, train_cfg: TrainConfig,
     so far is returned.  ``log`` is called with one line per epoch when
     given.
     """
+    check_decoder(model_cfg, train_cfg)
     task = train_cfg.task
     link_split = None
     if task == "classification":
-        if model_cfg.decoder != "classification":
-            raise ValueError("classification training needs the classification decoder")
         for what, mask in (("training", dataset.train_mask),
                            ("validation", dataset.val_mask), ("test", dataset.test_mask)):
             if not mask.size:

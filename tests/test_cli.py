@@ -281,10 +281,13 @@ def test_eval_of_an_overflowing_compressor_exits_2_naming_the_layer(workdir, cap
     (["train", "--set", "dataset.x=1"], "cannot override through non-object key 'dataset'"),
     (["train", "--set", "extra=1"], "unknown key 'extra' in the config root"),
     (["train", "--set", "train.task=link"], "link task needs the link decoder"),
+    (["train", "--set", "model.decoder=link"],
+     "classification task needs the classification decoder"),
     (["sweep-layers", "--layers", " , "], "need at least one layer count"),
     (["sweep-layers", "--layers", "1,x"], "bad layer list '1,x'"),
 ], ids=["set-without-equals", "set-through-a-value", "unknown-root-key",
-        "link-task-class-decoder", "empty-layer-list", "non-integer-layer"])
+        "link-task-class-decoder", "class-task-link-decoder", "empty-layer-list",
+        "non-integer-layer"])
 def test_a_bad_command_line_fails_by_name(workdir, capsys, argv, message):
     command, *rest = argv
     assert main([command, "--config", str(workdir / "config.json"), *rest]) == 1

@@ -509,10 +509,19 @@ def test_only_the_planned_tanh_slopes_and_products_run_twice(training_outputs, m
             and {i.nid for i in n.inputs} <= steps}
     assert len(steps) == 6 and len(sums) == 3
     assert len(steps & set(planned)) == 4 and len(sums & set(planned)) == 2
-    # nothing else: the field adjoint's expanded (1, H) rows stay live with
-    # their views
-    assert set(planned) <= slopes | squares | products | steps | sums
-    assert len(planned) == 21
+    # and, only for the moment a planned δ runs again, its expanded energy
+    # weight row: the (1, H) product of the seed at the row's shape with
+    # that row, and the row's expand view; nothing else
+    by_id = {n.nid: n for n in order}
+    views = {by_id[d].inputs[0].nid for d in deltas}
+    rows = {by_id[v].inputs[0].nid for v in views}
+    assert all(by_id[r].op == "elementwise-mul" and by_id[r].shape[0] == 1 for r in rows)
+    _, redo = eg._plan(order, {o.nid for o in outputs})
+    transient = {nid for _, gone in redo.values() for nid in gone}
+    assert len(views & set(planned)) == len(rows & set(planned)) == 5
+    assert (views | rows) & set(planned) <= transient
+    assert set(planned) <= slopes | squares | products | steps | sums | views | rows
+    assert len(planned) == 31
     for g, e in zip(got, _dfs_evaluate(outputs, bindings)):
         assert g.tobytes() == e.tobytes()
 
@@ -760,17 +769,19 @@ def test_concurrent_training_evaluations_keep_their_bytes(training_outputs):
                                                    ((1, 3), False), ((4,), True)])
 def test_expand_is_a_zero_stride_view_with_an_exact_gradient(rng, operand_shape, column):
     u = eg.parameter("u", operand_shape)
-    e = eg.expand(u, (4, 3), column=column)
     uv = rng.normal(size=operand_shape)
-    expected = np.broadcast_to(uv[:, None] if column else uv, (4, 3))
-    view = eg._FORWARD["expand"](e, [uv])
-    assert 0 in view.strides and not view.flags.writeable
-    # an output that is an expand comes back as an array of its own
-    for got in (eg.evaluate(e, {"u": uv}), eg.evaluate([e, u], {"u": uv})[0]):
-        assert got.flags.owndata and got.flags.writeable
-        _assert_same_bits(got, expected)
-    f = eg.reduce_sum(eg.mul(eg.tanh(e), eg.constant(rng.normal(size=(4, 3)))))
-    assert eg.check_gradient(f, u, {"u": uv})["passed"]
+    # a scalar is also expanded to a vector, whose adjoint is a plain sum
+    for shape in [(4, 3), (3,)] if operand_shape == () else [(4, 3)]:
+        e = eg.expand(u, shape, column=column)
+        expected = np.broadcast_to(uv[:, None] if column else uv, shape)
+        view = eg._FORWARD["expand"](e, [uv])
+        assert 0 in view.strides and not view.flags.writeable
+        # an output that is an expand comes back as an array of its own
+        for got in (eg.evaluate(e, {"u": uv}), eg.evaluate([e, u], {"u": uv})[0]):
+            assert got.flags.owndata and got.flags.writeable
+            _assert_same_bits(got, expected)
+        f = eg.reduce_sum(eg.mul(eg.tanh(e), eg.constant(rng.normal(size=shape))))
+        assert eg.check_gradient(f, u, {"u": uv})["passed"]
 
 
 def test_expand_rejects_shapes_it_cannot_repeat():
@@ -788,12 +799,41 @@ def test_summed_energy_reaches_its_last_layer_as_an_expanded_row(rng, transposed
     energy = eg.reduce_sum(eg.affine(hidden, eg.transpose(w1) if transposed else w1))
     (field,) = eg.gradient_all(energy, [x])
     evaluated = eg._reachable([field])
-    assert [n.shape for n in evaluated if n.op == "expand"] == [(5, 6)]
+    # the seed at the row's shape, the row repeated over the nodes, and the
+    # tanh slope's 1.0
+    assert [n.shape for n in evaluated if n.op == "expand"] == [(1, 6), (5, 6), (5, 6)]
     assert all(1 not in n.inputs[0].shape for n in evaluated if n.op == "affine")
     binds = {"x": rng.normal(size=(5, 4)), "w1": rng.normal(size=w1.shape)}
     target = eg.reduce_sum(eg.mul(field, field))
     for leaf in (x, w1):
         assert eg.check_gradient(target, leaf, binds)["passed"]
+
+
+def test_add_sub_and_mul_broadcast_only_through_expand():
+    mat, row, scalar = (eg.parameter(k, s) for k, s in (("m", (4, 3)), ("r", (3,)), ("s", ())))
+    for build in (eg.add, eg.sub, eg.mul):
+        for a, b in ((mat, row), (row, mat), (scalar, mat), (row, scalar), (mat, mat)):
+            node = build(a, b)
+            assert [i.shape for i in node.inputs] == [node.shape] * 2
+            for operand, given in zip(node.inputs, (a, b)):
+                assert operand is given or (operand.op == "expand"
+                                            and operand.inputs == (given,))
+        for a, b in ((mat, eg.parameter("c", (4,))), (row, eg.parameter("t", (1, 4)))):
+            with pytest.raises(ValueError, match="do not broadcast"):
+                build(a, b)
+
+
+@pytest.mark.parametrize("variant", sorted(ham.VARIANTS))
+def test_every_elementwise_node_reads_operands_of_its_own_shape(
+        sbm_dataset, training_outputs, variant):
+    small = variant == "symplectic"  # its field takes a Jacobian row by row
+    cfg = ModelConfig(hidden_dim=4 if small else 8, layers=2, net_hidden=4 if small else 8,
+                      variant=variant)
+    nodes = eg._reachable(training_outputs(cfg, sbm_dataset)[0])
+    elementwise = [n for n in nodes if n.op in {"elementwise-add", "elementwise-sub",
+                                                 "elementwise-mul"}]
+    assert elementwise
+    assert not [n for n in elementwise if any(i.shape != n.shape for i in n.inputs)]
 
 
 def test_negations_fold_into_scales_bit_for_bit():
@@ -845,9 +885,16 @@ def test_negated_product_flips_the_operand_of_its_expanded_factor(column):
 def test_tanh_slope_adjoints_negate_rows_not_arrays(sbm_dataset, training_outputs):
     cfg = ModelConfig(hidden_dim=4, layers=2, net_hidden=6, variant="flexible")
     outputs, bindings = training_outputs(cfg, sbm_dataset)
-    negations = [n.shape for n in eg._reachable(outputs)
-                 if n.op == "scale" and n.attrs["factor"] == -1.0]
-    assert (sbm_dataset.n, 6) not in negations and (1, 6) in negations
+    nodes = eg._reachable(outputs)
+    negations = [n for n in nodes if n.op == "scale" and n.attrs["factor"] == -1.0]
+    assert not [n for n in negations if n.shape[:1] == (sbm_dataset.n,)]
+    # the sign of a slope's adjoint goes through its expanded energy weight
+    # row onto the seed, which the row's product reads expanded to (1, 6)
+    scalars = [n for n in negations if n.shape == ()]
+    assert scalars and all(n.inputs[0].op == "constant" for n in scalars)
+    for scalar in scalars:
+        (seed,) = [n for n in nodes if scalar in n.inputs]
+        assert seed.op == "expand" and seed.shape == (1, 6)
     _assert_same_bytes(outputs, bindings)
 
 
@@ -1625,5 +1672,7 @@ def test_every_network_layer_is_products_plus_one_bias_add(
               if n.op == "parameter" and n.attrs["name"].rsplit(".", 1)[1].startswith("b")]
     assert biases
     for bias in biases:
-        (reader,) = [n for n in forward if bias in n.inputs]
-        assert reader.op == "elementwise-add" and reader.inputs[1] is bias
+        (row,) = [n for n in forward if bias in n.inputs]
+        assert row.op == "expand" and row.shape[1:] == bias.shape
+        (reader,) = [n for n in forward if row in n.inputs]
+        assert reader.op == "elementwise-add" and reader.inputs[1] is row

@@ -472,6 +472,17 @@ def test_fit_rejects_an_empty_mask_before_building_a_graph(
         tr.fit(small_model(), TrainConfig(max_epochs=2, patience=2), ds)
 
 
+@pytest.mark.parametrize("task, decoder", [("link", "classification"),
+                                           ("classification", "link")])
+def test_fit_rejects_a_decoder_its_task_does_not_read_before_building_a_graph(
+        sbm_dataset, monkeypatch, task, decoder):
+    monkeypatch.setattr(md, "encode_nodes", None)  # a call would raise TypeError
+    monkeypatch.setattr(md, "init_params", None)
+    with pytest.raises(ValueError, match=f"^{task} task needs the {task} decoder$"):
+        tr.fit(small_model(decoder=decoder),
+               TrainConfig(max_epochs=2, patience=2, task=task), sbm_dataset)
+
+
 def test_a_link_split_without_validation_pairs_fails_by_edge_count(monkeypatch):
     grid = gd.synth_dataset("grid", width=3, height=3)  # 12 edges: 5% is 0.6
     cfg = small_model(decoder="link")
@@ -557,7 +568,9 @@ def test_history_csv(tmp_path, sbm_dataset):
 # classification losses and one link loss moved, by at most 2 ulp, and no
 # test metric did.  A re-pinned entry takes its variant and task as its test
 # id, so a later re-pin does not rename it; the others keep the id pytest
-# derives until their next re-pin.
+# derives until their next re-pin.  The convex, relaxed, geodesic_relaxed and
+# higher_dim entries were pinned before broadcasts became explicit expands,
+# so that change is checked to keep the training bits of all eight variants.
 # The symplectic variant is kept small: its field takes a Jacobian row by row.
 FIT_DIGESTS = [
     pytest.param("flexible", "classification",
@@ -575,6 +588,18 @@ FIT_DIGESTS = [
     ("vanilla_ode", "classification",
      "c3c559194fc38600b87b996fd7af683753f98b535f3ba9bf7334f53cd358b0b7"),
     ("vanilla_ode", "link", "9d8b520a5e47d611aad49359b700806f1ebd9c237203e7b12ecc00328bef9484"),
+    pytest.param("convex", "classification",
+                 "27d9b76adec1169aebc6cab3b69ace3aedbe08bcdd8a0e734d2660c7d42e5155",
+                 id="convex-classification"),
+    pytest.param("relaxed", "classification",
+                 "3d22f67d8709af0a5f6f8b21ce831939fd74c7d024b5d1d63eb04ebecc884fc7",
+                 id="relaxed-classification"),
+    pytest.param("geodesic_relaxed", "classification",
+                 "01c22ccc0497e2576c299194e94f4937eb342270c0e4c4657e3404dbe746b5ab",
+                 id="geodesic_relaxed-classification"),
+    pytest.param("higher_dim", "classification",
+                 "12d3c27f79f8bd3aaf9b00f9af1808d4d032040564dcb889ddc24b5c09f2a73e",
+                 id="higher_dim-classification"),
 ]
 
 
@@ -621,9 +646,12 @@ def _is_ones(node):
 
 def _is_outer(node):
     """Whether ``node`` is an ``outer(u, v)``: a column-expanded ``u`` times
-    the row ``v``."""
-    return (node.op == "elementwise-mul" and node.inputs[0].op == "expand"
-            and node.inputs[0].attrs["column"] and len(node.inputs[1].shape) == 1)
+    the row ``v`` expanded over the rows."""
+    if node.op != "elementwise-mul":
+        return False
+    u, v = node.inputs
+    return (u.op == v.op == "expand" and u.attrs["column"] and not v.attrs["column"]
+            and len(v.inputs[0].shape) == 1)
 
 
 def _link_training_outputs(cfg, dataset):
@@ -650,7 +678,7 @@ def test_training_graph_evaluates_no_materialised_broadcast(
     # row, not as a K = 1 product of a ones column with that layer's weight
     assert not [n for n in evaluated if n.op == "affine" and _inner_dim(n) == 1]
     assert not [n for n in evaluated if _is_outer(n) and (
-        _is_ones(n.inputs[0].inputs[-1]) or _is_ones(n.inputs[1]))]
+        _is_ones(n.inputs[0].inputs[0]) or _is_ones(n.inputs[1].inputs[0]))]
     assert "expand" in {n.op for n in evaluated}
     # one tanh slope per tanh node, shared by the field and the training sweep
     squares = [n.inputs[0] for n in evaluated
