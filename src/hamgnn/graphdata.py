@@ -243,8 +243,10 @@ def _parse_features(cells: list, linenos: list, header: list) -> np.ndarray:
     after ``id,label``, and ``linenos`` its line in nodes.csv.  A cell that
     reads exactly ``0.0`` (what ``save_dataset`` writes for +0.0) is +0.0,
     as numpy's C reader would give; byte compares find those, and only the
-    other cells go through the reader, one line per block of rows.  An
-    unparsable or non-finite cell is reported by its line and header column.
+    other cells go through the reader, one line per block of rows.  The same
+    scan counts each row's commas, so a ragged row is reported by its line
+    before its block's cells are read.  An unparsable or non-finite cell is
+    reported by its line and header column.
     """
     n_features = len(header) - 2
     features = np.zeros((len(linenos), n_features))
@@ -252,9 +254,18 @@ def _parse_features(cells: list, linenos: list, header: list) -> np.ndarray:
     for first in range(0, len(cells), _FEATURE_BLOCK_ROWS):
         # a comma leads the block and closes every cell, so a cell is 0.0
         # exactly where the bytes read ",0.0,"
-        text = ("," + ",".join(cells[first:first + _FEATURE_BLOCK_ROWS]) + ",").encode()
-        b = np.frombuffer(text, dtype=np.uint8)
+        block = [cell.encode() for cell in cells[first:first + _FEATURE_BLOCK_ROWS]]
+        b = np.frombuffer(b"," + b",".join(block) + b",", dtype=np.uint8)
         comma, zero = b == _COMMA, b == _ZERO
+        # a row's commas: the one before its first cell and those between
+        # its cells, one per feature
+        starts = np.cumsum([0] + [len(row) + 1 for row in block[:-1]])
+        row_commas = np.add.reduceat(comma[:-1], starts, dtype=np.int32)
+        ragged = np.flatnonzero(row_commas != n_features)
+        if ragged.size:
+            r = ragged[0]
+            raise ValueError(f"ragged feature row at line {linenos[first + r]}: "
+                             f"{row_commas[r]} features, expected {n_features}")
         zero_cell = comma[:-4] & zero[1:-3] & (b[2:-2] == _DOT) & zero[3:-1] & comma[4:]
         drop = np.zeros(b.size, dtype=bool)  # each 0.0 cell and its closing comma
         for k in range(1, 5):
@@ -313,17 +324,19 @@ def load_dataset(path) -> GraphDataset:
     if header[:2] != ["id", "label"]:
         raise ValueError("nodes.csv header must start with 'id,label'")
     n_features = len(header) - 2
-    # one Python pass checks each row's shape, id and label and keeps its
-    # line; the feature cells are then parsed together
+    # one Python pass checks each row's id and label and keeps its line; the
+    # feature cells are then parsed together, a block scan that also finds
+    # the ragged rows among those that reach a feature cell
     linenos, labels, cells = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row.strip():
             continue
-        if row.count(",") - 1 != n_features:
+        parts = row.split(",", 2)
+        if len(parts) != (3 if n_features else 2):
             raise ValueError(
                 f"ragged feature row at line {lineno}: {row.count(',') - 1} features,"
                 f" expected {n_features}")
-        node_id, label, *rest = row.split(",", 2)
+        node_id, label, *rest = parts
         node_id = _int_cell(node_id, "node id", lineno)
         if node_id != len(linenos):
             raise ValueError(

@@ -127,11 +127,12 @@ class HamiltonianSpec:
         """The variant without its terms that break energy conservation by design."""
         return self
 
-    def chart(self, q0: Node, p0: Node, prefix: str):
+    def chart(self, q0: Node, p0: Node, prefix: str, momentum=None):
         """The coordinates the solver moves the orbit from (q0, p0) in: the
         field owner, whose ``field_nodes`` gives the chart state's rate, the
         start state, and the readout of a chart state to (q, p).  By default
-        the canonical coordinates themselves."""
+        the canonical coordinates themselves.  ``momentum``, when given, is
+        the ``(net, name)`` of the one linear layer that made p0 from q0."""
         return self, q0, p0, _identity
 
 
@@ -250,16 +251,33 @@ class FlexibleHamiltonian(_EnergySpec):
         out = self.energy_net.graph([q, p], f"{prefix}.energy")
         return eg.reduce_sum(out)
 
-    def chart(self, q0: Node, p0: Node, prefix: str):
+    def chart(self, q0: Node, p0: Node, prefix: str, momentum=None):
         """First-layer coordinates: with a = q Wqᵀ + p Wpᵀ + b the energy
         net's first pre-activation and H(q, p) = E(a), the canonical flow is
         ȧ = ∇E(a)·A with the constant skew A = Wp Wqᵀ − Wq Wpᵀ, and
         q = q0 + s·Wp, p = p0 − s·Wq with s = ∫∇E(a) dt.  A field step
-        costs one (n, H)×(H, H) product; s starts as a zero fill."""
+        costs one (n, H)×(H, H) product; s starts as a zero fill.
+
+        With ``momentum = (net, mname)``, p0 = q0 Wmᵀ + bm, and the two maps
+        compose on the parameters before they meet the rows: a0 = q0·C + c
+        with C = Wqᵀ + Wmᵀ Wpᵀ and c = bm Wpᵀ + b, one (n, d)×(d, H)
+        product labelled as the momentum layer, and p0 is read only by the
+        readout's p."""
         name = f"{prefix}.energy"
-        a0 = self.energy_net.layer_node(0, [q0, p0], name)
         w0 = eg.parameter(f"{name}.w0", self.energy_net.layers[0][0].shape)
         wq, wp = eg.narrow(w0, 0, self.q_dim), eg.narrow(w0, self.q_dim, 2 * self.q_dim)
+        if momentum is None:
+            a0 = self.energy_net.layer_node(0, [q0, p0], name)
+        else:
+            net, mname = momentum
+            [(w, b, act)] = net.layers
+            if act is not None:
+                raise ValueError("only a linear momentum map folds into the chart")
+            wm, bm = eg.parameter(f"{mname}.w0", w.shape), eg.parameter(f"{mname}.b0", b.shape)
+            b0 = eg.parameter(f"{name}.b0", self.energy_net.layers[0][1].shape)
+            start = eg.transpose(eg.add(wq, eg.affine(wp, wm)))
+            a0 = eg.add(eg.affine(q0, start, label=f"{mname} layer 0"),
+                        eg.add(eg.affine(bm, eg.transpose(wp)), b0))
         m = eg.affine(wp, eg.transpose(wq))
         skew = eg.sub(m, eg.transpose(m))  # M − Mᵀ: skew in every bit
 

@@ -159,9 +159,11 @@ def encode_nodes(params: ModelParams, cfg: ModelConfig,
     h.attrs["label"] = "compress layer 0"
     mean = dataset.mean_matrix
     for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
-        p = qnet.graph(h, f"layer{i}.momentum")
-        states = integrate_nodes(spec, h, p, cfg.integration,
-                                 prefix=f"layer{i}.field")
+        # a first-layer chart folds the momentum map into its start, so p
+        # is built but runs only where a variant's orbit reads it
+        name = f"layer{i}.momentum"
+        states = integrate_nodes(spec, h, qnet.graph(h, name), cfg.integration,
+                                 prefix=f"layer{i}.field", momentum=(qnet, name))
         q_end = states[-1][0]
         q_end.attrs["label"] = f"layer {i} orbit end"
         h = eg.add(q_end, eg.sparse_matmul(q_end, mean, label="neighbor mean"))

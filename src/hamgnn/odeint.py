@@ -83,7 +83,7 @@ def _axpy(state: Node, rate: Node, h: float) -> Node:
 
 
 def integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
-                    prefix: str = "field") -> list[tuple[Node, Node]]:
+                    prefix: str = "field", momentum=None) -> list[tuple[Node, Node]]:
     """Unrolled solver: graph nodes for every stored state, t = 0 .. T.
 
     Works for a single state (vector nodes) or a batch (matrix nodes, one row
@@ -92,9 +92,11 @@ def integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
     solver moves the state the spec's ``chart`` gives, and every stored
     state is that chart's readout in (q, p).  The chart state after step k,
     which step k + 1 reads, is labelled ``{prefix} chart state after step k``.
+    ``momentum`` is the ``(net, name)`` of the linear map that made p0 from
+    q0, which a chart may fold into its start (``FlexibleHamiltonian.chart``).
     """
     h = cfg.effective_step
-    owner, x, y, readout = spec.chart(q0, p0, prefix)
+    owner, x, y, readout = spec.chart(q0, p0, prefix, momentum)
     states = [(q0, p0)]
     for k in range(cfg.n_steps):
         if cfg.method == "euler":

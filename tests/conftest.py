@@ -84,12 +84,13 @@ def new_spec():
 
 @pytest.fixture
 def training_outputs():
-    """``training_outputs(cfg, dataset)``: what one classification epoch of
-    ``fit`` evaluates (loss, embeddings, every parameter gradient in
-    ``param_items`` order, logits) and the bindings of fresh parameters."""
-    def build(cfg, dataset):
+    """``training_outputs(cfg, dataset, encode_nodes=md.encode_nodes)``: what
+    one classification epoch of ``fit`` evaluates (loss, embeddings, every
+    parameter gradient in ``param_items`` order, logits) and the bindings of
+    fresh parameters."""
+    def build(cfg, dataset, encode_nodes=md.encode_nodes):
         params = md.init_params(cfg, dataset.num_features, dataset.num_classes, seed=0)
-        z, _ = md.encode_nodes(params, cfg, dataset)
+        z, _ = encode_nodes(params, cfg, dataset)
         logits = params.head.graph(z, "head")
         loss = tr.cross_entropy_node(logits, dataset.labels, dataset.train_mask)
         leaves = [eg.parameter(name, arr.shape) for name, arr in params.param_items()]

@@ -15,7 +15,9 @@ the exact hyperbolicity loop scores one quadruple at a time, as
 the pair chains score and scatter node pairs through numpy's (pairs, d) row
 tables, as the link loss did before ``pair_dot`` and ``pair_scatter``; and the
 canonical orbit graph moves every spec's orbit in (q, p), as the solver did
-before the MLP energies moved theirs in the energy net's first-layer chart.
+before the MLP energies moved theirs in the energy net's first-layer chart;
+and the unfolded encoder starts each chart from the momentum map's (n, d)
+output, as the model did before it folded that map into the chart's start.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from hamgnn import engine as eg
 from hamgnn import graphdata as gd
 from hamgnn import hamiltonian as ham
 from hamgnn import model as md
+from hamgnn import odeint as oi
 from hamgnn.engine import MlpParams, Node
 from hamgnn.graphdata import GraphDataset
 from hamgnn.odeint import IntegrationConfig
@@ -227,20 +230,32 @@ def canonical_integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
     return states
 
 
-def canonical_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, dict]:
+def _orbit_encode_nodes(integrate_nodes, params, cfg, dataset) -> tuple[Node, dict]:
     """``model.encode_nodes`` with every layer's orbit from
-    ``canonical_integrate_nodes``."""
+    ``integrate_nodes(spec, h, p0, cfg, prefix)``, p0 = qnet(h)."""
     [(w, b, _)] = params.compressor.layers
     h = eg.add(eg.sparse_matmul(eg.transpose(eg.parameter("compress.w0", w.shape)),
                                 dataset.feature_matrix),
                eg.parameter("compress.b0", b.shape))
     for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
         p = qnet.graph(h, f"layer{i}.momentum")
-        states = canonical_integrate_nodes(spec, h, p, cfg.integration,
-                                           prefix=f"layer{i}.field")
+        states = integrate_nodes(spec, h, p, cfg.integration, prefix=f"layer{i}.field")
         q_end = states[-1][0]
         h = eg.add(q_end, eg.sparse_matmul(q_end, dataset.mean_matrix))
     return h, params.bindings()
+
+
+def canonical_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, dict]:
+    """``model.encode_nodes`` with every layer's orbit from
+    ``canonical_integrate_nodes``."""
+    return _orbit_encode_nodes(canonical_integrate_nodes, params, cfg, dataset)
+
+
+def unfolded_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, dict]:
+    """``model.encode_nodes`` with each layer's orbit handed p0 = qnet(h) and
+    not the momentum net, so a first-layer chart starts from
+    a0 = h Wqᵀ + p0 Wpᵀ + b."""
+    return _orbit_encode_nodes(oi.integrate_nodes, params, cfg, dataset)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,30 @@ def test_load_rejects_ragged_rows(tmp_path):
         gd.load_dataset(p)
 
 
+@pytest.mark.parametrize("widths, line, count", [
+    ({70: 3}, 72, 3), ({70: 1}, 72, 1), ({70: 0}, 72, 0),
+    ({70: 3, 71: 1}, 72, 3), ({140: 1, 150: 3}, 142, 1)],
+    ids=["long", "short", "no-cell", "long-then-short", "third-block"])
+def test_load_reports_a_ragged_row_past_the_first_block_by_its_line(
+        tmp_path, widths, line, count):
+    # 160 rows of two features: the scan reads 64 rows at a time, and a long
+    # row next to a short one leaves their block's comma total right
+    cells = ["0.0", "0.5", "1.0"]
+    rows = [",".join([str(i), "0", *cells[:widths.get(i, 2)]]) for i in range(160)]
+    p = write_dataset(tmp_path / "x", "id,label,f0,f1\n" + "\n".join(rows) + "\n",
+                      "", PATH3_SPLITS)
+    with pytest.raises(ValueError, match=f"^ragged feature row at line {line}: "
+                                         f"{count} features, expected 2$"):
+        gd.load_dataset(p)
+
+
+def test_load_rejects_a_feature_cell_when_the_header_has_none(tmp_path):
+    p = write_dataset(tmp_path / "x", "id,label\n0,0\n1,1,0.5\n", "", PATH3_SPLITS)
+    with pytest.raises(ValueError, match="^ragged feature row at line 3: 1 features, "
+                                         "expected 0$"):
+        gd.load_dataset(p)
+
+
 def test_load_rejects_out_of_order_ids(tmp_path):
     nodes = "id,label,f0,f1\n0,0,1.0,0.0\n0,1,0.5,0.5\n2,0,0.0,2.0\n"
     p = write_dataset(tmp_path / "x", nodes, "", PATH3_SPLITS)

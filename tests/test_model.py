@@ -20,7 +20,8 @@ from hamgnn.hamiltonian import PhaseState
 from hamgnn.model import ModelConfig
 from hamgnn.odeint import IntegrationConfig
 from oracles import (LOGISTIC_GRID, baseline_mlp_nodes, baseline_mlp_params,
-                     canonical_encode_nodes, dense_encode_nodes, three_pass_logistic)
+                     canonical_encode_nodes, dense_encode_nodes, three_pass_logistic,
+                     unfolded_encode_nodes)
 
 
 def affine_rows(net, name, x):
@@ -441,6 +442,59 @@ def test_encode_matches_the_canonical_orbit_reference(sbm_dataset, variant, meth
     assert len(got) == len(want) == 1 + len(params.param_items())
     for name, g, w in zip(["z", *params.bindings()], got, want):
         assert eg.relative_error(g, w) <= 1e-12, name
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("variant", ["flexible", "convex"])
+def test_folded_chart_start_matches_the_unfolded_one(
+        sbm_dataset, training_outputs, variant, method):
+    cfg = small_config(variant=variant, integration=IntegrationConfig(method, 1.0, 0.5))
+    got, bindings = training_outputs(cfg, sbm_dataset)
+    want, _ = training_outputs(cfg, sbm_dataset, unfolded_encode_nodes)
+    params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
+    names = ["loss", "z", *params.bindings(), "logits"]
+    assert len(got) == len(want) == len(names)
+    for name, g, w in zip(names, eg.evaluate(got, bindings), eg.evaluate(want, bindings)):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+
+def test_only_a_linear_momentum_map_folds_into_the_chart(rng, new_spec):
+    spec = new_spec("flexible", 4, 6, rng)
+    q0, p0 = eg.parameter("q0", (5, 4)), eg.parameter("p0", (5, 4))
+    net = eg.MlpParams.init((4, 4), ("tanh",), rng)
+    with pytest.raises(ValueError, match="only a linear momentum map folds"):
+        spec.chart(q0, p0, "field", (net, "momentum"))
+
+
+def _viewed(node):
+    while node.op in eg._VIEWS:
+        node = node.inputs[0]
+    return node
+
+
+@pytest.mark.parametrize("variant, products, at_parent",
+                         [("flexible", 25, 37), ("convex", 49, 61)])
+def test_no_graph_holds_the_momentum_rows(sbm_dataset, training_outputs,
+                                          variant, products, at_parent):
+    # the momentum map folds into the chart's start on the parameters, so
+    # no node with the dataset's rows reads a momentum weight or bias
+    cfg = small_config(variant=variant)
+    outputs, _ = training_outputs(cfg, sbm_dataset)
+    params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
+    z, _ = md.encode_nodes(params, cfg, sbm_dataset)
+    n = sbm_dataset.n
+    for graph in (outputs, [z]):
+        nodes = eg._reachable(graph)
+        momentum = [node for node in nodes
+                    if node.op == "parameter" and ".momentum." in node.attrs["name"]]
+        assert len(momentum) == 2 * cfg.layers
+        assert not [node for node in nodes if node.shape[:1] == (n,)
+                    and any(_viewed(i) in momentum for i in node.inputs)]
+    # six n-row products fewer per layer: the momentum product, one of the
+    # start's two, their two adjoints and two of the three weight gradients
+    rows = [node for node in eg._reachable(outputs)
+            if node.op == "affine" and n in {i.shape[0] for i in node.inputs}]
+    assert len(rows) == products == at_parent - 6 * cfg.layers
 
 
 def test_encode_peak_memory_stays_below_the_feature_table(rng):

@@ -571,13 +571,17 @@ def test_history_csv(tmp_path, sbm_dataset):
 # derives until their next re-pin.  The convex, relaxed, geodesic_relaxed and
 # higher_dim entries were pinned before broadcasts became explicit expands,
 # so that change is checked to keep the training bits of all eight variants.
+# The flexible and convex digests were re-pinned when the momentum map came
+# to fold into the chart's start: one flexible link loss moved by 1 ulp and
+# one convex loss by 2, the flexible classification losses kept their bits
+# (its embeddings did not), and no test metric moved.
 # The symplectic variant is kept small: its field takes a Jacobian row by row.
 FIT_DIGESTS = [
     pytest.param("flexible", "classification",
-                 "cfda48b3692870d142b44c7e6f16fbfc25b720d1eea7a7b824fe7d8201a9c6c0",
+                 "50251a177baeb080340246e11ea0c8de0611a65af45467d7c08642d2da0d7a38",
                  id="flexible-classification"),
     pytest.param("flexible", "link",
-                 "e19692ff5234ac84ed2b90032d961228a7fb5bd05485b07399a526140fd5a7d1",
+                 "a21dca4f26b7a3bce7bbb2186807da88b59a9683a7cfaa23d3a8144b6893a1a5",
                  id="flexible-link"),
     ("geodesic", "classification",
      "0b971822b04748a4f877c0daa5823779115d47cb421891b5b1c2b71aec142922"),
@@ -589,7 +593,7 @@ FIT_DIGESTS = [
      "c3c559194fc38600b87b996fd7af683753f98b535f3ba9bf7334f53cd358b0b7"),
     ("vanilla_ode", "link", "9d8b520a5e47d611aad49359b700806f1ebd9c237203e7b12ecc00328bef9484"),
     pytest.param("convex", "classification",
-                 "27d9b76adec1169aebc6cab3b69ace3aedbe08bcdd8a0e734d2660c7d42e5155",
+                 "051ea1c1f40f1bfaf5cec1591173ffe4555d72fbfcd46070cf36479b9438f32a",
                  id="convex-classification"),
     pytest.param("relaxed", "classification",
                  "3d22f67d8709af0a5f6f8b21ce831939fd74c7d024b5d1d63eb04ebecc884fc7",
