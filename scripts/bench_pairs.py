@@ -4,15 +4,16 @@ alternating pairs, and summarise the end-to-end metrics.
 
 Usage:
     python scripts/bench_pairs.py --parent REF --workload cora-class \
-        [--seed 1 --pairs 5 --seconds 40]
+        [--seed 1 --pairs 5]
 
 Run from anywhere inside a git checkout.  The parent ref and the working
 tree (tracked and untracked files that git does not ignore, as ``git add
 -A`` would stage them) are exported with ``git archive`` into a temporary
 directory, so each side runs from its own clean copy.  Pair k runs
 ``perfbench/run.py --workload W --seed S --seconds T`` once on each side:
-odd pairs run the parent first, even pairs the change.  The metrics and
-their better direction are those ``BENCHMARK.json`` lists as end to end.
+odd pairs run the parent first, even pairs the change.  The run length T,
+the metrics and their better direction are those ``BENCHMARK.json`` gives:
+its ``run_seconds`` and its end-to-end metrics.
 
 The output is one JSON object: per metric, both medians, the pairs the
 change won (strictly better) and those it tied, the interquartile range of
@@ -101,7 +102,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=40.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -109,6 +109,7 @@ def main(argv=None) -> int:
     repo = Path(_git(["rev-parse", "--show-toplevel"], Path.cwd()))
     spec = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    seconds = spec["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         scratch = Path(tmp)
         sides = {"parent": scratch / "parent", "change": scratch / "change"}
@@ -117,12 +118,12 @@ def main(argv=None) -> int:
         pairs = []
         for k in range(1, args.pairs + 1):
             order = ("parent", "change") if k % 2 else ("change", "parent")
-            result = {side: _run(sides[side], args.workload, args.seed, args.seconds)
+            result = {side: _run(sides[side], args.workload, args.seed, seconds)
                       for side in order}
             pairs.append((result["parent"], result["change"]))
             print(f"pair {k}/{args.pairs} done", file=sys.stderr)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "parent": args.parent,
-                      "seconds": args.seconds, **summarize(pairs, metrics)}))
+                      "seconds": seconds, **summarize(pairs, metrics)}))
     return 0
 
 

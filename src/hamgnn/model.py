@@ -160,7 +160,9 @@ def encode_nodes(params: ModelParams, cfg: ModelConfig,
     mean = dataset.mean_matrix
     for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
         # a first-layer chart folds the momentum map into its start, so p
-        # is built but runs only where a variant's orbit reads it
+        # is built but runs only where a variant's orbit reads it.  Its
+        # product and the folded one share the label "{name} layer 0", which
+        # is unique only among the nodes reachable from the output
         name = f"layer{i}.momentum"
         states = integrate_nodes(spec, h, qnet.graph(h, name), cfg.integration,
                                  prefix=f"layer{i}.field", momentum=(qnet, name))

@@ -1664,7 +1664,8 @@ def test_a_one_part_layer_is_a_product_then_a_bias_add(rng):
 @pytest.mark.parametrize("variant", ["flexible", "convex", "geodesic"])
 def test_every_network_layer_is_products_plus_one_bias_add(
         sbm_dataset, training_outputs, variant):
-    cfg = ModelConfig(hidden_dim=4, layers=2, net_hidden=4, variant=variant)
+    # d = 3 and H = 4, so a row of the wrong width cannot pass for the other
+    cfg = ModelConfig(hidden_dim=3, layers=2, net_hidden=4, variant=variant)
     outputs = training_outputs(cfg, sbm_dataset)[0]
     nodes = eg._reachable(outputs)
     assert all(len(n.inputs) == 2 for n in nodes if n.op == "affine")
@@ -1673,15 +1674,36 @@ def test_every_network_layer_is_products_plus_one_bias_add(
     biases = [n for n in forward
               if n.op == "parameter" and n.attrs["name"].rsplit(".", 1)[1].startswith("b")]
     assert biases
-    # each n-row bias add reads one expand of a bias vector: the bias, or
-    # in a folded chart start c = bm Wpᵀ + b, which both biases reach
-    rows = sbm_dataset.n
-    bias_adds = [n for n in forward if n.op == "elementwise-add" and n.shape[:1] == (rows,)
-                 and any(i.op == "expand" and len(i.inputs[0].shape) == 1 for i in n.inputs)]
-    for add in bias_adds:
-        (row,) = [i for i in add.inputs if i.op == "expand"]
-        assert add.inputs[1] is row and row.shape[1:] == row.inputs[0].shape
+
+    def readers(node):
+        return [n for n in forward if node in n.inputs]
+
+    def expanded_into_its_add(vector):
+        (row,) = readers(vector)
+        assert row.op == "expand" and row.shape[1:] == vector.shape
+        (add,) = readers(row)
+        assert add.op == "elementwise-add" and add.inputs[1] is row
+        return add
+
+    # a folded chart start a0 = h·C + c reads its two biases through the
+    # (H,) vector c = bm·Wpᵀ + b0, which is expanded into the one bias add
+    folded = ({f"layer{i}.{part}.b0" for i in range(cfg.layers)
+               for part in ("momentum", "field.energy")}
+              if variant in ("flexible", "convex") else set())
     for bias in biases:
-        (reader,) = [add for add in bias_adds
-                     if bias in eg._reachable([add.inputs[1].inputs[0]])]
-        assert reader.inputs[1].shape[1:] == bias.shape[-1:]
+        name = bias.attrs["name"]
+        if name not in folded:
+            expanded_into_its_add(bias)
+            continue
+        (reader,) = readers(bias)
+        if name.endswith("momentum.b0"):
+            assert reader.op == "affine" and reader.inputs[0] is bias
+            assert reader.shape == (cfg.field_hidden,)
+            (c,) = readers(reader)
+        else:
+            c = reader
+        layer = name.split(".", 1)[0]
+        assert c.op == "elementwise-add" and c.shape == (cfg.field_hidden,)
+        assert c.inputs[1].attrs.get("name") == f"{layer}.field.energy.b0"
+        assert expanded_into_its_add(c).shape == (sbm_dataset.n, cfg.field_hidden)
+    assert len([b for b in biases if b.attrs["name"] in folded]) == len(folded)
