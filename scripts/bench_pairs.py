@@ -17,8 +17,12 @@ its ``run_seconds`` and its end-to-end metrics.
 
 The output is one JSON object: per metric, both medians, the pairs the
 change won (strictly better) and those it tied, the interquartile range of
-the parent's runs and the change's median relative to the parent's; and
-every run's ``correct`` and ``failed``.
+the parent's runs, the change's median relative to the parent's, and
+whether the gain rule holds (``gain``: the change won at least 9 pairs in
+10, and its median is better than the parent's by more than the parent's
+interquartile range); and every run's ``correct`` and ``failed``.  The
+script exits 1, naming the pair and the side on stderr, if a run was not
+correct or reported failed operations.
 """
 
 from __future__ import annotations
@@ -51,16 +55,25 @@ def summarize(pairs: list, metrics: list) -> dict:
                      if len(parent) > 1 else (parent[0],) * 3)
         sign = 1.0 if better == "lower" else -1.0
         p50, c50 = statistics.median(parent), statistics.median(change)
+        wins = sum(sign * (c - p) < 0 for p, c in both)
         out[name] = {"parent_median": p50, "change_median": c50,
                      "change_over_parent": c50 / p50 - 1.0 if p50 else None,
-                     "wins": sum(sign * (c - p) < 0 for p, c in both),
-                     "ties": sum(c == p for p, c in both),
-                     "pairs": len(both), "parent_iqr": q3 - q1}
+                     "wins": wins, "ties": sum(c == p for p, c in both),
+                     "pairs": len(both), "parent_iqr": q3 - q1,
+                     "gain": 10 * wins >= 9 * len(both) and sign * (p50 - c50) > q3 - q1}
     runs = [{"pair": k, "side": side, "correct": run.get("correct"),
              "failed": run.get("failed")}
             for k, (p, c) in enumerate(pairs, start=1)
             for side, run in (("parent", p), ("change", c))]
     return {"metrics": out, "runs": runs}
+
+
+def failed_runs(runs: list) -> list:
+    """One line, naming the pair and the side, for each run of ``runs`` (as
+    ``summarize`` lists them) that was not correct or reported failed
+    operations."""
+    return [f"pair {r['pair']} {r['side']}: correct={r['correct']}, failed={r['failed']}"
+            for r in runs if r["correct"] is not True or r["failed"] != 0]
 
 
 def _git(args: list, cwd: Path, env=None) -> str:
@@ -122,9 +135,13 @@ def main(argv=None) -> int:
                       for side in order}
             pairs.append((result["parent"], result["change"]))
             print(f"pair {k}/{args.pairs} done", file=sys.stderr)
+    summary = summarize(pairs, metrics)
     print(json.dumps({"workload": args.workload, "seed": args.seed, "parent": args.parent,
-                      "seconds": seconds, **summarize(pairs, metrics)}))
-    return 0
+                      "seconds": seconds, **summary}))
+    failed = failed_runs(summary["runs"])
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ __all__ = [
     "tanh", "sigmoid", "sin", "relu", "rehu", "kappa", "step", "zeros_like",
     "expand", "softmax", "log_softmax",
     "add", "sub", "mul", "scale", "negate", "reduce_sum", "concat", "narrow",
-    "forward", "evaluate", "gradient", "gradient_all",
+    "forward", "evaluate", "gradient", "gradient_all", "slope",
     "check_gradient", "ACTIVATIONS", "all_finite", "frozen_float64",
 ]
 
@@ -495,6 +495,10 @@ def negate(x: Node) -> Node:
     return scale(x, -1.0)
 
 
+def _is_negation(node: Node) -> bool:
+    return node.op == "scale" and node.attrs["factor"] == -1.0
+
+
 def reduce_sum(x: Node, axis: int | None = None) -> Node:
     if axis is None:
         out = ()
@@ -705,9 +709,10 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     views: a base with a view is kept across the peak.
 
     Returns ``(free, redo)``: ``free[i]`` lists the ids of the nodes freed
-    after position ``i`` has run, and ``redo[i]`` is ``(again, transient)``,
-    the nodes run again just before position ``i``, operands first, and the
-    ids of those among them freed right after.
+    after position ``i`` has run, and ``redo[i]`` lists ``(node, gone)``,
+    the nodes run again just before position ``i``, operands first, each
+    with the ids of the nodes run again for that moment only that die at
+    it: it is their last reader.
     """
     n = len(order)
     at = {node.nid: i for i, node in enumerate(order)}
@@ -788,8 +793,13 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     for i, end in enumerate(last):
         if end < n:
             free.setdefault(end, []).append(order[i].nid)
-    return free, {f: ([order[j] for j in sorted(again)], [order[j].nid for j in gone])
-                  for f, (again, gone) in redo.items()}
+    runs = {}
+    for f, (again, gone) in redo.items():
+        ordered = sorted(again)
+        dies = {t: max(k for k, j in enumerate(ordered) if t in operands(j)) for t in gone}
+        runs[f] = [(order[j], [order[t].nid for t in gone if dies[t] == k])
+                   for k, j in enumerate(ordered)]
+    return free, runs
 
 
 def _dying_operand(node: Node, vals: list, dead) -> np.ndarray | None:
@@ -878,6 +888,8 @@ def evaluate(outputs, bindings=None):
     value into the array of an operand freed right after it, if that array
     has the node's shape, owns its data and overlaps no other operand: the
     same ufunc loop on the same input bits, so the outputs do not change.
+    A value run again only to compute another is freed at its last reader
+    there, which may write into it in the same way.
 
     An ``expand`` (a ``zeros_like`` fill is one) is a read-only zero-stride
     view, so an output that is one comes back as an array of its own.  A
@@ -900,11 +912,9 @@ def evaluate(outputs, bindings=None):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for i, node in enumerate(order):
             dead = free.get(i, ())
-            if i in redo:
-                again, transient = redo[i]
-                for other in again:
-                    values[other.nid] = _run(other, values)
-                for nid in transient:
+            for other, gone in redo.get(i, ()):
+                values[other.nid] = _run(other, values, gone)
+                for nid in gone:
                     del values[nid]
             if node.op == "parameter":
                 name = node.attrs["name"]
@@ -1042,12 +1052,28 @@ def _tanh_slope(node: Node) -> Node:
     return node.attrs["slope"]
 
 
-def _vjp_kappa(node, g):
+def _kappa_slope(node: Node) -> Node:
     x = node.inputs[0]
     on_plus = step(x)
     plus = mul(on_plus, add(x, constant(1.0)))
     minus = mul(sub(constant(1.0), on_plus), add(node, constant(1.0)))
-    return [mul(g, add(plus, minus))]
+    return add(plus, minus)
+
+
+_SLOPES = {
+    "tanh": _tanh_slope,
+    "sigmoid": lambda node: mul(node, sub(constant(1.0), node)),
+    "sin": lambda node: sin(add(node.inputs[0], constant(math.pi / 2.0))),
+    "relu": lambda node: step(node.inputs[0]),
+    "rehu": lambda node: sub(relu(node.inputs[0]), relu(add(node.inputs[0], constant(-1.0)))),
+    "kappa": _kappa_slope,
+}
+
+
+def slope(node: Node) -> Node:
+    """The derivative of an activation node ``y = act(x)`` with respect to
+    ``x``, entry by entry, as a graph; the rule's adjoint is ``g`` times it."""
+    return _SLOPES[node.op](node)
 
 
 _VJP = {
@@ -1057,13 +1083,7 @@ _VJP = {
     "sparse-matmul": lambda node, g: [sparse_matmul(g, node.attrs["matrix"].T)],
     "pair-dot": _vjp_pair_dot,
     "pair-scatter": _vjp_pair_scatter,
-    "tanh": lambda node, g: [mul(g, _tanh_slope(node))],
-    "sigmoid": lambda node, g: [mul(g, mul(node, sub(constant(1.0), node)))],
-    "sin": lambda node, g: [mul(g, sin(add(node.inputs[0], constant(math.pi / 2.0))))],
-    "relu": lambda node, g: [mul(g, step(node.inputs[0]))],
-    "rehu": lambda node, g: [mul(g, sub(relu(node.inputs[0]),
-                                        relu(add(node.inputs[0], constant(-1.0)))))],
-    "kappa": _vjp_kappa,
+    **{op: lambda node, g: [mul(g, slope(node))] for op in _SLOPES},
     "step": lambda node, g: [None],
     "expand": _vjp_expand,
     "softmax": _vjp_softmax,
@@ -1091,8 +1111,12 @@ def _add_adjoints(a: Node, b: Node) -> Node:
         return b
     if _is_zero_fill(b):
         return a
-    if b.op == "scale" and b.attrs["factor"] == -1.0:
+    if _is_negation(a) and _is_negation(b):
+        return negate(add(a.inputs[0], b.inputs[0]))
+    if _is_negation(b):
         return sub(a, b.inputs[0])  # a + (-b) is a - b exactly
+    if _is_negation(a):
+        return sub(b, a.inputs[0])
     return add(a, b)
 
 
@@ -1118,9 +1142,14 @@ def gradient_all(f: Node, wrts: Sequence[Node], allow_unused: bool = False,
         g = adjoint.get(node.nid)
         if g is None or node.nid in stop or node.op in ("constant", "parameter"):
             continue
-        for inp, contrib in zip(node.inputs, _VJP[node.op](node, g)):
+        # every rule is linear in g, so a negated adjoint's sign is taken
+        # outside the rule, where a later sum can take it as a subtraction
+        sign = _is_negation(g)
+        for inp, contrib in zip(node.inputs, _VJP[node.op](node, g.inputs[0] if sign else g)):
             if contrib is None:
                 continue
+            if sign:
+                contrib = negate(contrib)
             prev = adjoint.get(inp.nid)
             adjoint[inp.nid] = contrib if prev is None else _add_adjoints(prev, contrib)
 

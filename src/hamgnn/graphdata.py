@@ -310,6 +310,35 @@ def _int_cell(cell: str, what: str, lineno: int, fname: str = "nodes.csv") -> in
     raise ValueError(f"{what} must be an integer; got {cell!r} at {fname} line {lineno}")
 
 
+# at most 18 digits: every such cell fits in int64
+_PLAIN_DIGITS = 18
+_POWERS = 10 ** np.arange(_PLAIN_DIGITS, dtype=np.int64)
+
+
+def _int_cells(cells: list) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the cells that are 1 to 18 ASCII digits, read in one
+    vectorised pass over the cells' bytes, and a mask of those cells.  Such
+    a cell is what ``int()`` reads it as; every other cell is left to
+    ``_int_cell``, which reads or rejects it.  No cell holds a line break,
+    so a newline closes each one."""
+    if not cells:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    b = np.frombuffer(("\n".join(cells) + "\n").encode(), dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    digit = b - np.uint8(ord("0"))
+    is_digit = digit <= 9  # bytes below "0" wrap past 9
+    # a digit's place counted from its cell's last byte
+    place = np.repeat(ends, np.diff(ends, prepend=-1)) - np.arange(b.size) - 1
+    weight = np.where(is_digit & (place < _PLAIN_DIGITS),
+                      _POWERS[np.minimum(place, _PLAIN_DIGITS - 1)], 0)
+    values = np.add.reduceat(digit * weight, starts)
+    length = ends - starts  # in bytes: a non-ASCII character takes more than one
+    plain = ((length >= 1) & (length <= _PLAIN_DIGITS)
+             & (np.add.reduceat(is_digit, starts, dtype=np.intp) == length))
+    return values, plain
+
+
 def load_dataset(path) -> GraphDataset:
     """Read a dataset directory, validate it, and L1-normalize the features."""
     root = Path(path)
@@ -324,51 +353,68 @@ def load_dataset(path) -> GraphDataset:
     if header[:2] != ["id", "label"]:
         raise ValueError("nodes.csv header must start with 'id,label'")
     n_features = len(header) - 2
-    # one Python pass checks each row's id and label and keeps its line; the
-    # feature cells are then parsed together, a block scan that also finds
-    # the ragged rows among those that reach a feature cell
-    linenos, labels, cells = [], [], []
+    # one Python pass splits each row into its id, its label and its feature
+    # part, up to the first ragged row; the ids and labels are then checked
+    # together, and the feature cells parsed together, a block scan that
+    # also finds the ragged rows among those that reach a feature cell
+    linenos, id_cells, label_cells, cells, ragged = [], [], [], [], None
     for lineno, row in enumerate(rows[1:], start=2):
         if not row.strip():
             continue
         parts = row.split(",", 2)
         if len(parts) != (3 if n_features else 2):
-            raise ValueError(
+            ragged = ValueError(
                 f"ragged feature row at line {lineno}: {row.count(',') - 1} features,"
                 f" expected {n_features}")
-        node_id, label, *rest = parts
-        node_id = _int_cell(node_id, "node id", lineno)
-        if node_id != len(linenos):
+            break
+        linenos.append(lineno)
+        id_cells.append(parts[0])
+        label_cells.append(parts[1])
+        if n_features:
+            cells.append(parts[2])
+    ids, plain_ids = _int_cells(id_cells)
+    labels, plain_labels = _int_cells(label_cells)
+    # a plain label is below 10^18, so in range; any other row is checked
+    # cell by cell, in line order, and the first fault is raised
+    for i in np.flatnonzero(~plain_ids | ~plain_labels | (ids != np.arange(ids.size))):
+        lineno = linenos[i]
+        node_id = _int_cell(id_cells[i], "node id", lineno)
+        if node_id != i:
             raise ValueError(
                 f"node ids must run 0..n-1 in order; got {node_id} at line {lineno}")
-        label = _int_cell(label, "label", lineno)
+        label = _int_cell(label_cells[i], "label", lineno)
         if not 0 <= label < 2**63:
             raise ValueError(f"label must be a non-negative integer that fits in int64;"
                              f" got {label} at nodes.csv line {lineno}")
-        labels.append(label)
-        linenos.append(lineno)
-        if n_features:
-            cells.append(rest[0])
+        labels[i] = label
+    if ragged is not None:
+        raise ragged
     features = _parse_features(cells, linenos, header)
     n = len(linenos)
 
     # the first line that is not two integer ids is reported after any
     # fault of the edges before it
-    edges, edge_lines, bad_line = [], [], None
+    ends, edge_lines, bad_line = [], [], None
     for lineno, row in enumerate(
             (root / "edges.tsv").read_text(encoding="utf-8").splitlines(), start=1):
         if not row.strip():
             continue
         parts = row.split("\t")
+        if len(parts) != 2:
+            bad_line = ValueError(f"edge line {lineno} must hold two tab-separated ids")
+            break
+        ends.extend(parts)
+        edge_lines.append(lineno)
+    values, plain = _int_cells(ends)
+    edges = list(zip(values[0::2].tolist(), values[1::2].tolist()))
+    for i in np.flatnonzero(~(plain[0::2] & plain[1::2])):
         try:
-            if len(parts) != 2:
-                raise ValueError(f"edge line {lineno} must hold two tab-separated ids")
-            edges.append(tuple(_int_cell(cell, "node id", lineno, "edges.tsv")
-                               for cell in parts))
+            edges[i] = tuple(_int_cell(cell, "node id", edge_lines[i], "edges.tsv")
+                             for cell in ends[2 * i:2 * i + 2])
         except ValueError as exc:
             bad_line = exc
+            del edges[i:], edge_lines[i:]
             break
-        edge_lines.append(lineno)
     fault, _ = _check_edges(edges, n)
     if fault is not None:
         i, kind = fault
@@ -389,7 +435,7 @@ def load_dataset(path) -> GraphDataset:
     return GraphDataset(
         name=root.name,
         features=features,
-        labels=np.asarray(labels, dtype=np.int64),
+        labels=labels,
         edges=edges,
         train_mask=masks["train"], val_mask=masks["val"], test_mask=masks["test"])
 

@@ -127,13 +127,18 @@ class HamiltonianSpec:
         """The variant without its terms that break energy conservation by design."""
         return self
 
-    def chart(self, q0: Node, p0: Node, prefix: str, momentum=None):
+    def chart(self, q0: Node, p0: Node | None, prefix: str, step: float, momentum=None):
         """The coordinates the solver moves the orbit from (q0, p0) in: the
         field owner, whose ``field_nodes`` gives the chart state's rate, the
-        start state, and the readout of a chart state to (q, p).  By default
-        the canonical coordinates themselves.  ``momentum``, when given, is
-        the ``(net, name)`` of the one linear layer that made p0 from q0."""
-        return self, q0, p0, _identity
+        start state, the readout of a chart state to (q, p), and the solver
+        step ``step`` in the chart's time.  By default the canonical
+        coordinates themselves.  ``momentum``, when given, is the
+        ``(net, name)`` of the one linear layer that makes p0 from q0, and
+        p0 is None: the chart builds p0 where it reads it."""
+        if momentum is not None:
+            net, name = momentum
+            p0 = net.graph(q0, name)
+        return self, q0, p0, _identity, step
 
 
 class _EnergySpec(HamiltonianSpec):
@@ -214,17 +219,25 @@ class GeodesicMetric(_EnergySpec):
 
 
 class _FirstLayerFlow:
-    """The flow of an MLP energy E in the chart (a, s) of
-    ``FlexibleHamiltonian.chart``: ȧ = δ·A and ṡ = δ, with δ = ∇E(a)."""
+    """The flow of an MLP energy E over one solver step in the chart (a, s)
+    of ``FlexibleHamiltonian.chart``: a moves by δ·A and s by δ, with
+    δ = ∇E(a) and A the chart's skew times the step.  When E has one hidden
+    layer φ and a linear output row w1, δ is φ′(a) ⊙ w1, and w1 is folded
+    into A and the readout, so the rate is φ′(a) alone."""
 
-    def __init__(self, energy_net: MlpParams, skew: Node):
+    def __init__(self, energy_net: MlpParams, matrix: Node, folded: bool):
         self.energy_net = energy_net
-        self.skew = skew
+        self.matrix = matrix  # A times the step, and diag(w1) when folded
+        self.folded = folded
 
     def field_nodes(self, a: Node, s: Node, prefix: str) -> tuple[Node, Node]:
-        total = eg.reduce_sum(self.energy_net.graph_after(a, f"{prefix}.energy"))
-        [delta] = eg.gradient_all(total, [a], stop_at=(a,))
-        return eg.affine(delta, self.skew), delta
+        if self.folded:
+            act = self.energy_net.layers[0][2]
+            delta = eg.slope(eg.ACTIVATIONS[act](a))
+        else:
+            total = eg.reduce_sum(self.energy_net.graph_after(a, f"{prefix}.energy"))
+            [delta] = eg.gradient_all(total, [a], stop_at=(a,))
+        return eg.affine(delta, self.matrix), delta
 
 
 @dataclass
@@ -251,20 +264,24 @@ class FlexibleHamiltonian(_EnergySpec):
         out = self.energy_net.graph([q, p], f"{prefix}.energy")
         return eg.reduce_sum(out)
 
-    def chart(self, q0: Node, p0: Node, prefix: str, momentum=None):
+    def chart(self, q0: Node, p0: Node | None, prefix: str, step: float, momentum=None):
         """First-layer coordinates: with a = q Wqᵀ + p Wpᵀ + b the energy
         net's first pre-activation and H(q, p) = E(a), the canonical flow is
         ȧ = ∇E(a)·A with the constant skew A = Wp Wqᵀ − Wq Wpᵀ, and
-        q = q0 + s·Wp, p = p0 − s·Wq with s = ∫∇E(a) dt.  A field step
-        costs one (n, H)×(H, H) product; s starts as a zero fill.
+        q = q0 + s·Wp, p = p0 − s·Wq with s = ∫∇E(a) dt.  The chart's time
+        unit is the solver step h, which multiplies A, Wp and Wq here.  When
+        E has one hidden layer φ and a linear output row w1, ∇E(a) is
+        φ′(a) ⊙ w1, and diag(w1) multiplies them too, so s is ∫φ′(a).  A
+        field step costs one (n, H)×(H, H) product; s starts as a zero fill.
 
         With ``momentum = (net, mname)``, p0 = q0 Wmᵀ + bm, and the two maps
         compose on the parameters before they meet the rows: a0 = q0·C + c
         with C = Wqᵀ + Wmᵀ Wpᵀ and c = bm Wpᵀ + b, one (n, d)×(d, H)
-        product labelled as the momentum layer, and p0 is read only by the
-        readout's p."""
+        product labelled as the momentum layer, and p0 is built only for
+        the readout's p."""
         name = f"{prefix}.energy"
-        w0 = eg.parameter(f"{name}.w0", self.energy_net.layers[0][0].shape)
+        layers = self.energy_net.layers
+        w0 = eg.parameter(f"{name}.w0", layers[0][0].shape)
         wq, wp = eg.narrow(w0, 0, self.q_dim), eg.narrow(w0, self.q_dim, 2 * self.q_dim)
         if momentum is None:
             a0 = self.energy_net.layer_node(0, [q0, p0], name)
@@ -274,16 +291,28 @@ class FlexibleHamiltonian(_EnergySpec):
             if act is not None:
                 raise ValueError("only a linear momentum map folds into the chart")
             wm, bm = eg.parameter(f"{mname}.w0", w.shape), eg.parameter(f"{mname}.b0", b.shape)
-            b0 = eg.parameter(f"{name}.b0", self.energy_net.layers[0][1].shape)
+            b0 = eg.parameter(f"{name}.b0", layers[0][1].shape)
             start = eg.transpose(eg.add(wq, eg.affine(wp, wm)))
             a0 = eg.add(eg.affine(q0, start, label=f"{mname} layer 0"),
                         eg.add(eg.affine(bm, eg.transpose(wp)), b0))
+            p0 = eg.add(eg.affine(q0, eg.transpose(wm)), bm)  # unlabelled: read by p only
         m = eg.affine(wp, eg.transpose(wq))
         skew = eg.sub(m, eg.transpose(m))  # M − Mᵀ: skew in every bit
+        folded = len(layers) == 2 and layers[0][2] is not None and layers[1][2] is None
+        if folded:  # the rows of every matrix times h·w1
+            w1 = eg.parameter(f"{name}.w1", layers[1][0].shape)
+            row = eg.scale(eg.reduce_sum(w1, axis=0), step)
+            fold = lambda x: eg.mul(eg.expand(row, x.shape, column=True), x)
+        else:
+            fold = lambda x: eg.scale(x, step)
+        matrix, wp, wq = fold(skew), fold(wp), fold(wq)
 
         def readout(a: Node, s: Node) -> tuple[Node, Node]:
+            if eg._is_zero_fill(s):
+                return q0, p0
             return eg.add(q0, eg.affine(s, wp)), eg.sub(p0, eg.affine(s, wq))
-        return _FirstLayerFlow(self.energy_net, skew), a0, eg.zeros_like(a0), readout
+        flow = _FirstLayerFlow(self.energy_net, matrix, folded)
+        return flow, a0, eg.zeros_like(a0), readout, 1.0
 
 
 @dataclass

@@ -159,12 +159,10 @@ def encode_nodes(params: ModelParams, cfg: ModelConfig,
     h.attrs["label"] = "compress layer 0"
     mean = dataset.mean_matrix
     for i, (qnet, spec) in enumerate(zip(params.momentum_nets, params.field_specs)):
-        # a first-layer chart folds the momentum map into its start, so p
-        # is built but runs only where a variant's orbit reads it.  Its
-        # product and the folded one share the label "{name} layer 0", which
-        # is unique only among the nodes reachable from the output
+        # the chart builds p0 = qnet(h) where it reads it; a first-layer
+        # chart folds the map into its start
         name = f"layer{i}.momentum"
-        states = integrate_nodes(spec, h, qnet.graph(h, name), cfg.integration,
+        states = integrate_nodes(spec, h, None, cfg.integration,
                                  prefix=f"layer{i}.field", momentum=(qnet, name))
         q_end = states[-1][0]
         q_end.attrs["label"] = f"layer {i} orbit end"

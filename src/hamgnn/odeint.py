@@ -77,12 +77,13 @@ class Trajectory:
 
 
 def _axpy(state: Node, rate: Node, h: float) -> Node:
-    # a zero-fill state (a chart's start) is never built: its step is h·rate
-    step = eg.scale(rate, h)
+    # a zero-fill state (a chart's start) is never built: its step is h·rate,
+    # and a unit step is the rate itself
+    step = rate if h == 1.0 else eg.scale(rate, h)
     return step if eg._is_zero_fill(state) else eg.add(state, step)
 
 
-def integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
+def integrate_nodes(spec, q0: Node, p0: Node | None, cfg: IntegrationConfig,
                     prefix: str = "field", momentum=None) -> list[tuple[Node, Node]]:
     """Unrolled solver: graph nodes for every stored state, t = 0 .. T.
 
@@ -92,12 +93,14 @@ def integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
     solver moves the state the spec's ``chart`` gives, and every stored
     state is that chart's readout in (q, p).  The chart state after step k,
     which step k + 1 reads, is labelled ``{prefix} chart state after step k``.
-    ``momentum`` is the ``(net, name)`` of the linear map that made p0 from
-    q0, which a chart may fold into its start (``FlexibleHamiltonian.chart``).
+    ``momentum`` is the ``(net, name)`` of the linear map that makes p0 from
+    q0, with p0 None: a chart may fold the map into its start
+    (``FlexibleHamiltonian.chart``), and p0 is built only where it is read.
     """
-    h = cfg.effective_step
-    owner, x, y, readout = spec.chart(q0, p0, prefix, momentum)
-    states = [(q0, p0)]
+    if (p0 is None) == (momentum is None):
+        raise ValueError("integrate_nodes takes p0 or the momentum map that makes it")
+    owner, x, y, readout, h = spec.chart(q0, p0, prefix, cfg.effective_step, momentum)
+    states = [readout(x, y)]  # (q0, p0)
     for k in range(cfg.n_steps):
         if cfg.method == "euler":
             dx, dy = ham.phase_velocity_nodes(owner, x, y, prefix)

@@ -16,8 +16,11 @@ the pair chains score and scatter node pairs through numpy's (pairs, d) row
 tables, as the link loss did before ``pair_dot`` and ``pair_scatter``; and the
 canonical orbit graph moves every spec's orbit in (q, p), as the solver did
 before the MLP energies moved theirs in the energy net's first-layer chart;
-and the unfolded encoder starts each chart from the momentum map's (n, d)
-output, as the model did before it folded that map into the chart's start.
+the unfolded encoder starts each chart from the momentum map's (n, d)
+output, as the model did before it folded that map into the chart's start;
+and the δ chart takes the energy's gradient δ over the (n, H) rows and
+scales each step's rates by the step size, as the solver did before the
+energy's output row and the step size folded into the chart's matrices.
 """
 
 from __future__ import annotations
@@ -202,32 +205,60 @@ def dense_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, dict]:
 # canonical orbit graph
 
 
+def _solve(field, x: Node, y: Node, cfg: IntegrationConfig) -> list[tuple[Node, Node]]:
+    """Every state of the unrolled Euler or RK4 solve of (x, y) under
+    ``field(x, y)``, t = 0 .. T, with each rate scaled by its step."""
+    h = cfg.effective_step
+    axpy = lambda state, rate, step: eg.add(state, eg.scale(rate, step))
+    states = [(x, y)]
+    for _ in range(cfg.n_steps):
+        if cfg.method == "euler":
+            dx, dy = field(x, y)
+            x, y = axpy(x, dx, h), axpy(y, dy, h)
+        else:  # classical four-stage Runge-Kutta
+            k1x, k1y = field(x, y)
+            k2x, k2y = field(axpy(x, k1x, h / 2), axpy(y, k1y, h / 2))
+            k3x, k3y = field(axpy(x, k2x, h / 2), axpy(y, k2y, h / 2))
+            k4x, k4y = field(axpy(x, k3x, h), axpy(y, k3y, h))
+            mix = lambda a, b, c, d: eg.add(eg.add(a, eg.scale(b, 2.0)),
+                                            eg.add(eg.scale(c, 2.0), d))
+            x = axpy(x, mix(k1x, k2x, k3x, k4x), h / 6.0)
+            y = axpy(y, mix(k1y, k2y, k3y, k4y), h / 6.0)
+        states.append((x, y))
+    return states
+
+
 def canonical_integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
                               prefix: str = "field") -> list[tuple[Node, Node]]:
     """``odeint.integrate_nodes`` with the orbit moved in (q, p) for every
     spec, whatever its ``chart``: an MLP energy's field step rebuilds the
     first layer's pre-activation from (q, p) and forms dH/dq and dH/dp, four
     (n, d)×(d, H) products."""
-    h = cfg.effective_step
-    axpy = lambda state, rate, step: eg.add(state, eg.scale(rate, step))
-    field = lambda q, p: ham.phase_velocity_nodes(spec, q, p, prefix)
-    states = [(q0, p0)]
-    q, p = q0, p0
-    for _ in range(cfg.n_steps):
-        if cfg.method == "euler":
-            dq, dp = field(q, p)
-            q, p = axpy(q, dq, h), axpy(p, dp, h)
-        else:  # classical four-stage Runge-Kutta
-            k1q, k1p = field(q, p)
-            k2q, k2p = field(axpy(q, k1q, h / 2), axpy(p, k1p, h / 2))
-            k3q, k3p = field(axpy(q, k2q, h / 2), axpy(p, k2p, h / 2))
-            k4q, k4p = field(axpy(q, k3q, h), axpy(p, k3p, h))
-            mix = lambda a, b, c, d: eg.add(eg.add(a, eg.scale(b, 2.0)),
-                                            eg.add(eg.scale(c, 2.0), d))
-            q = axpy(q, mix(k1q, k2q, k3q, k4q), h / 6.0)
-            p = axpy(p, mix(k1p, k2p, k3p, k4p), h / 6.0)
-        states.append((q, p))
-    return states
+    return _solve(lambda q, p: ham.phase_velocity_nodes(spec, q, p, prefix), q0, p0, cfg)
+
+
+def delta_chart_integrate_nodes(spec, q0: Node, p0: Node, cfg: IntegrationConfig,
+                                prefix: str = "field") -> list[tuple[Node, Node]]:
+    """``odeint.integrate_nodes`` for a flexible or convex spec, with the
+    orbit moved in the first-layer chart (a, s) from a0 = q0 Wqᵀ + p0 Wpᵀ + b
+    by ȧ = δ·A and ṡ = δ, where δ = ∇E(a) is taken over the (n, H) rows and
+    A = Wp Wqᵀ − Wq Wpᵀ; each step scales both rates by h, and every stored
+    state is q = q0 + s·Wp, p = p0 − s·Wq."""
+    net, name, d = spec.energy_net, f"{prefix}.energy", spec.q_dim
+    w0 = eg.parameter(f"{name}.w0", net.layers[0][0].shape)
+    wq, wp = eg.narrow(w0, 0, d), eg.narrow(w0, d, 2 * d)
+    m = eg.affine(wp, eg.transpose(wq))
+    skew = eg.sub(m, eg.transpose(m))
+
+    def field(a: Node, s: Node) -> tuple[Node, Node]:
+        total = eg.reduce_sum(net.graph_after(a, name))
+        [delta] = eg.gradient_all(total, [a], stop_at=(a,))
+        return eg.affine(delta, skew), delta
+
+    a0 = net.layer_node(0, [q0, p0], name)
+    states = _solve(field, a0, eg.zeros_like(a0), cfg)
+    return [(q0, p0)] + [(eg.add(q0, eg.affine(s, wp)), eg.sub(p0, eg.affine(s, wq)))
+                         for _, s in states[1:]]
 
 
 def _orbit_encode_nodes(integrate_nodes, params, cfg, dataset) -> tuple[Node, dict]:
@@ -249,6 +280,12 @@ def canonical_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, di
     """``model.encode_nodes`` with every layer's orbit from
     ``canonical_integrate_nodes``."""
     return _orbit_encode_nodes(canonical_integrate_nodes, params, cfg, dataset)
+
+
+def delta_chart_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, dict]:
+    """``model.encode_nodes`` with every layer's orbit from
+    ``delta_chart_integrate_nodes``."""
+    return _orbit_encode_nodes(delta_chart_integrate_nodes, params, cfg, dataset)
 
 
 def unfolded_encode_nodes(params, cfg, dataset: GraphDataset) -> tuple[Node, dict]:

@@ -388,6 +388,33 @@ def test_load_reads_signed_and_space_padded_integer_cells(tmp_path):
     assert ds.labels.tolist() == [1, 0] and ds.edges == [(0, 1)]
 
 
+def test_int_cells_read_one_to_eighteen_ascii_digits_as_int_does():
+    cells = ["0", "7", "0042", "9" * 18, "1" + "0" * 17, "1" + "0" * 18, "", " 4",
+             "+3", "-3", "1_0", "٣", "١٢", "12\x00", "a1", "1e3", "७"]
+    values, plain = gd._int_cells(cells)
+    assert plain.tolist() == [True] * 5 + [False] * 12
+    assert values[plain].tolist() == [int(c) for c in cells[:5]]
+    assert [x.size for x in gd._int_cells([])] == [0, 0]
+
+
+@pytest.mark.parametrize("nodes, message", [
+    # a bad id before a ragged row, a bad label before a bad id order
+    ("id,label,f0\n0,0,1.0\nx,0,1.0\n2,0\n", "node id must be an integer; got 'x'"
+     " at nodes.csv line 3"),
+    ("id,label,f0\n0,0,1.0\n1,y,1.0\n5,0,1.0\n", "label must be an integer; got 'y'"
+     " at nodes.csv line 3"),
+    ("id,label,f0\n0,0,1.0\n2,y,1.0\n", "node ids must run 0..n-1 in order; got 2"
+     " at line 3"),
+    ("id,label,f0\n0,0,1.0\n+1,-1,1.0\n", "label must be a non-negative integer that"
+     " fits in int64; got -1 at nodes.csv line 3"),
+    ("id,label,f0\n0,0,1.0\n 1,1,1.0\n2,0\n", "ragged feature row at line 4:"
+     " 0 features, expected 1")])
+def test_load_reports_the_first_node_fault_in_line_order(tmp_path, nodes, message):
+    p = write_dataset(tmp_path / "x", nodes, "", PATH3_SPLITS)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gd.load_dataset(p)
+
+
 def test_load_rejects_non_integer_label(tmp_path):
     nodes = "id,label,f0,f1\n0,0,1.0,0.0\n1,1.5,0.5,0.5\n"
     p = write_dataset(tmp_path / "x", nodes, "", PATH3_SPLITS)

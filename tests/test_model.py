@@ -20,8 +20,8 @@ from hamgnn.hamiltonian import PhaseState
 from hamgnn.model import ModelConfig
 from hamgnn.odeint import IntegrationConfig
 from oracles import (LOGISTIC_GRID, baseline_mlp_nodes, baseline_mlp_params,
-                     canonical_encode_nodes, dense_encode_nodes, three_pass_logistic,
-                     unfolded_encode_nodes)
+                     canonical_encode_nodes, delta_chart_encode_nodes, dense_encode_nodes,
+                     three_pass_logistic, unfolded_encode_nodes)
 
 
 def affine_rows(net, name, x):
@@ -458,12 +458,77 @@ def test_folded_chart_start_matches_the_unfolded_one(
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("variant", ["flexible", "convex"])
+def test_folded_chart_matrices_match_the_delta_chart(
+        sbm_dataset, training_outputs, variant, method):
+    # the step size, and flexible's output row, act on the chart's (H, H)
+    # and (H, d) matrices instead of on every step's (n, H) rates
+    cfg = small_config(variant=variant, integration=IntegrationConfig(method, 1.0, 0.25))
+    got, bindings = training_outputs(cfg, sbm_dataset)
+    want, _ = training_outputs(cfg, sbm_dataset, delta_chart_encode_nodes)
+    params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
+    names = ["loss", "z", *params.bindings(), "logits"]
+    assert len(got) == len(want) == len(names)
+    for name, g, w in zip(names, eg.evaluate(got, bindings), eg.evaluate(want, bindings)):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+
+def test_the_momentum_label_is_built_only_where_z_reads_it(sbm_dataset, monkeypatch):
+    # p0 = qnet(h) is built only where a chart reads it: the first-layer
+    # chart's folded start carries the momentum layer's label, and the p0
+    # its readout's p reads is built without it
+    built = []
+    init = eg.Node.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(eg.Node, "__init__", record)
+    for variant in ("flexible", "convex", "geodesic"):
+        cfg = small_config(variant=variant)
+        params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
+        built.clear()
+        z, _ = md.encode_nodes(params, cfg, sbm_dataset)
+        reached = {n.nid for n in eg._reachable([z])}
+        for i in range(cfg.layers):
+            labelled = [n for n in built
+                        if n.attrs.get("label") == f"layer{i}.momentum layer 0"]
+            assert len(labelled) == 1 and labelled[0].nid in reached, variant
+
+
+SBM_300 = {"sizes": (150, 150), "p_in": 0.1, "p_out": 0.01, "seed": 0}
+
+
+def test_no_flexible_graph_scales_rows_or_multiplies_them_by_the_output_row(
+        training_outputs):
+    # the Euler step and the energy's output row w1 act on the chart's
+    # matrices, so no (n, H) rate is scaled by h or multiplied by w1
+    ds = gd.synth_dataset("sbm", **SBM_300)
+    cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible")
+    outputs, _ = training_outputs(cfg, ds)
+    params = md.init_params(cfg, ds.num_features, ds.num_classes, seed=0)
+    z, _ = md.encode_nodes(params, cfg, ds)
+    for graph in (outputs, [z]):
+        nodes = eg._reachable(graph)
+        rows = [n for n in nodes if n.shape[:1] == (ds.n,)]
+        assert not [n for n in rows if n.op == "scale"]
+        leaves = [n for n in nodes if n.op == "parameter"
+                  and n.attrs["name"].endswith(".energy.w1")]
+        assert {n.attrs["name"] for n in leaves} == {
+            f"layer{i}.field.energy.w1" for i in range(cfg.layers)}
+        output_rows = {n.nid for n in leaves}
+        small = [_viewed(i) for n in rows if n.op == "elementwise-mul" for i in n.inputs]
+        small = [i for i in small if i.shape[:1] != (ds.n,)]
+        assert not [i for i in small if output_rows & {m.nid for m in eg._reachable([i])}]
+
+
 def test_only_a_linear_momentum_map_folds_into_the_chart(rng, new_spec):
     spec = new_spec("flexible", 4, 6, rng)
     q0, p0 = eg.parameter("q0", (5, 4)), eg.parameter("p0", (5, 4))
     net = eg.MlpParams.init((4, 4), ("tanh",), rng)
     with pytest.raises(ValueError, match="only a linear momentum map folds"):
-        spec.chart(q0, p0, "field", (net, "momentum"))
+        spec.chart(q0, None, "field", 0.5, (net, "momentum"))
 
 
 def _viewed(node):
@@ -472,10 +537,11 @@ def _viewed(node):
     return node
 
 
-@pytest.mark.parametrize("variant, products, at_parent",
-                         [("flexible", 25, 37), ("convex", 49, 61)])
+@pytest.mark.parametrize("variant, products, unfolded", [
+    pytest.param("flexible", 21, 37, id="flexible"),
+    pytest.param("convex", 49, 61, id="convex")])
 def test_no_graph_holds_the_momentum_rows(sbm_dataset, training_outputs,
-                                          variant, products, at_parent):
+                                          variant, products, unfolded):
     # the momentum map folds into the chart's start on the parameters, so
     # no node with the dataset's rows reads a momentum weight or bias
     cfg = small_config(variant=variant)
@@ -491,10 +557,13 @@ def test_no_graph_holds_the_momentum_rows(sbm_dataset, training_outputs,
         assert not [node for node in nodes if node.shape[:1] == (n,)
                     and any(_viewed(i) in momentum for i in node.inputs)]
     # six n-row products fewer per layer: the momentum product, one of the
-    # start's two, their two adjoints and two of the three weight gradients
+    # start's two, their two adjoints and two of the three weight gradients;
+    # and for flexible, whose output row folds into the chart's matrices,
+    # the ones-row product per step that summed that row's gradient
     rows = [node for node in eg._reachable(outputs)
             if node.op == "affine" and n in {i.shape[0] for i in node.inputs}]
-    assert len(rows) == products == at_parent - 6 * cfg.layers
+    steps = cfg.integration.n_steps if variant == "flexible" else 0
+    assert len(rows) == products == unfolded - (6 + steps) * cfg.layers
 
 
 def test_encode_peak_memory_stays_below_the_feature_table(rng):
@@ -597,8 +666,8 @@ def test_encode_divergence_names_layer_and_rows(rng, sbm_dataset):
 
 @pytest.mark.parametrize("layer", [0, 1])
 def test_a_chart_orbit_error_names_the_step_before_it(sbm_dataset, layer):
-    # Euler 0.5 over 1.5: the last step adds h·δ to the chart's s, with δ
-    # the field at the chart state after step 2
+    # Euler 0.5 over 1.5: the last step adds the field, the tanh slope at
+    # the chart state after step 2, to the chart's s
     cfg = small_config(layers=2, variant="flexible",
                        integration=IntegrationConfig("euler", 1.5, 0.5))
     params = md.init_params(cfg, sbm_dataset.num_features, sbm_dataset.num_classes, seed=0)
@@ -606,7 +675,7 @@ def test_a_chart_orbit_error_names_the_step_before_it(sbm_dataset, layer):
     last = [n for n in eg._reachable([z])
             if n.attrs.get("label") == f"layer{layer}.field chart state after step 3"]
     (s_end,) = last  # the chart's a after the last step is read by no readout
-    field = s_end.inputs[1].inputs[0]
+    field = s_end.inputs[1]
     assert eg._whereabouts(field).endswith(
         f" after 'layer{layer}.field chart state after step 2'")
 

@@ -12,7 +12,8 @@ from hamgnn import hamiltonian as ham
 from hamgnn import odeint as oi
 from hamgnn.hamiltonian import PhaseState
 from hamgnn.odeint import IntegrationConfig
-from oracles import AnalyticDiagMetric, canonical_integrate_nodes, reference_geodesic_check
+from oracles import (AnalyticDiagMetric, canonical_integrate_nodes, delta_chart_integrate_nodes,
+                     reference_geodesic_check)
 
 
 def harmonic(oscillator, new_spec, rng, dim=1):
@@ -255,18 +256,57 @@ def test_every_variant_stores_the_states_of_its_canonical_orbit(rng, new_spec, t
             assert eg.relative_error(g, w) <= 1e-12
 
 
+def test_the_solver_takes_p0_or_the_momentum_map_that_makes_it(rng, new_spec):
+    spec = new_spec("flexible", 3, 4, rng)
+    q0, p0 = eg.parameter("q0", (3,)), eg.parameter("p0", (3,))
+    net = eg.MlpParams.init((3, 3), (None,), rng)
+    for p, momentum in ((p0, (net, "momentum")), (None, None)):
+        with pytest.raises(ValueError, match="takes p0 or the momentum map"):
+            oi.integrate_nodes(spec, q0, p, IntegrationConfig(), momentum=momentum)
+
+
+@pytest.mark.parametrize("rows", [None, 5], ids=["single", "batched"])
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("tag", ["flexible", "convex"])
+def test_chart_orbit_matches_the_delta_chart_orbit(rng, new_spec, tag, method, rows):
+    spec = new_spec(tag, 3, 6, rng)
+    cfg = IntegrationConfig(method, 0.9, 0.3)  # a step that is no power of two
+    got, binds = orbit_and_gradients(oi.integrate_nodes, spec, cfg, rng, rows)
+    want, _ = orbit_and_gradients(delta_chart_integrate_nodes, spec, cfg, rng, rows)
+    assert len(got) == len(want)
+    for g, w in zip(eg.evaluate(got, binds), eg.evaluate(want, binds)):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 def test_the_chart_moves_the_first_layer_by_a_skew_product(rng, new_spec):
-    spec = new_spec("flexible", 3, 6, rng)
+    for tag in ("flexible", "convex"):
+        _assert_chart_moves_by_a_skew_product(new_spec(tag, 3, 6, rng), tag)
+
+
+def _assert_chart_moves_by_a_skew_product(spec, tag):
     q0, p0 = eg.parameter("q0", (4, 3)), eg.parameter("p0", (4, 3))
-    owner, a0, s0, _ = spec.chart(q0, p0, "field")
-    assert a0.shape == (4, 6) and eg._is_zero_fill(s0)
-    skew = eg.evaluate(owner.skew, spec.bindings("field"))
-    assert np.array_equal(skew, -skew.T)
-    # s starts as a zero fill that is never built: its first step is h·δ
+    owner, a0, s0, _, unit = spec.chart(q0, p0, "field", 0.5)
+    assert a0.shape == (4, 6) and eg._is_zero_fill(s0) and unit == 1.0
+    # the rate's matrix is h·diag(w1)·A for flexible, whose output row w1
+    # folds into it, and h·A, skew in every bit, for convex
+    binds = spec.bindings("field")
+    matrix = eg.evaluate(owner.matrix, binds)
+    wq, wp = binds["field.energy.w0"][:, :3], binds["field.energy.w0"][:, 3:]
+    skew = wp @ wq.T - (wp @ wq.T).T
+    if tag == "flexible":
+        row = 0.5 * binds["field.energy.w1"][0]
+        assert matrix.tobytes() == (row[:, None] * skew).tobytes()
+    else:
+        assert matrix.tobytes() == (0.5 * skew).tobytes()
+        assert np.array_equal(matrix, -matrix.T)
+    # s starts as a zero fill that is never built, and a unit step adds
+    # the rate itself: an Euler step scales no state
     (q_end, _), = oi.integrate_nodes(spec, q0, p0, IntegrationConfig("euler", 0.5, 0.5))[1:]
     nodes = eg._reachable([q_end])
     assert not [n for n in nodes if eg._is_zero_fill(n)]
-    assert sum(n.op == "affine" for n in nodes) == 3  # a0 from q and p, and q_end
+    assert not [n for n in nodes if n.op == "scale" and n.shape == (4, 6)]
+    if tag == "flexible":  # a0 from q and p, and q_end
+        assert sum(n.op == "affine" for n in nodes) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -574,14 +574,17 @@ def test_history_csv(tmp_path, sbm_dataset):
 # The flexible and convex digests were re-pinned when the momentum map came
 # to fold into the chart's start: one flexible link loss moved by 1 ulp and
 # one convex loss by 2, the flexible classification losses kept their bits
-# (its embeddings did not), and no test metric moved.
+# (its embeddings did not), and no test metric moved.  The flexible digests
+# were re-pinned when the energy's output row and the step size came to fold
+# into the chart's matrices: every loss and test metric kept its bits, and
+# 63 of the 320 encoded entries moved, by at most 8.9e-16.
 # The symplectic variant is kept small: its field takes a Jacobian row by row.
 FIT_DIGESTS = [
     pytest.param("flexible", "classification",
-                 "50251a177baeb080340246e11ea0c8de0611a65af45467d7c08642d2da0d7a38",
+                 "104ccb743759dee59887a270a0235cffd6bec13da97388b5204a7210f6089562",
                  id="flexible-classification"),
     pytest.param("flexible", "link",
-                 "a21dca4f26b7a3bce7bbb2186807da88b59a9683a7cfaa23d3a8144b6893a1a5",
+                 "439cbefd9b4f958ca3696fc25ecb714d68965d6b019e1573f657e3e47df7cb46",
                  id="flexible-link"),
     ("geodesic", "classification",
      "0b971822b04748a4f877c0daa5823779115d47cb421891b5b1c2b71aec142922"),
