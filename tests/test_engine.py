@@ -1,11 +1,13 @@
 """Tensor invariants, forward evaluation, and differentiation to depth two."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -18,6 +20,7 @@ from hamgnn import graphdata as gd
 from hamgnn import hamiltonian as ham
 from hamgnn import model as md
 from hamgnn.model import ModelConfig
+from hamgnn.odeint import IntegrationConfig
 from oracles import LOGISTIC_GRID, chain_pair_dot, chain_pair_scatter, three_pass_logistic
 
 
@@ -400,9 +403,9 @@ def _dfs_order(outputs):
     return order
 
 
-def _dfs_evaluate(outputs, bindings):
+def _dfs_values(outputs, bindings) -> dict:
     """Reference evaluator: every node in ``_dfs_order``, zero fills' inputs
-    included, each value kept to the end."""
+    included, each value kept to the end; the values by node id."""
     values = {}
     for node in _dfs_order(outputs):
         if node.op == "parameter":
@@ -411,6 +414,11 @@ def _dfs_evaluate(outputs, bindings):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 val = eg._FORWARD[node.op](node, [values[i.nid] for i in node.inputs])
         values[node.nid] = np.asarray(val, dtype=np.float64)
+    return values
+
+
+def _dfs_evaluate(outputs, bindings):
+    values = _dfs_values(outputs, bindings)
     return [values[o.nid] for o in outputs]
 
 
@@ -493,12 +501,13 @@ def test_only_the_planned_tanh_slopes_and_products_run_twice(training_outputs, m
     assert max(runs.values()) == 2
     slopes = {n.attrs["slope"].nid for n in order if n.op == "tanh"}
     squares = {n.inputs[1].nid for n in order if n.nid in slopes}
-    # the folded chart's field is the slope itself, and each layer's first
-    # slope is its s after step 1: it runs again with its square; the last
-    # slope is kept, because its tanh is freed at the peak, before the
-    # slope's next reader could run it again
-    assert len(slopes) == 6 and len(slopes & set(planned)) == 3
-    assert len(squares & set(planned)) == 3
+    # the folded chart's field is the slope itself: each of a layer's two
+    # slopes (its s after step 1 and its last step's field) runs again with
+    # its square.  The last slope's tanh is read after the peak, but not
+    # late enough for the slope's next reader; its bytes are live at the
+    # peak anyway, so the plan may keep it until the slope runs again
+    assert len(slopes) == 6 and slopes <= set(planned)
+    assert len(squares) == 6 and squares <= set(planned)
     # and s after the last step, the sum of a layer's two slopes: the
     # readout's product reads it before the peak, and the readout weight's
     # gradient after it
@@ -510,8 +519,8 @@ def test_only_the_planned_tanh_slopes_and_products_run_twice(training_outputs, m
     # for the moment it is read
     small = {nid for nid, n in planned.items() if n.shape == (16, 16)}
     assert Counter(planned[nid].op for nid in small) == {"elementwise-mul": 6, "expand": 3}
-    assert set(planned) == (slopes | squares | sums | small) & set(planned)
-    assert len(planned) == 18
+    assert set(planned) == slopes | squares | sums | small
+    assert len(planned) == 24
     for g, e in zip(got, _dfs_evaluate(outputs, bindings)):
         assert g.tobytes() == e.tobytes()
 
@@ -523,19 +532,40 @@ def test_flexible_training_graph_runs_60_products_under_a_bounded_peak(training_
     # chart's start trades six n-row products per layer for five products
     # of parameters: 63 products before, and a peak of 23.4 (n, H) arrays.
     # Folding the energy's output row and the step into the chart's
-    # matrices lowered the peak from 20.5 to 19.4 (n, H) arrays
+    # matrices lowered the peak from 20.5 to 19.4 (n, H) arrays, and letting
+    # the plan keep each layer's last tanh until its slope runs again, so
+    # that no slope crosses the peak, to 16.0
     ds = gd.synth_dataset("sbm", **SBM_300)
     cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible")
     outputs, bindings = training_outputs(cfg, ds)
     assert Counter(n.op for n in eg._reachable(outputs))["affine"] == 60
-    eg.evaluate(outputs, bindings)  # builds the CSR copies of the transposes
+    assert _warm_traced_peak(outputs, bindings) < 18 * ds.n * cfg.field_hidden * 8
+
+
+def _warm_traced_peak(outputs, bindings) -> int:
+    """The tracemalloc peak of an evaluation after one that builds the CSR
+    copies of the transposes and the plan."""
+    eg.evaluate(outputs, bindings)
     tracemalloc.start()
     try:
         eg.evaluate(outputs, bindings)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * ds.n * cfg.field_hidden * 8
+
+
+# Deep and RK4 flexible stacks, where the plan keeps values that are live at
+# the peak until a re-run reads them.  Measured peaks in (n, H) arrays:
+# L=10 Euler 38.7, and 51.8 while every layer's last slope crossed the peak;
+# L=3 RK4 36.4, and 42.0 then
+@pytest.mark.parametrize("layers, method, arrays", [(10, "euler", 41), (3, "rk4", 39)])
+def test_deep_and_rk4_flexible_training_peaks_are_bounded(
+        training_outputs, layers, method, arrays):
+    ds = gd.synth_dataset("sbm", **SBM_300)
+    cfg = ModelConfig(hidden_dim=16, layers=layers, variant="flexible",
+                      integration=IntegrationConfig(method=method))
+    outputs, bindings = training_outputs(cfg, ds)
+    assert _warm_traced_peak(outputs, bindings) < arrays * ds.n * cfg.field_hidden * 8
 
 
 @pytest.mark.parametrize("variant", ["flexible", "geodesic", "convex"])
@@ -609,6 +639,89 @@ def test_a_droppable_non_finite_value_raises_where_it_is_first_made():
     with pytest.raises(FloatingPointError) as caught:
         eg.evaluate(out, {"x": xv})
     assert str(caught.value) == f"non-finite intermediate at {c!r} (rows [3])"
+
+
+@pytest.mark.parametrize("variant, layers, method", [
+    ("flexible", 3, "euler"), ("flexible", 10, "euler"), ("flexible", 3, "rk4"),
+    ("geodesic", 3, "euler"), ("convex", 3, "euler")])
+def test_no_planned_position_holds_more_bytes_than_with_every_value_kept(
+        training_outputs, variant, layers, method):
+    # values dropped before the peak pay for those kept live after it until
+    # a re-run reads them, so no position gains bytes and no new peak forms
+    ds = gd.synth_dataset("sbm", **SBM_300)
+    cfg = ModelConfig(hidden_dim=16, layers=layers, variant=variant,
+                      integration=IntegrationConfig(method=method))
+    outputs, _ = training_outputs(cfg, ds)
+    order = eg._reachable(outputs)
+    pinned = {o.nid for o in outputs}
+    planned = _bytes_after_each_node(order, *eg._plan(order, pinned))
+    kept = _bytes_after_each_node(order, _free_at_last_readers(order, pinned), {})
+    assert all(p <= k for p, k in zip(planned, kept))
+    assert max(planned) < max(kept)
+
+
+def test_a_value_is_kept_when_running_it_again_would_keep_a_larger_one_live(rng):
+    # the (1, m) product of a row of ``big`` is read before the peak and
+    # after big's last reader: running it again would keep big, which the
+    # peak holds anyway, live for m times its bytes, so it is kept instead
+    x = eg.parameter("x", (40, 40))
+    big = eg.sin(x)
+    small = eg.scale(eg.narrow(big, 0, 1, axis=0), 2.0)
+    early = eg.reduce_sum(eg.sin(small))
+    v1 = eg.sin(eg.sin(x))
+    v2 = eg.sin(v1)
+    v3 = eg.sin(v2)
+    late = eg.reduce_sum(eg.mul(big, eg.add(eg.add(v1, v2), v3)))
+    out = eg.add(eg.add(early, late), eg.reduce_sum(small))
+    order = eg._reachable([out])
+    free, redo = eg._plan(order, {out.nid})
+    assert small.nid not in _planned([out])
+    planned = _bytes_after_each_node(order, free, redo)
+    kept = _bytes_after_each_node(order, _free_at_last_readers(order, {out.nid}), {})
+    assert all(p <= k for p, k in zip(planned, kept))
+    xv = rng.normal(size=(40, 40))
+    assert eg.evaluate(out, {"x": xv}).tobytes() == _dfs_evaluate([out], {"x": xv})[0].tobytes()
+
+
+def _bytes_after_each_node(order, free, redo) -> list:
+    """Bytes live as each position's node is made, after its runs again:
+    views and leaves own none, every other value 8 per entry."""
+    size = lambda n: 0 if n.op in eg._LEAVES | eg._VIEWS else 8 * math.prod(n.shape)
+    live, out = {}, []
+    for i, node in enumerate(order):
+        for other, gone in redo.get(i, ()):
+            live[other.nid] = size(other)
+            for nid in gone:
+                del live[nid]
+        live[node.nid] = size(node)
+        out.append(sum(live.values()))
+        for nid in free.get(i, ()):
+            del live[nid]
+    return out
+
+
+def _free_at_last_readers(order, pinned) -> dict:
+    """The free lists of a plan that drops nothing: each value is freed
+    after its last reader, or its views' last reader; leaves and outputs
+    are kept."""
+    at = {n.nid: i for i, n in enumerate(order)}
+    last = [len(order) if n.nid in pinned or n.op in eg._LEAVES else i
+            for i, n in enumerate(order)]
+    for i, node in enumerate(order):
+        for inp in node.inputs:
+            last[at[inp.nid]] = max(last[at[inp.nid]], i)
+    for i, node in enumerate(order):
+        if node.op in eg._VIEWS:
+            last[i] = max(last[i], last[at[node.inputs[0].nid]])
+    for i in reversed(range(len(order))):
+        if order[i].op in eg._VIEWS:
+            base = at[order[i].inputs[0].nid]
+            last[base] = max(last[base], last[i])
+    free = {}
+    for i, end in enumerate(last):
+        if end < len(order):
+            free.setdefault(end, []).append(order[i].nid)
+    return free
 
 
 def test_non_finite_error_names_the_layer_and_the_solver_step():
@@ -721,39 +834,69 @@ def test_every_buffer_written_into_is_a_dying_interior_operand(
         training_outputs, monkeypatch):
     ds = gd.synth_dataset("sbm", **SBM_300)
     common = ("elementwise-add", "elementwise-sub", "elementwise-mul", "tanh")
-    for variant, ops in (("flexible", common), ("geodesic", (*common, "scale", "sigmoid"))):
-        _assert_writes_into_dying_operands(training_outputs, monkeypatch, ds, variant, ops)
+    # deep and RK4 stacks keep values live across the peak for a re-run
+    for variant, layers, method, ops in (
+            ("flexible", 3, "euler", common),
+            ("geodesic", 3, "euler", (*common, "scale", "sigmoid")),
+            ("flexible", 10, "euler", common),
+            ("flexible", 3, "rk4", common)):
+        cfg = ModelConfig(hidden_dim=16, layers=layers, variant=variant,
+                          integration=IntegrationConfig(method=method))
+        _assert_writes_into_dying_operands(training_outputs, monkeypatch, ds, cfg, ops)
         monkeypatch.undo()
 
 
-def _assert_writes_into_dying_operands(training_outputs, monkeypatch, ds, variant, ops):
-    cfg = ModelConfig(hidden_dim=16, layers=3, variant=variant)
+def _assert_writes_into_dying_operands(training_outputs, monkeypatch, ds, cfg, ops):
     outputs, bindings = training_outputs(cfg, ds)
     order = eg._reachable(outputs)
     pinned = {o.nid for o in outputs}
     free, redo = eg._plan(order, pinned)
     at = {node.nid: i for i, node in enumerate(order)}
-    # a node run again may also write into an operand run again only for
-    # that moment, which dies at it
+    # a node run again may also write into an operand that dies at it: one
+    # run again only for that moment, or one kept live from before the peak
+    # until that run reads it
     transient = {node.nid: set(gone) for runs in redo.values() for node, gone in runs}
+    kept = set().union(*transient.values()) - set(transient)
+    assert not kept & {nid for nids in free.values() for nid in nids}
+    expected = _dfs_values(outputs, bindings)
+    reads = Counter()
+    for op, rule in list(eg._FORWARD.items()):
+        def check(node, vals, rule=rule, **kw):
+            # every operand, at every run and run again, has the bits of
+            # its value: nothing was written into it before this reader
+            for inp, val in zip(node.inputs, vals):
+                assert val.tobytes() == expected[inp.nid].tobytes(), (node, inp)
+                reads[inp.nid] += 1
+            return rule(node, vals, **kw)
+        monkeypatch.setitem(eg._FORWARD, op, check)
     seen = _record_in_place(monkeypatch)
-    eg.evaluate(outputs, bindings)
+    got = eg.evaluate(outputs, bindings)
+    for g, o in zip(got, outputs):
+        assert g.tobytes() == expected[o.nid].tobytes()
+    rereads = Counter(inp.nid for runs in redo.values() for node, _ in runs
+                      for inp in node.inputs)
+    for nid in kept:  # read by every reader, the runs again included
+        readers = sum(inp.nid == nid for n in order for inp in n.inputs)
+        assert reads[nid] == readers + rereads[nid]
     counts = Counter()
     for node, vals, into in seen:
-        (k,) = [k for k, v in enumerate(vals) if v is into]
-        operand = node.inputs[k]
+        # mul(t, t) may write into t, its two operands
+        (operand,) = {inp for inp, v in zip(node.inputs, vals) if v is into}
         assert operand.nid in set(free.get(at[node.nid], ())) | transient.get(node.nid, set())
         assert operand.op not in eg._LEAVES | eg._VIEWS and operand.nid not in pinned
         counts[node.op] += 1
         counts["again"] += operand.nid in transient.get(node.nid, ())
+        counts["kept"] += operand.nid in kept
     assert all(counts[op] > 0 for op in (*ops, "again")), counts
+    assert counts["kept"] == len(kept), counts
 
 
 def test_concurrent_training_evaluations_keep_their_bytes(training_outputs):
     ds = gd.synth_dataset("sbm", **SBM_300)
     cfg = ModelConfig(hidden_dim=16, layers=2, variant="flexible")
     outputs, bindings = training_outputs(cfg, ds)
-    expected = [v.tobytes() for v in eg.evaluate(outputs, bindings)]
+    # no evaluate has run yet, so both threads may plan the graph at once
+    expected = [v.tobytes() for v in _dfs_evaluate(outputs, bindings)]
     start = threading.Barrier(2)
 
     def run(_):
@@ -763,6 +906,67 @@ def test_concurrent_training_evaluations_keep_their_bytes(training_outputs):
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = [got for batch in pool.map(run, range(2)) for got in batch]
     assert len(results) == 40 and all(got == expected for got in results)
+    assert max(outputs, key=lambda o: o.nid).attrs["plan"][0] == {o.nid for o in outputs}
+
+
+def test_evaluate_plans_an_output_list_once(monkeypatch):
+    x = eg.parameter("x", (3, 4))
+    a = eg.sin(x)
+    c = eg.reduce_sum(eg.mul(a, eg.sin(a)))
+    plans = []
+    monkeypatch.setattr(eg, "_plan", lambda order, pinned, plan=eg._plan:
+                        plans.append(pinned) or plan(order, pinned))
+    xv = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    for outputs in ([c], [c], [a, c], [c, a], c):
+        got = eg.evaluate(outputs, {"x": xv})
+        expected = _dfs_evaluate([outputs] if outputs is c else outputs, {"x": xv})
+        assert [g.tobytes() for g in (got if isinstance(got, list) else [got])] \
+            == [e.tobytes() for e in expected]
+    # kept on the output of highest id, for one set of outputs at a time
+    assert plans == [{c.nid}, {a.nid, c.nid}, {c.nid}]
+    pinned, walk, _, _ = c.attrs["plan"]
+    assert pinned == {c.nid} and [n.nid for n in walk] == sorted(n.nid for n in walk)
+    # the kept walk stops short of c, so no node it holds leads back to c
+    assert all(n.nid < c.nid for n in walk)
+    assert eg.evaluate([]) == []
+
+
+def test_threads_switching_output_lists_of_one_graph_use_their_own_plans():
+    # [c] and [a, c] share the output that keeps the plan, so threads that
+    # alternate them overwrite each other's plan while they evaluate
+    x = eg.parameter("x", (6, 5))
+    a = eg.sin(x)
+    c = eg.reduce_sum(eg.mul(a, eg.sin(a)))
+    xv = np.linspace(-2.0, 2.0, 30).reshape(6, 5)
+    lists = ([c], [a, c])
+    expected = [[v.tobytes() for v in _dfs_evaluate(outs, {"x": xv})] for outs in lists]
+
+    def run(k):
+        return all([v.tobytes() for v in eg.evaluate(lists[(k + j) % 2], {"x": xv})]
+                   == expected[(k + j) % 2] for j in range(300))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, k) for k in range(8)]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_kept_plan_is_freed_with_its_graph():
+    gc.disable()  # freed by reference counts alone, with no cycle to collect
+    try:
+        x = eg.parameter("x", (3,))
+        c = eg.constant(np.arange(3.0))
+        out = eg.reduce_sum(eg.mul(eg.sin(x), c))
+        eg.evaluate([out, c], {"x": np.ones(3)})
+        alive = weakref.ref(c.attrs["value"])
+        assert "plan" in out.attrs
+        del x, c, out
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
