@@ -703,23 +703,16 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     outlives the peak, and runs again before its first reader after it, or
     earlier where another such value needs it.  Each of its operands must
     then be live, a leaf, or cheap and recomputable in the same way for
-    that moment only; otherwise the value is kept.  A value that is live at
-    the peak, read after it and not dropped counts as live there anyway: it
-    may stay live until a run again that reads it (a tanh until its slope
-    runs again), if the values kept live for one dropped value own no more
-    bytes than it does.  They live on only after the peak, while the
-    dropped value is gone, so no position holds more bytes than the sweep
-    gave it.  Such a value dies at the last run again that reads it.  A view
-    frees nothing its base does not, so it is never dropped and lives at
-    least as long as its base, and a base lives until the last reader of
-    any of its views: a base with a view is kept across the peak.
+    that moment only; otherwise the value is kept.  A view frees nothing
+    its base does not, so it is never dropped and lives at least as
+    long as its base, and a base lives until the last reader of any of its
+    views: a base with a view is kept across the peak.
 
     Returns ``(free, redo)``: ``free[i]`` lists the ids of the nodes freed
     after position ``i`` has run, and ``redo[i]`` lists ``(node, gone)``,
     the nodes run again just before position ``i``, operands first, each
-    with the ids of the nodes that die at it, because it is their last
-    reader: nodes run again for that moment only, and values kept live
-    for it.
+    with the ids of the nodes run again for that moment only that die at
+    it: it is their last reader.
     """
     n = len(order)
     at = {node.nid: i for i, node in enumerate(order)}
@@ -754,72 +747,51 @@ def _plan(order: list[Node], pinned: set) -> tuple[dict, dict]:
     def operands(i: int) -> list[int]:
         return [at[inp.nid] for inp in order[i].inputs]
 
-    def ready(j: int, f: int, transient: list | None, grown: dict) -> bool:
+    def ready(j: int, f: int, transient: list | None) -> bool:
         """Whether value ``j`` can be had just before position ``f``: it
-        lives until ``f`` (a dropped value is brought back by then); or it
-        is live at the peak, so its bytes count there anyway, and may live
-        on to ``f``, onto ``grown``; or it is cheap and runs again for that
-        moment, onto ``transient``, from values that can be had."""
-        if last[j] >= f or j in grown:
-            return True
-        if j <= peak <= last[j] and size[j] and j not in back:
-            grown[j] = f
+        lives until ``f`` (a dropped value is brought back by then), or
+        it is cheap and runs again for that moment, onto ``transient``,
+        from values that can be had."""
+        if last[j] >= f:
             return True
         if (order[j].op not in _RECOMPUTABLE
-                or not all(ready(k, f, transient, grown) for k in operands(j))):
+                or not all(ready(k, f, transient) for k in operands(j))):
             return False
         if transient is not None:
             transient.append(j)
         return True
 
     back: dict[int, int] = {}  # dropped value -> where it runs again
-    lasting: dict[int, int] = {}  # grown value -> its last reader before
     free: dict[int, list[int]] = {}
     for i in range(peak):
         u = uses[i]
         if last[i] == n or not u[0] < peak < u[-1] or order[i].op not in _ONE_PASS:
             continue
         k = bisect.bisect_right(u, peak)
-        grown: dict[int, int] = {}
-        # a grown value lives on from after the peak to u[k], where i is not
-        # live, so it raises no position above the sweep if it is no larger
-        if (u[k - 1] < peak and all(ready(j, u[k], None, grown) for j in operands(i))
+        if (u[k - 1] < peak and all(ready(j, u[k], None) for j in operands(i))
                 and not any(order[p].op in _VIEWS and last[p] > peak
-                            for p in u[:k])
-                and sum(size[j] for j in grown) <= size[i]):
+                            for p in u[:k])):
             back[i] = u[k]
             free.setdefault(u[k - 1], []).append(order[i].nid)
-            for j, f in grown.items():  # so no node writes into it early
-                lasting.setdefault(j, last[j])
-                last[j] = f
 
     redo: dict[int, tuple[set[int], set[int]]] = {}
-    ends = dict(lasting)  # grown value -> the last run that reads it
     for i in sorted(back, reverse=True):  # readers before their operands
         f = back[i]
         transient: list[int] = []
         needed = operands(i)
         for j in needed:
-            ready(j, f, transient, {})
+            ready(j, f, transient)
         for t in transient:
             needed += operands(t)
         for j in needed:
             if j in back and last[j] >= f:
                 back[j] = min(back[j], f)  # read here, so back by now
-            if j in ends:
-                ends[j] = max(ends[j], f)
         again, gone = redo.setdefault(f, (set(), set()))
         again.update(transient, (i,))
         gone.update(transient)
 
-    # a grown value dies at the last run again that reads it, which is
-    # earlier than planned if that reader came back earlier
-    for j, end in ends.items():
-        last[j] = end
-        if end > lasting[j]:
-            redo[end][1].add(j)
     for i, end in enumerate(last):
-        if end < n and end == lasting.get(i, end):
+        if end < n:
             free.setdefault(end, []).append(order[i].nid)
     runs = {}
     for f, (again, gone) in redo.items():
@@ -933,10 +905,9 @@ def evaluate(outputs, bindings=None):
     the same numpy call on the same input bits, so the outputs do not
     change; in a training step these are the tanh slopes ``1 - t*t`` with
     their squares, the sums of a layer's two slopes and a few (H, H)
-    matrices.  A value live at the peak anyway, such as a tanh, may stay
-    live until its slope runs again.  Outputs are never dropped.  The plan
-    is kept with the graph (``_planned_walk``), so evaluating the same
-    outputs again plans nothing.
+    matrices.  Outputs are never dropped.  The plan is kept with the graph
+    (``_planned_walk``), so evaluating the same outputs again plans
+    nothing.
 
     An op whose rule is one ufunc call (``_IN_PLACE``: ``add``, ``sub``,
     ``mul``, ``scale``, ``tanh``, ``sin``, ``sigmoid``, ``relu``) writes its
@@ -1098,14 +1069,6 @@ def _vjp_pair_scatter(node, g):
     return [pair_scatter(g, w, cols, rows, x.shape[0]), pair_dot(g, x, rows, cols)]
 
 
-def _tanh_slope(node: Node) -> Node:
-    """``1 - t^2`` of a tanh node ``t``, built once and kept in its attrs, so
-    an energy's field and the training sweep through that field share it."""
-    if "slope" not in node.attrs:
-        node.attrs["slope"] = sub(constant(1.0), mul(node, node))
-    return node.attrs["slope"]
-
-
 def _kappa_slope(node: Node) -> Node:
     x = node.inputs[0]
     on_plus = step(x)
@@ -1115,7 +1078,7 @@ def _kappa_slope(node: Node) -> Node:
 
 
 _SLOPES = {
-    "tanh": _tanh_slope,
+    "tanh": lambda node: sub(constant(1.0), mul(node, node)),
     "sigmoid": lambda node: mul(node, sub(constant(1.0), node)),
     "sin": lambda node: sin(add(node.inputs[0], constant(math.pi / 2.0))),
     "relu": lambda node: step(node.inputs[0]),

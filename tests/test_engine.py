@@ -499,28 +499,37 @@ def test_only_the_planned_tanh_slopes_and_products_run_twice(training_outputs, m
     got = eg.evaluate(outputs, bindings)
     assert {nid for nid, k in runs.items() if k > 1} == set(planned)
     assert max(runs.values()) == 2
-    slopes = {n.attrs["slope"].nid for n in order if n.op == "tanh"}
-    squares = {n.inputs[1].nid for n in order if n.nid in slopes}
-    # the folded chart's field is the slope itself: each of a layer's two
-    # slopes (its s after step 1 and its last step's field) runs again with
-    # its square.  The last slope's tanh is read after the peak, but not
-    # late enough for the slope's next reader; its bytes are live at the
-    # peak anyway, so the plan may keep it until the slope runs again
-    assert len(slopes) == 6 and slopes <= set(planned)
-    assert len(squares) == 6 and squares <= set(planned)
-    # and s after the last step, the sum of a layer's two slopes: the
-    # readout's product reads it before the peak, and the readout weight's
-    # gradient after it
+    # a tanh's slope 1 - t*t is built where it is read: by the field before
+    # the peak and by the training sweep after it, two per tanh
+    slopes = {n.nid: n for n in order if n.op == "elementwise-sub"
+              and n.inputs[1].op == "elementwise-mul"
+              and n.inputs[1].inputs[0] is n.inputs[1].inputs[1]
+              and n.inputs[1].inputs[0].op == "tanh"}
+    assert len(slopes) == 12
+    # the folded chart's field is the slope itself: a layer's s after step 1
+    # is read by the layer's next product before the peak and, through its
+    # transpose, by a weight's gradient after it, so it runs again with its
+    # square
+    firsts = {nid for nid, n in slopes.items()
+              if n.attrs.get("label", "").endswith("after step 1")}
+    assert len(firsts) == 3 and firsts <= set(planned)
+    # and so does s after the last step, the sum of a layer's two slopes, in
+    # the first two layers (the last layer's is read only before the peak);
+    # its second slope runs again for that moment only
     sums = {n.nid for n in order if n.op == "elementwise-add"
-            and {i.nid for i in n.inputs} <= slopes}
-    assert len(sums) == 3 and sums <= set(planned)
-    # and, of (H, H) size only, two of a layer's folded matrices (a weight
-    # block or the skew times the expanded row h·w1), with one row's view
-    # for the moment it is read
+            and {i.nid for i in n.inputs} <= slopes.keys()}
+    assert len(sums) == 3 and len(sums & set(planned)) == 2
+    seconds = {i.nid for nid in sums & set(planned) for i in planned[nid].inputs} - firsts
+    assert len(seconds) == 2 and slopes.keys() & planned.keys() == firsts | seconds
+    squares = {slopes[nid].inputs[1].nid for nid in firsts | seconds}
+    assert len(squares) == 5 and squares <= set(planned)
+    # and, of (H, H) size only, folded matrices (a weight block or the skew
+    # times the expanded row h·w1), with one row's view for the moment it is
+    # read
     small = {nid for nid, n in planned.items() if n.shape == (16, 16)}
-    assert Counter(planned[nid].op for nid in small) == {"elementwise-mul": 6, "expand": 3}
-    assert set(planned) == slopes | squares | sums | small
-    assert len(planned) == 24
+    assert Counter(planned[nid].op for nid in small) == {"elementwise-mul": 5, "expand": 3}
+    assert set(planned) == firsts | seconds | squares | (sums & set(planned)) | small
+    assert len(planned) == 20
     for g, e in zip(got, _dfs_evaluate(outputs, bindings)):
         assert g.tobytes() == e.tobytes()
 
@@ -532,14 +541,15 @@ def test_flexible_training_graph_runs_60_products_under_a_bounded_peak(training_
     # chart's start trades six n-row products per layer for five products
     # of parameters: 63 products before, and a peak of 23.4 (n, H) arrays.
     # Folding the energy's output row and the step into the chart's
-    # matrices lowered the peak from 20.5 to 19.4 (n, H) arrays, and letting
-    # the plan keep each layer's last tanh until its slope runs again, so
-    # that no slope crosses the peak, to 16.0
+    # matrices lowered the peak from 20.5 to 19.4 (n, H) arrays.  A slope
+    # shared by the field and the sweep crossed the peak, or kept its tanh
+    # live until it ran again (16.0); built where it is read, no slope
+    # crosses the peak and none keeps its tanh: 15.0
     ds = gd.synth_dataset("sbm", **SBM_300)
     cfg = ModelConfig(hidden_dim=16, layers=3, variant="flexible")
     outputs, bindings = training_outputs(cfg, ds)
     assert Counter(n.op for n in eg._reachable(outputs))["affine"] == 60
-    assert _warm_traced_peak(outputs, bindings) < 18 * ds.n * cfg.field_hidden * 8
+    assert _warm_traced_peak(outputs, bindings) < 15.5 * ds.n * cfg.field_hidden * 8
 
 
 def _warm_traced_peak(outputs, bindings) -> int:
@@ -554,15 +564,18 @@ def _warm_traced_peak(outputs, bindings) -> int:
         tracemalloc.stop()
 
 
-# Deep and RK4 flexible stacks, where the plan keeps values that are live at
-# the peak until a re-run reads them.  Measured peaks in (n, H) arrays:
-# L=10 Euler 38.7, and 51.8 while every layer's last slope crossed the peak;
-# L=3 RK4 36.4, and 42.0 then
-@pytest.mark.parametrize("layers, method, arrays", [(10, "euler", 41), (3, "rk4", 39)])
-def test_deep_and_rk4_flexible_training_peaks_are_bounded(
-        training_outputs, layers, method, arrays):
+# Deep and RK4 flexible stacks and a geodesic one, where every tanh slope is
+# built where it is read.  Measured peaks in (n, H) arrays: flexible L=10
+# Euler 37.7, and 38.7 while each slope was shared by the field and the sweep
+# and the plan kept its tanh live until it ran again (51.8 before that);
+# flexible L=3 RK4 35.5, and 36.4 then (42.0); geodesic L=3 33.1, and 36.2
+@pytest.mark.parametrize("variant, layers, method, arrays", [
+    ("flexible", 10, "euler", 38.2), ("flexible", 3, "rk4", 36.0),
+    ("geodesic", 3, "euler", 34.5)])
+def test_deep_rk4_and_geodesic_training_peaks_are_bounded(
+        training_outputs, variant, layers, method, arrays):
     ds = gd.synth_dataset("sbm", **SBM_300)
-    cfg = ModelConfig(hidden_dim=16, layers=layers, variant="flexible",
+    cfg = ModelConfig(hidden_dim=16, layers=layers, variant=variant,
                       integration=IntegrationConfig(method=method))
     outputs, bindings = training_outputs(cfg, ds)
     assert _warm_traced_peak(outputs, bindings) < arrays * ds.n * cfg.field_hidden * 8
@@ -613,10 +626,12 @@ def test_a_base_stays_live_until_the_last_read_of_its_view(rng):
 
 def test_a_value_whose_operand_is_freed_is_kept_not_recomputed(rng, monkeypatch):
     xv = rng.normal(size=(40, 40))
-    # the tanh is freed once c is made and cannot run again, so c is kept;
-    # over a leaf, or a sum that can run again for the moment, c is dropped
-    for make_operand, dropped in ((eg.tanh, False), (lambda x: x, True),
-                                  (lambda x: eg.add(x, x), True)):
+    # the tanh is freed once c is made and cannot run again, nor can the sine
+    # under a view, so c is kept; over a leaf, or a sum that can run again
+    # for the moment, c is dropped
+    for make_operand, dropped in ((eg.tanh, False),
+                                  (lambda x: eg.narrow(eg.sin(x), 0, 39, axis=0), False),
+                                  (lambda x: x, True), (lambda x: eg.add(x, x), True)):
         c, out = _recomputing_graph(make_operand)
         assert (c.nid in _planned([out])) == dropped
         runs = _count_runs(monkeypatch)
@@ -646,8 +661,9 @@ def test_a_droppable_non_finite_value_raises_where_it_is_first_made():
     ("geodesic", 3, "euler"), ("convex", 3, "euler")])
 def test_no_planned_position_holds_more_bytes_than_with_every_value_kept(
         training_outputs, variant, layers, method):
-    # values dropped before the peak pay for those kept live after it until
-    # a re-run reads them, so no position gains bytes and no new peak forms
+    # a dropped value is gone from its last reader before the peak until it
+    # runs again after it, where it is live in either plan, so no position
+    # gains bytes and the peak falls
     ds = gd.synth_dataset("sbm", **SBM_300)
     cfg = ModelConfig(hidden_dim=16, layers=layers, variant=variant,
                       integration=IntegrationConfig(method=method))
@@ -658,29 +674,6 @@ def test_no_planned_position_holds_more_bytes_than_with_every_value_kept(
     kept = _bytes_after_each_node(order, _free_at_last_readers(order, pinned), {})
     assert all(p <= k for p, k in zip(planned, kept))
     assert max(planned) < max(kept)
-
-
-def test_a_value_is_kept_when_running_it_again_would_keep_a_larger_one_live(rng):
-    # the (1, m) product of a row of ``big`` is read before the peak and
-    # after big's last reader: running it again would keep big, which the
-    # peak holds anyway, live for m times its bytes, so it is kept instead
-    x = eg.parameter("x", (40, 40))
-    big = eg.sin(x)
-    small = eg.scale(eg.narrow(big, 0, 1, axis=0), 2.0)
-    early = eg.reduce_sum(eg.sin(small))
-    v1 = eg.sin(eg.sin(x))
-    v2 = eg.sin(v1)
-    v3 = eg.sin(v2)
-    late = eg.reduce_sum(eg.mul(big, eg.add(eg.add(v1, v2), v3)))
-    out = eg.add(eg.add(early, late), eg.reduce_sum(small))
-    order = eg._reachable([out])
-    free, redo = eg._plan(order, {out.nid})
-    assert small.nid not in _planned([out])
-    planned = _bytes_after_each_node(order, free, redo)
-    kept = _bytes_after_each_node(order, _free_at_last_readers(order, {out.nid}), {})
-    assert all(p <= k for p, k in zip(planned, kept))
-    xv = rng.normal(size=(40, 40))
-    assert eg.evaluate(out, {"x": xv}).tobytes() == _dfs_evaluate([out], {"x": xv})[0].tobytes()
 
 
 def _bytes_after_each_node(order, free, redo) -> list:
@@ -834,7 +827,7 @@ def test_every_buffer_written_into_is_a_dying_interior_operand(
         training_outputs, monkeypatch):
     ds = gd.synth_dataset("sbm", **SBM_300)
     common = ("elementwise-add", "elementwise-sub", "elementwise-mul", "tanh")
-    # deep and RK4 stacks keep values live across the peak for a re-run
+    # and deep and RK4 flexible stacks, whose plans run more values again
     for variant, layers, method, ops in (
             ("flexible", 3, "euler", common),
             ("geodesic", 3, "euler", (*common, "scale", "sigmoid")),
@@ -852,32 +845,23 @@ def _assert_writes_into_dying_operands(training_outputs, monkeypatch, ds, cfg, o
     pinned = {o.nid for o in outputs}
     free, redo = eg._plan(order, pinned)
     at = {node.nid: i for i, node in enumerate(order)}
-    # a node run again may also write into an operand that dies at it: one
-    # run again only for that moment, or one kept live from before the peak
-    # until that run reads it
+    # a node run again may also write into an operand that dies at it, one
+    # run again only for that moment
     transient = {node.nid: set(gone) for runs in redo.values() for node, gone in runs}
-    kept = set().union(*transient.values()) - set(transient)
-    assert not kept & {nid for nids in free.values() for nid in nids}
+    assert set().union(*transient.values()) <= set(transient)
     expected = _dfs_values(outputs, bindings)
-    reads = Counter()
     for op, rule in list(eg._FORWARD.items()):
         def check(node, vals, rule=rule, **kw):
             # every operand, at every run and run again, has the bits of
             # its value: nothing was written into it before this reader
             for inp, val in zip(node.inputs, vals):
                 assert val.tobytes() == expected[inp.nid].tobytes(), (node, inp)
-                reads[inp.nid] += 1
             return rule(node, vals, **kw)
         monkeypatch.setitem(eg._FORWARD, op, check)
     seen = _record_in_place(monkeypatch)
     got = eg.evaluate(outputs, bindings)
     for g, o in zip(got, outputs):
         assert g.tobytes() == expected[o.nid].tobytes()
-    rereads = Counter(inp.nid for runs in redo.values() for node, _ in runs
-                      for inp in node.inputs)
-    for nid in kept:  # read by every reader, the runs again included
-        readers = sum(inp.nid == nid for n in order for inp in n.inputs)
-        assert reads[nid] == readers + rereads[nid]
     counts = Counter()
     for node, vals, into in seen:
         # mul(t, t) may write into t, its two operands
@@ -886,9 +870,7 @@ def _assert_writes_into_dying_operands(training_outputs, monkeypatch, ds, cfg, o
         assert operand.op not in eg._LEAVES | eg._VIEWS and operand.nid not in pinned
         counts[node.op] += 1
         counts["again"] += operand.nid in transient.get(node.nid, ())
-        counts["kept"] += operand.nid in kept
     assert all(counts[op] > 0 for op in (*ops, "again")), counts
-    assert counts["kept"] == len(kept), counts
 
 
 def test_concurrent_training_evaluations_keep_their_bytes(training_outputs):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -687,12 +688,18 @@ def test_training_graph_evaluates_no_materialised_broadcast(
     assert not [n for n in evaluated if _is_outer(n) and (
         _is_ones(n.inputs[0].inputs[0]) or _is_ones(n.inputs[1].inputs[0]))]
     assert "expand" in {n.op for n in evaluated}
-    # one tanh slope per tanh node, shared by the field and the training sweep
-    squares = [n.inputs[0] for n in evaluated
-               if n.op == "elementwise-mul" and n.inputs[0] is n.inputs[1]]
-    tanhs = [n for n in evaluated if n.op == "tanh"]
-    assert bool(tanhs) == (variant != "convex")
-    assert all(squares.count(t) == 1 for t in tanhs)
+    # a tanh's slope 1 - t*t is built where it is read, by the field and by
+    # the training sweep.  The flexible chart's field reads every tanh's
+    # slope; geodesic's reads the metric's slope for the momentum update,
+    # which nothing reads after a layer's last step
+    tanhs = [n.nid for n in evaluated if n.op == "tanh"]
+    squares = [Counter(n.inputs[0].nid for n in nodes
+                       if n.op == "elementwise-mul" and n.inputs[0] is n.inputs[1])
+               for nodes in (evaluated, eg._reachable([outputs[1]]))]  # and the encode
+    assert [[count[t] for t in tanhs] for count in squares] == {
+        "flexible": [[2, 2, 2, 2], [1, 1, 1, 1]],
+        "geodesic": [[2, 1, 2, 1], [1, 0, 1, 0]],
+        "convex": [[], []]}[variant]
     assert all(np.isfinite(v).all() for v in eg.evaluate(outputs, bindings))
 
 
