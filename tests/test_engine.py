@@ -676,6 +676,30 @@ def test_no_planned_position_holds_more_bytes_than_with_every_value_kept(
     assert max(planned) < max(kept)
 
 
+def test_a_value_is_kept_when_running_it_again_would_keep_a_larger_one_live(rng):
+    # the (1, m) product of a row of ``big`` is read before the peak and
+    # after big's last reader: running it again would need big, a sine that
+    # cannot run again, kept live for m times its bytes, so it is kept instead
+    x = eg.parameter("x", (40, 40))
+    big = eg.sin(x)
+    small = eg.scale(eg.narrow(big, 0, 1, axis=0), 2.0)
+    early = eg.reduce_sum(eg.sin(small))
+    v1 = eg.sin(eg.sin(x))
+    v2 = eg.sin(v1)
+    v3 = eg.sin(v2)
+    late = eg.reduce_sum(eg.mul(big, eg.add(eg.add(v1, v2), v3)))
+    out = eg.add(eg.add(early, late), eg.reduce_sum(small))
+    order = eg._reachable([out])
+    free, redo = eg._plan(order, {out.nid})
+    assert small.nid not in _planned([out])
+    planned = _bytes_after_each_node(order, free, redo)
+    kept = _bytes_after_each_node(order, _free_at_last_readers(order, {out.nid}), {})
+    assert all(p <= k for p, k in zip(planned, kept))
+    xv = rng.normal(size=(40, 40))
+    assert eg.evaluate(out, {"x": xv}).tobytes() == _dfs_evaluate([out], {"x": xv})[0].tobytes()
+
+
+
 def _bytes_after_each_node(order, free, redo) -> list:
     """Bytes live as each position's node is made, after its runs again:
     views and leaves own none, every other value 8 per entry."""
